@@ -12,7 +12,6 @@ from .action import (
     constant_group_action,
     direct_sum,
     dual_comodule,
-    hilbert_function,
     molien_series,
     tensor,
     trace_equivariance_check,
@@ -81,7 +80,6 @@ __all__ = [
     "dual_comodule",
     "gjs_inequality_check",
     "group_algebra",
-    "hilbert_function",
     "molien_series",
     "mu_scheme",
     "mu_semidirect_alpha_scheme",

@@ -72,19 +72,6 @@ class Comodule:
         return Comodule(self.scheme, np.ascontiguousarray(sc.transpose(1, 0, 2)),
                         labels=labels)
 
-    def twist(self, grouplike) -> "Comodule":
-        """Multiply every coaction entry by a fixed grouplike character."""
-        f = self.field
-        w = f.asarray(grouplike)
-        rmw = xa.tensordot(f, self.scheme.gamma.mult, w, ([1], [0]))
-        return Comodule(self.scheme,
-                        xa.tensordot(f, self.coaction, rmw, ([2], [0])),
-                        labels=self.labels)
-
-
-def verify_comodule(v: Comodule) -> AxiomReport:
-    return v.verify()
-
 
 def dual_comodule(v: Comodule) -> Comodule:
     return v.dual()
@@ -201,10 +188,6 @@ class _SymTower:
         self._build_to(d)
         return self._exps[d]
 
-    def index(self, d: int) -> dict[tuple[int, ...], int]:
-        self._build_to(d)
-        return self._index[d]
-
     def coaction(self, d: int) -> np.ndarray:
         self._build_to(d)
         return self._coact[d]
@@ -251,34 +234,6 @@ class _SymTower:
             self._coact[cur] = f.reduce(big)
 
 
-def symmetric_power(variables: Comodule, d: int,
-                    tower: _SymTower | None = None) -> Comodule:
-    """Sym^d of a comodule, basis = degree-d monomials in lex order."""
-    tw = tower or _SymTower(variables)
-    labels = [monomial_label(e, variables.labels) for e in tw.exponents(d)]
-    return Comodule(variables.scheme, tw.coaction(d), labels=labels)
-
-
-def invariants_comodule(v: Comodule) -> np.ndarray:
-    """Basis of {x : rho(x) = x (x) 1}, as rows over the base field."""
-    f = v.field
-    n, ngamma = v.dim, v.scheme.order
-    a = np.ascontiguousarray(v.coaction.transpose(0, 2, 1)).copy()
-    unit = v.scheme.gamma.unit
-    idx = np.arange(n)
-    if f.p is not None:
-        a[idx, :, idx] -= unit[None, :]
-        a %= f.p
-    else:
-        for m in range(n):
-            a[m, :, m] = a[m, :, m] - unit
-    return xa.kernel_basis(f, a.reshape(n * ngamma, n))
-
-
-def invariants_degree(v: Comodule) -> np.ndarray:
-    return invariants_comodule(v)
-
-
 class GradedInvariantRing:
     """S = Sym(V*) with its degreewise G-invariants A_d = (S_d)^G."""
 
@@ -310,41 +265,22 @@ class GradedInvariantRing:
             return None
         return tuple(self.field.asarray(twist).tolist())
 
-    def _twist_rm(self, key, twist):
-        if key not in self._twmat:
-            w = self.field.asarray(twist)
-            self._twmat[key] = xa.tensordot(
-                self.field, self.scheme.gamma.mult, w, ([1], [0])
-            )
-        return self._twmat[key]
-
     def sym_coaction(self, d: int, twist=None) -> np.ndarray:
         r = self.tower.coaction(d)
-        if twist is not None:
-            key = self._twist_key(twist)
-            r = xa.tensordot(self.field, r, self._twist_rm(key, twist), ([2], [0]))
-        return r
-
-    def sym_comodule(self, d: int) -> Comodule:
-        return symmetric_power(self.variables, d, tower=self.tower)
+        if twist is None:
+            return r
+        key = self._twist_key(twist)
+        if key not in self._twmat:
+            # right multiplication by the twisting grouplike on Gamma
+            self._twmat[key] = xa.tensordot(self.field, self.scheme.gamma.mult,
+                                            self.field.asarray(twist), ([1], [0]))
+        return xa.tensordot(self.field, r, self._twmat[key], ([2], [0]))
 
     def invariant_basis(self, d: int, twist=None) -> np.ndarray:
         key = (d, self._twist_key(twist))
         if key not in self._inv:
-            f = self.field
-            r = self.sym_coaction(d, twist)
-            m = r.shape[0]
-            ngamma = self.scheme.order
-            a = np.ascontiguousarray(r.transpose(0, 2, 1)).copy()
-            unit = self.scheme.gamma.unit
-            idx = np.arange(m)
-            if f.p is not None:
-                a[idx, :, idx] -= unit[None, :]
-                a %= f.p
-            else:
-                for mm in range(m):
-                    a[mm, :, mm] = a[mm, :, mm] - unit
-            self._inv[key] = xa.kernel_basis(f, a.reshape(m * ngamma, m))
+            self._inv[key] = xa.fixed_space(self.field, self.sym_coaction(d, twist),
+                                            self.scheme.gamma.unit)
         return self._inv[key]
 
     def invariant_dim(self, d: int, twist=None) -> int:
@@ -379,10 +315,6 @@ class GradedInvariantRing:
     def trace_map(self, d: int, coeffs) -> np.ndarray:
         v = self.field.asarray(coeffs)
         return xa.matmul(self.field, self.trace_matrix(d), v)
-
-
-def trace_map(ring: GradedInvariantRing, d: int, coeffs) -> np.ndarray:
-    return ring.trace_map(d, coeffs)
 
 
 # -- constant matrix groups -------------------------------------------------
@@ -727,7 +659,3 @@ def trace_equivariance_check(ring: GradedInvariantRing, max_degree: int) -> Trac
     )
     return report
 
-
-def hilbert_function(action, max_degree: int) -> list[int]:
-    """Degreewise invariant dimensions for either action flavor."""
-    return action.hilbert_function(max_degree)

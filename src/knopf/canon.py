@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from math import gcd
 
-from .action import DiagonalizableAction, GradedInvariantRing, is_small_constant
+from .action import DiagonalizableAction, is_small_constant
 from .errors import InputError
-from .ratfunc import Poly, RatFunc, reconstruct_rational
+from .ratfunc import RatFunc, reconstruct_rational
 
 __all__ = [
     "TwistedGradedModule",
@@ -535,7 +535,3 @@ def gjs_inequality_check(action, max_window: int | None = None,
         note="" if small is not None else "smallness not determined",
     )
 
-
-def hilbert_series_from_counts(counts: list[int], denominator: Poly) -> RatFunc:
-    """Window of dimensions + candidate denominator -> exact rational series."""
-    return reconstruct_rational(counts, denominator)

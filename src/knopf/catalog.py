@@ -8,7 +8,6 @@ in parallel.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -291,13 +290,6 @@ def _check_mu_semidirect_alpha(bundle, params):
     return checks
 
 
-def _poly_pow(base: Poly, k: int) -> Poly:
-    out = Poly.one()
-    for _ in range(k):
-        out = out * base
-    return out
-
-
 def _build_determinantal(params):
     m = int(params.get("m", 2))
     n = int(params.get("n", 2))
@@ -316,7 +308,7 @@ def _check_determinantal(bundle, params):
     checks: list[CheckResult] = []
     window = 2 * (m + n) + 2
     counts = diag.hilbert_function(window)
-    den = _poly_pow(Poly([1, 0, -1]), m + n - 1)
+    den = Poly([1, 0, -1]).pow(m + n - 1)
     series = canon.reconstruct_rational(counts, den)
     a = canon.a_invariant_via_molien(series)
     _check(checks, "a-invariant", -2 * max(m, n), a)
@@ -468,14 +460,6 @@ def list_entries() -> list[dict]:
     return out
 
 
-def build(name: str, **params):
-    if name not in ENTRIES:
-        raise InputError(
-            f"unknown catalog entry {name!r}; known: {', '.join(sorted(ENTRIES))}"
-        )
-    return ENTRIES[name].builder(params)
-
-
 def run(name: str, **params) -> EntryResult:
     if name not in ENTRIES:
         raise InputError(
@@ -497,11 +481,9 @@ def default_runs() -> list[tuple[str, dict]]:
     return [(e.name, dict(s)) for e in ENTRIES.values() for s in e.sweeps]
 
 
-def run_all(jobs: int | None = None) -> list[EntryResult]:
+def run_all(jobs: int = 1) -> list[EntryResult]:
     """Run every entry with its default parameter sets, optionally in parallel."""
     specs = default_runs()
-    if jobs is None:
-        jobs = int(os.environ.get("KNOPF_JOBS", "1"))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_run_spec, specs))

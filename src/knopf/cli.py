@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from . import action as act
 from . import canon, catalog, jsonio
@@ -24,48 +23,6 @@ from .errors import (
     UndecidedError,
     UnsupportedCaseError,
 )
-from .exactalg import FieldSpec
-
-
-@dataclass
-class RunConfig:
-    command: str
-    paths: list[str]
-    field: FieldSpec | None
-    max_degree: int | None
-    output: str
-    assert_small: bool
-    jobs: int | None
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        field = None
-        if getattr(args, "field", None):
-            field = jsonio.parse_field(args.field)
-        d = getattr(args, "max_degree", None)
-        if d is not None and d < 0:
-            raise InputError("--max-degree must be >= 0")
-        paths = [
-            p
-            for p in (
-                getattr(args, "path", None),
-                getattr(args, "scheme", None),
-                getattr(args, "module", None),
-            )
-            if p
-        ]
-        for p in paths:
-            if not os.path.exists(p):
-                raise InputError(f"no such file: {p}")
-        return cls(
-            command=args.command,
-            paths=paths,
-            field=field,
-            max_degree=d,
-            output=getattr(args, "output", "text"),
-            assert_small=bool(getattr(args, "assert_small", False)),
-            jobs=getattr(args, "jobs", None),
-        )
 
 
 def _common(sub, degree=False, small=False):
@@ -138,8 +95,8 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("name", nargs="?")
     s.add_argument("--param", action="append", default=[],
                    help="entry parameter as key=value; repeatable")
-    s.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers for run-all (or env KNOPF_JOBS)")
+    s.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers for run-all")
     _common(s)
 
     return p
@@ -155,24 +112,24 @@ def _fmt_combo(field, vec, labels) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _load_hopf(cfg: RunConfig, path: str):
-    obj = jsonio.load_json(path)
+def _load_hopf(args):
+    obj = jsonio.load_json(args.path)
     if isinstance(obj, dict) and "coordinate_ring" in obj:
-        return jsonio.scheme_from_json(obj, cfg.field,
-                                       os.path.dirname(path) or ".").gamma
-    return jsonio.hopf_from_json(obj, cfg.field)
+        return jsonio.scheme_from_json(obj, args.field,
+                                       os.path.dirname(args.path) or ".").gamma
+    return jsonio.hopf_from_json(obj, args.field)
 
 
-def _load_ring(cfg: RunConfig, args) -> act.GradedInvariantRing:
+def _load_ring(args) -> act.GradedInvariantRing:
     scheme = None
     base = os.path.dirname(args.module) or "."
-    if getattr(args, "scheme", None):
+    if args.scheme:
         scheme = jsonio.scheme_from_json(
-            jsonio.load_json(args.scheme), cfg.field,
+            jsonio.load_json(args.scheme), args.field,
             os.path.dirname(args.scheme) or ".",
         )
     return jsonio.action_from_json(jsonio.load_json(args.module), scheme,
-                                   cfg.field, base)
+                                   args.field, base)
 
 
 def _axiom_payload(report) -> dict:
@@ -203,45 +160,45 @@ def _axiom_text(label, report) -> str:
 # -- handlers ---------------------------------------------------------------
 
 
-def _cmd_verify(cfg, args):
+def _cmd_verify(args):
     obj = jsonio.load_json(args.path)
     base = os.path.dirname(args.path) or "."
     if isinstance(obj, dict) and ("coaction" in obj or "constant_group" in obj):
-        ring = jsonio.action_from_json(obj, None, cfg.field, base)
+        ring = jsonio.action_from_json(obj, None, args.field, base)
         rep = ring.module.verify()
         label = f"comodule over {ring.scheme.label}"
     elif isinstance(obj, dict) and "coordinate_ring" in obj:
-        scheme = jsonio.scheme_from_json(obj, cfg.field, base)
+        scheme = jsonio.scheme_from_json(obj, args.field, base)
         rep = scheme.verify()
         label = f"group scheme {scheme.label}"
     else:
-        h = jsonio.hopf_from_json(obj, cfg.field)
+        h = jsonio.hopf_from_json(obj, args.field)
         rep = h.verify_axioms()
         label = "hopf algebra"
     return (0 if rep.ok else 1), _axiom_payload(rep), _axiom_text(label, rep)
 
 
-def _cmd_integrals(cfg, args):
-    h = _load_hopf(cfg, args.path)
+def _cmd_integrals(args):
+    h = _load_hopf(args)
     sides = ("left", "right") if args.side == "both" else (args.side,)
     payload, lines = {}, []
     for side in sides:
         basis = h.integrals(side)
-        payload[side] = [[jsonio._fmt_scalar(h.field, v) for v in row]
+        payload[side] = [[h.field.fmt(v) for v in row]
                          for row in basis]
         pretty = "; ".join(_fmt_combo(h.field, row, h.basis) for row in basis)
         lines.append(f"{side} integral space (dim {len(basis)}): {pretty}")
     return 0, payload, "\n".join(lines)
 
 
-def _cmd_unimodular(cfg, args):
-    h = _load_hopf(cfg, args.path)
+def _cmd_unimodular(args):
+    h = _load_hopf(args)
     left, right = h.integrals("left"), h.integrals("right")
     verdict = h.is_unimodular()
     payload = {
         "unimodular": verdict,
-        "left": [[jsonio._fmt_scalar(h.field, v) for v in r] for r in left],
-        "right": [[jsonio._fmt_scalar(h.field, v) for v in r] for r in right],
+        "left": [[h.field.fmt(v) for v in r] for r in left],
+        "right": [[h.field.fmt(v) for v in r] for r in right],
     }
     text = f"unimodular: {str(verdict).lower()}"
     if not verdict:
@@ -252,8 +209,8 @@ def _cmd_unimodular(cfg, args):
     return 0, payload, text
 
 
-def _cmd_symmetric(cfg, args):
-    h = _load_hopf(cfg, args.path)
+def _cmd_symmetric(args):
+    h = _load_hopf(args)
     frob = h.is_frobenius()
     sym = h.is_symmetric() if frob else False
     payload = {"frobenius": frob, "symmetric": sym}
@@ -262,9 +219,9 @@ def _cmd_symmetric(cfg, args):
     )
 
 
-def _cmd_knop(cfg, args):
+def _cmd_knop(args):
     obj = jsonio.load_json(args.path)
-    scheme = jsonio.scheme_from_json(obj, cfg.field,
+    scheme = jsonio.scheme_from_json(obj, args.field,
                                      os.path.dirname(args.path) or ".")
     adj = scheme.knop_character_adjoint_route()
     mod = scheme.knop_character_modular_route()
@@ -286,29 +243,26 @@ def _cmd_knop(cfg, args):
     return (0 if agree else 1), payload, text
 
 
-def _cmd_invariants(cfg, args):
-    ring = _load_ring(cfg, args)
-    d = cfg.max_degree if cfg.max_degree is not None else 2 * ring.n + 4
+def _cmd_invariants(args):
+    ring = _load_ring(args)
+    d = args.max_degree if args.max_degree is not None else 2 * ring.n + 4
     dims = ring.hilbert_function(d)
     payload = {"label": ring.label, "max_degree": d, "dims": dims}
     text = f"invariant dimensions of {ring.label}, degrees 0..{d}:\n  {dims}"
     return 0, payload, text
 
 
-def _cmd_molien(cfg, args):
+def _cmd_molien(args):
     obj = jsonio.load_json(args.path)
-    if isinstance(obj, dict) and "constant_group" in obj:
-        mats = obj["constant_group"]["matrices"]
-    elif isinstance(obj, dict) and "matrices" in obj:
-        mats = obj["matrices"]
-    else:
+    cg = obj.get("constant_group", obj) if isinstance(obj, dict) else None
+    if not isinstance(cg, dict) or "matrices" not in cg:
         raise InputError(
             "molien input needs {\"matrices\": [...]} or the constant_group form"
         )
-    field = cfg.field or FieldSpec.rationals()
+    field, mats = jsonio.constant_group_from_json(cg, args.field)
     series = act.molien_series(mats, field)
     num, den = series.series_normal_form()
-    d = cfg.max_degree if cfg.max_degree is not None else 10
+    d = args.max_degree if args.max_degree is not None else 10
     coeffs = [str(c) for c in series.series_coeffs(d + 1)]
     payload = {
         "numerator": [str(c) for c in num.coeffs],
@@ -324,29 +278,29 @@ def _cmd_molien(cfg, args):
     return 0, payload, text
 
 
-def _cmd_classify(cfg, args):
-    ring = _load_ring(cfg, args)
+def _cmd_classify(args):
+    ring = _load_ring(args)
     rep = canon.classify_small_action(
-        ring, small_asserted=cfg.assert_small, max_window=cfg.max_degree,
-        label=getattr(args, "label", None),
+        ring, small_asserted=args.assert_small, max_window=args.max_degree,
+        label=args.label,
     )
     return 0, rep.to_dict(), str(rep)
 
 
-def _cmd_gjs(cfg, args):
-    ring = _load_ring(cfg, args)
-    rep = canon.gjs_inequality_check(ring, cfg.max_degree)
+def _cmd_gjs(args):
+    ring = _load_ring(args)
+    rep = canon.gjs_inequality_check(ring, args.max_degree)
     return (0 if rep.holds else 1), rep.to_dict(), str(rep)
 
 
-def _cmd_trace(cfg, args):
-    ring = _load_ring(cfg, args)
-    d = cfg.max_degree if cfg.max_degree is not None else 6
+def _cmd_trace(args):
+    ring = _load_ring(args)
+    d = args.max_degree if args.max_degree is not None else 6
     rep = act.trace_equivariance_check(ring, d)
     return (0 if rep.ok else 1), rep.to_dict(), str(rep)
 
 
-def _cmd_catalog(cfg, args):
+def _cmd_catalog(args):
     if args.action == "list":
         entries = catalog.list_entries()
         lines = [
@@ -366,7 +320,7 @@ def _cmd_catalog(cfg, args):
     else:
         if params:
             raise InputError("--param needs an entry name")
-        results = catalog.run_all(jobs=cfg.jobs)
+        results = catalog.run_all(jobs=args.jobs)
     ok = all(r.passed for r in results)
     payload = {"passed": ok, "results": [r.to_dict() for r in results]}
     text = "\n\n".join(str(r) for r in results)
@@ -394,8 +348,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        cfg = RunConfig.from_args(args)
-        code, payload, text = _HANDLERS[args.command](cfg, args)
+        args.field = jsonio.parse_field(args.field) if args.field else None
+        if getattr(args, "max_degree", None) is not None and args.max_degree < 0:
+            raise InputError("--max-degree must be >= 0")
+        code, payload, text = _HANDLERS[args.command](args)
     except (InputError, UnsupportedCaseError, UndecidedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -405,7 +361,7 @@ def main(argv=None) -> int:
     except KnopfError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    if cfg.output == "json":
+    if args.output == "json":
         sys.stdout.write(jsonio.canonical_json(payload))
     else:
         print(text)

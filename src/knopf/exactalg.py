@@ -3,8 +3,11 @@
 Scalars are `fractions.Fraction` over Q (always in lowest terms, positive
 denominator) and canonical representatives 0..p-1 (Python/int64) over F_p.
 Matrices are numpy arrays: dtype=object holding Fractions over Q, dtype=int64
-over F_p with reduction mod p after every operation.  There are no tolerances
-anywhere; a pivot is the first nonzero entry, full stop.
+over F_p with reduction mod p after every operation.  The field split lives
+in `FieldSpec` (scalars, dtypes, reduction) and in the float64 speed lane of
+matmul/tensordot; everything else, including the one elimination loop in
+`rref`, is written once for both fields.  There are no tolerances anywhere; a
+pivot is the first nonzero entry, full stop.
 """
 
 from __future__ import annotations
@@ -51,10 +54,6 @@ class FieldSpec:
     @classmethod
     def prime(cls, p: int) -> "FieldSpec":
         return cls(p)
-
-    @property
-    def is_prime_field(self) -> bool:
-        return self.p is not None
 
     @property
     def characteristic(self) -> int:
@@ -127,10 +126,6 @@ class FieldSpec:
 
     # -- arrays ----------------------------------------------------------
 
-    @property
-    def dtype(self):
-        return np.int64 if self.p is not None else object
-
     def asarray(self, data) -> np.ndarray:
         """Nested lists (ints/strings/Fractions) to a canonical array."""
         if self.p is not None:
@@ -195,31 +190,26 @@ def outer(field: FieldSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def is_zero(arr: np.ndarray) -> bool:
-    if arr.dtype == object:
-        return all(not v for v in arr.reshape(-1))
-    return not arr.any()
+    return not np.count_nonzero(arr)
 
 
 def arrays_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    if a.shape != b.shape:
-        return False
-    return bool(np.array_equal(a, b)) if a.dtype != object else all(
-        x == y for x, y in zip(a.reshape(-1), b.reshape(-1))
-    )
+    return a.shape == b.shape and bool(np.array_equal(a, b))
 
 
 def _first_nonzero(col) -> int | None:
-    for i, v in enumerate(col):
-        if v:
-            return i
-    return None
+    hits = np.flatnonzero(col)
+    return int(hits[0]) if hits.size else None
 
 
 def rref(field: FieldSpec, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; pivots are the first nonzero in each column.
 
     Returns (R, pivot_columns).  Deterministic: no pivot choice beyond
-    first-nonzero, so identical inputs give identical outputs.
+    first-nonzero, so identical inputs give identical outputs.  Each pivot
+    updates only the rows with a nonzero in its column, and in them only the
+    columns where the pivot row is nonzero, so sparse systems stay cheap over
+    both fields.
     """
     a = mat.copy()
     m, n = a.shape
@@ -228,28 +218,23 @@ def rref(field: FieldSpec, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     for c in range(n):
         if r == m:
             break
-        if field.p is not None:
-            sub = np.nonzero(a[r:, c])[0]
-            hit = int(sub[0]) if sub.size else None
-        else:
-            hit = _first_nonzero(a[r:, c])
-        if hit is None:
+        nz = np.flatnonzero(a[:, c])
+        below = nz[nz >= r]
+        if not below.size:
             continue
-        if hit:
-            a[[r, r + hit]] = a[[r + hit, r]]
+        hit = int(below[0])
+        if hit != r:
+            a[[r, hit]] = a[[hit, r]]
         inv = field.inv(a[r, c])
         if inv != field.one:
             a[r] = field.reduce(a[r] * inv)
-        factors = a[:, c].copy()
-        factors[r] = field.zero
-        if field.p is not None:
-            if factors.any():
-                a -= np.outer(factors, a[r])
-                a %= field.p
-        else:
-            for i in range(m):
-                if factors[i]:
-                    a[i] = a[i] - factors[i] * a[r]
+        # a[r, c] was zero when hit != r, so after the swap the other rows
+        # with a nonzero in column c are exactly nz without hit
+        rows = nz[nz != hit]
+        if rows.size:
+            cols = np.flatnonzero(a[r])
+            block = np.ix_(rows, cols)
+            a[block] = field.reduce(a[block] - np.outer(a[rows, c], a[r, cols]))
         pivots.append(c)
         r += 1
     return a, pivots
@@ -276,6 +261,23 @@ def kernel_basis(field: FieldSpec, mat: np.ndarray) -> np.ndarray:
         for row_idx, pc in enumerate(pivots):
             basis[k, pc] = field.neg(r[row_idx, f])
     return basis
+
+
+def fixed_space(field: FieldSpec, coact: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """Echelon basis of {x : sum_j coact[:, j, :] x_j = x (x) unit}, shape (k, n).
+
+    coact[i, j, :] is the coefficient vector of the i-th basis vector in the
+    coaction of the j-th one; the fixed vectors are the x with rho(x) = x (x)
+    unit.  Invariants (unit = 1 of k[G]), twisted invariants and integrals
+    (unit = the counit) are all this kernel.
+    """
+    n, _, ngamma = coact.shape
+    # copy(), not ascontiguousarray(): for ngamma == 1 the transpose is already
+    # contiguous, and subtracting in place would write into the caller's array
+    a = coact.transpose(0, 2, 1).copy()
+    idx = np.arange(n)
+    a[idx, :, idx] -= unit
+    return kernel_basis(field, field.reduce(a).reshape(n * ngamma, n))
 
 
 def solve(field: FieldSpec, mat: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:

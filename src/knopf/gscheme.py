@@ -28,13 +28,6 @@ from .errors import InconsistencyError, InputError
 from .exactalg import FieldSpec
 from .hopf import HopfAlgebraData, function_algebra, tensor_hopf
 
-# Relation between the two routes, frozen from cross-route runs on the whole
-# catalog and pinned by a regression test: the modular element of k[G]* read
-# back in k[G] is the INVERSE of the adjoint-route grouplike (they coincide
-# exactly when that grouplike is self-inverse, e.g. in characteristic 2 or
-# for trivial characters).
-MODULAR_MATCHES_ADJOINT = False
-
 
 class FiniteGroupScheme:
     """Spec of a commutative finite-dimensional Hopf algebra."""
@@ -92,15 +85,6 @@ class FiniteGroupScheme:
 
     def grouplike_equal(self, u, v) -> bool:
         return xa.arrays_equal(self.field.asarray(u), self.field.asarray(v))
-
-    def grouplike_basis_indices(self) -> list[int]:
-        """Indices of basis elements that are themselves grouplike.
-
-        For diagonalizable coordinate rings (monomial bases like t^i) this
-        enumerates all characters; in general it is only a convenience.
-        """
-        eye = self.field.eye(self.order)
-        return [i for i in range(self.order) if self.is_grouplike(eye[i])]
 
     def format_grouplike(self, v) -> str:
         v = self.field.asarray(v)
@@ -175,10 +159,16 @@ class FiniteGroupScheme:
         return xa.arrays_equal(self.knop_character(), self.gamma.unit)
 
     def knop_routes_agree(self) -> bool:
-        """Cross-route regression: modular route equals the adjoint route
-        composed with the frozen convention map."""
-        adj = self.knop_character_adjoint_route()
-        expected = adj if MODULAR_MATCHES_ADJOINT else self.grouplike_inverse(adj)
+        """Cross-route regression: the modular route equals the inverse of the
+        adjoint route.
+
+        That convention is frozen from cross-route runs on the whole catalog
+        and pinned by a regression test: the modular element of k[G]* read
+        back in k[G] is the INVERSE of the adjoint-route grouplike (they
+        coincide exactly when that grouplike is self-inverse, e.g. in
+        characteristic 2 or for trivial characters).
+        """
+        expected = self.grouplike_inverse(self.knop_character_adjoint_route())
         return self.grouplike_equal(self.knop_character_modular_route(), expected)
 
     def adjoint_coaction(self) -> np.ndarray:

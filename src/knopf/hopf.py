@@ -67,10 +67,7 @@ class AxiomReport:
 
 
 def _first_mismatch(a: np.ndarray, b: np.ndarray) -> tuple | None:
-    diff = a != b
-    if a.dtype == object or b.dtype == object:
-        diff = np.array([x != y for x, y in zip(a.reshape(-1), b.reshape(-1))]).reshape(a.shape)
-    idx = np.argwhere(diff)
+    idx = np.argwhere(a != b)
     return tuple(int(v) for v in idx[0]) if idx.size else None
 
 
@@ -111,10 +108,6 @@ class HopfAlgebraData:
             self.antipode = self._solve_antipode()
 
     # -- small helpers ---------------------------------------------------
-
-    @property
-    def has_coalgebra(self) -> bool:
-        return self.comult is not None
 
     def _need_coalgebra(self):
         if self.comult is None:
@@ -233,25 +226,15 @@ class HopfAlgebraData:
         return self._integral_space(side)
 
     def _integral_space(self, side: str) -> np.ndarray:
-        f, c, n = self.field, self.mult, self.dim
+        # left integrals: b_i x = eps(b_i) x for every i, so x is a fixed vector
+        # of coact[k, j, i] = mult[i, j, k] against the counit; right: x b_i
         if side == "left":
-            a = c.transpose(0, 2, 1).copy()  # [i,k,j] = c[i,j,k]
+            coact = self.mult.transpose(2, 1, 0)
         elif side == "right":
-            a = c.transpose(1, 2, 0).copy()  # [i,k,j] = c[j,i,k]
+            coact = self.mult.transpose(2, 0, 1)
         else:
             raise InputError(f"side must be 'left' or 'right', got {side!r}")
-        eps = self.counit if self.counit is not None else None
-        if eps is None:
-            raise InputError("integrals need a counit")
-        rng = np.arange(n)
-        if f.p is not None:
-            a[:, rng, rng] -= eps[:, None]
-            a %= f.p
-        else:
-            for i in range(n):
-                for k in range(n):
-                    a[i, k, k] = a[i, k, k] - eps[i]
-        return xa.kernel_basis(f, a.reshape(n * n, n))
+        return xa.fixed_space(self.field, coact, self.counit)
 
     def is_unimodular(self) -> bool:
         """Left integral space equals right integral space (exact spans)."""
@@ -273,17 +256,14 @@ class HopfAlgebraData:
             raise InconsistencyError("left integral space is not one-dimensional")
         lam = space[0]
         f = self.field
-        pivot = next(i for i, v in enumerate(lam) if v)
+        pivot = xa._first_nonzero(lam)
         # the echelon integral need not have a unit leading entry
         piv_inv = f.inv(lam[pivot])
         alpha = f.zeros(self.dim)
         for i in range(self.dim):
             w = self.mult_vec(lam, f.eye(self.dim)[i])
-            a_i = w[pivot] * piv_inv
-            if f.p is not None:
-                a_i = int(a_i) % f.p
-            alpha[i] = a_i
-            if not xa.arrays_equal(f.reduce(lam * a_i), f.reduce(w)):
+            alpha[i] = f.reduce(w[pivot] * piv_inv)
+            if not xa.arrays_equal(f.reduce(lam * alpha[i]), f.reduce(w)):
                 raise InconsistencyError(
                     f"right multiplication by b_{i} does not preserve the integral line"
                 )

@@ -76,15 +76,26 @@ def _scalar(field: FieldSpec, v):
     return field.coerce(v)
 
 
+def _dim(obj: dict, where: str) -> int:
+    n = _require(obj, "dim", where)
+    if not isinstance(n, int) or n < 1:
+        raise InputError(f"{where}: dim must be a positive integer, got {n!r}")
+    return n
+
+
+def _check_indices(indices, n: int, what: str):
+    for idx in indices:
+        if not isinstance(idx, int) or not 0 <= idx < n:
+            raise InputError(f"{what}: index {idx!r} out of range 0..{n-1}")
+
+
 def _dense3(field: FieldSpec, triples, n: int, what: str):
     out = field.zeros((n, n, n))
     for entry in triples:
-        if len(entry) != 4:
+        if not isinstance(entry, list) or len(entry) != 4:
             raise InputError(f"{what}: entries must be [i, j, k, coeff]")
         i, j, k, c = entry
-        for idx in (i, j, k):
-            if not isinstance(idx, int) or not 0 <= idx < n:
-                raise InputError(f"{what}: index {idx!r} out of range 0..{n-1}")
+        _check_indices((i, j, k), n, what)
         out[i, j, k] = _scalar(field, c)
     return out
 
@@ -93,9 +104,9 @@ def hopf_from_json(obj: dict, field_override: FieldSpec | None = None) -> HopfAl
     if not isinstance(obj, dict):
         raise InputError("hopf algebra: expected a JSON object")
     field = field_override or parse_field(_require(obj, "field", "hopf algebra"))
-    n = _require(obj, "dim", "hopf algebra")
+    n = _dim(obj, "hopf algebra")
     basis = _require(obj, "basis", "hopf algebra")
-    if not isinstance(n, int) or n < 1 or len(basis) != n:
+    if len(basis) != n:
         raise InputError("hopf algebra: dim must match the basis length")
     unit = [_scalar(field, v) for v in _require(obj, "unit", "hopf algebra")]
     counit = [_scalar(field, v) for v in _require(obj, "counit", "hopf algebra")]
@@ -113,10 +124,6 @@ def hopf_from_json(obj: dict, field_override: FieldSpec | None = None) -> HopfAl
                            counit=counit, comult=comult, antipode=antipode)
 
 
-def _fmt_scalar(field: FieldSpec, v):
-    return int(v) if field.p is not None else str(v)
-
-
 def _sparse3(field: FieldSpec, arr):
     n = arr.shape[0]
     out = []
@@ -124,7 +131,7 @@ def _sparse3(field: FieldSpec, arr):
         for j in range(n):
             for k in range(n):
                 if arr[i, j, k]:
-                    out.append([i, j, k, _fmt_scalar(field, arr[i, j, k])])
+                    out.append([i, j, k, field.fmt(arr[i, j, k])])
     return out
 
 
@@ -134,14 +141,14 @@ def hopf_to_json(h: HopfAlgebraData) -> dict:
         "field": field_to_json(f),
         "dim": h.dim,
         "basis": list(h.basis),
-        "unit": [_fmt_scalar(f, v) for v in h.unit],
-        "counit": [_fmt_scalar(f, v) for v in h.counit],
+        "unit": [f.fmt(v) for v in h.unit],
+        "counit": [f.fmt(v) for v in h.counit],
         "mult": _sparse3(f, h.mult),
         "comult": _sparse3(f, h.comult),
     }
     if h.antipode is not None:
         out["antipode"] = [
-            [_fmt_scalar(f, v) for v in row] for row in h.antipode
+            [f.fmt(v) for v in row] for row in h.antipode
         ]
     return out
 
@@ -175,16 +182,15 @@ def comodule_from_json(obj: dict, scheme: FiniteGroupScheme | None = None,
                 "comodule: no scheme given inline and none supplied separately"
             )
         scheme = scheme_from_json(obj["scheme"], field_override, base_dir)
-    n = _require(obj, "dim", "comodule")
+    n = _dim(obj, "comodule")
     f = scheme.field
     coact = f.zeros((n, n, scheme.order))
     for entry in _require(obj, "coaction", "comodule"):
-        if len(entry) != 3:
+        if not isinstance(entry, list) or len(entry) != 3:
             raise InputError("coaction entries must be [i, j, [coefficients]]")
         i, j, coeffs = entry
-        if not (0 <= i < n and 0 <= j < n):
-            raise InputError(f"coaction index ({i},{j}) out of range")
-        if len(coeffs) != scheme.order:
+        _check_indices((i, j), n, "coaction")
+        if not isinstance(coeffs, list) or len(coeffs) != scheme.order:
             raise InputError(
                 f"coaction entry ({i},{j}): expected {scheme.order} coefficients"
             )
@@ -204,7 +210,7 @@ def comodule_to_json(module: act.Comodule, scheme_ref: str | None = None) -> dic
             col = module.coaction[i, j]
             if not col.any():
                 continue
-            coaction.append([i, j, [_fmt_scalar(f, v) for v in col]])
+            coaction.append([i, j, [f.fmt(v) for v in col]])
     out = {
         "scheme": scheme_ref if scheme_ref else scheme_to_json(module.scheme),
         "dim": n,
@@ -215,6 +221,21 @@ def comodule_to_json(module: act.Comodule, scheme_ref: str | None = None) -> dic
     return out
 
 
+def constant_group_from_json(cg, field_override: FieldSpec | None = None):
+    """(field, matrices) of {"matrices": [...], "field": optional}.
+
+    The field is the override if one is given, else the object's own "field",
+    else Q; the matrices are parsed over it.
+    """
+    if not isinstance(cg, dict):
+        raise InputError("constant_group: expected a JSON object")
+    mats = _require(cg, "matrices", "constant_group")
+    field = field_override or (
+        parse_field(cg["field"]) if "field" in cg else FieldSpec.rationals()
+    )
+    return field, [[[_scalar(field, v) for v in row] for row in m] for m in mats]
+
+
 def action_from_json(obj: dict, scheme: FiniteGroupScheme | None = None,
                      field_override: FieldSpec | None = None,
                      base_dir: str = ".") -> act.GradedInvariantRing:
@@ -222,16 +243,9 @@ def action_from_json(obj: dict, scheme: FiniteGroupScheme | None = None,
     shorthand {"constant_group": {"matrices": [...]}}."""
     if isinstance(obj, dict) and "constant_group" in obj:
         cg = obj["constant_group"]
-        mats = _require(cg, "matrices", "constant_group")
-        field = field_override or (
-            parse_field(cg["field"]) if "field" in cg else FieldSpec.rationals()
-        )
-        parsed = [
-            [[_scalar(field, v) for v in row] for row in m] for m in mats
-        ]
+        field, mats = constant_group_from_json(cg, field_override)
         return act.constant_group_action(
-            field, parsed,
-            var_labels=cg.get("var_labels"), label=obj.get("label"),
+            field, mats, var_labels=cg.get("var_labels"), label=obj.get("label"),
         )
     module = comodule_from_json(obj, scheme, field_override, base_dir)
     return act.GradedInvariantRing(module, label=obj.get("label"),

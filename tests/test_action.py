@@ -193,8 +193,28 @@ def test_trace_report_minus_id():
         assert res.reynolds == "pass"
 
 
-def test_hilbert_dispatcher():
-    diag = act.DiagonalizableAction([1, 2], 3)
-    ring = act.constant_group_action(Q, MINUS_ID)
-    assert act.hilbert_function(diag, 5) == diag.hilbert_function(5)
-    assert act.hilbert_function(ring, 5) == ring.hilbert_function(5)
+
+@pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_trivial_group_fixed_space_leaves_tower_intact(field, n):
+    from math import comb
+
+    ring = act.constant_group_action(field, [np.eye(n, dtype=np.int64).tolist()])
+    assert ring.scheme.order == 1
+    unit = ring.scheme.unit_grouplike()
+    for d in range(5):
+        before = ring.tower.coaction(d).copy()
+        plain = ring.invariant_basis(d)
+        twisted = ring.invariant_basis(d, twist=unit)
+        assert xa.arrays_equal(ring.tower.coaction(d), before)
+        assert len(plain) == len(twisted) == comb(d + n - 1, n - 1)
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
+def test_one_dimensional_group_algebra_integrals(field):
+    from knopf.hopf import group_algebra
+
+    h = group_algebra(field, [[0]])
+    assert len(h.integrals("left")) == 1
+    assert len(h.integrals("right")) == 1
+    assert h.is_unimodular()

@@ -1,9 +1,12 @@
 """Worked-example registry: frozen expectations, sweeps, parallel determinism."""
 
+import hashlib
+
 import pytest
 
 from knopf import catalog
 from knopf.errors import InputError
+from knopf.jsonio import canonical_json
 
 
 def test_cyclic_and_dihedral_tables_are_groups():
@@ -86,3 +89,21 @@ def test_list_entries_exposes_defaults():
     assert "determinantal" in names
     ul = next(e for e in entries if e["name"] == "uL")
     assert {"p": 2} in ul["default_runs"]
+
+
+# sha256 of the catalog's canonical JSON, recorded before the fixed-space and
+# elimination refactor; any change to a verdict, witness or label moves them.
+RUN_ALL_SHA256 = "df310f362cb4b9b825d8eb19db5a8284cf7f6f97b9e5290317fbd034a38403f6"
+LIST_ENTRIES_SHA256 = "4b4acb1b80a24accbcbb7e0cc6823d11bca7ef989140ec62924e45a62f9c0b7f"
+
+
+def _sha256(payload) -> str:
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
+def test_catalog_bytes_are_pinned():
+    results = [r.to_dict() for r in catalog.run_all()]
+    for r in results:
+        del r["elapsed_seconds"]  # the one wall-clock field
+    assert _sha256(results) == RUN_ALL_SHA256
+    assert _sha256(catalog.list_entries()) == LIST_ENTRIES_SHA256

@@ -209,3 +209,28 @@ def test_field_override_flag(tmp_path, capsys):
     p.write_text(json.dumps(obj))
     assert main(["verify", str(p), "--field", "Fp:2"]) == 0
     capsys.readouterr()
+
+
+def test_molien_reads_the_constant_group_field(tmp_path, capsys):
+    obj = {"constant_group": {"field": {"Fp": 3},
+                              "matrices": [[[1, 0], [0, 1]], [[-1, 0], [0, -1]]]}}
+    p = tmp_path / "minus-id-f3.json"
+    p.write_text(json.dumps(obj))
+    assert main(["molien", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "characteristic zero" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda obj: obj["coaction"][0].__setitem__(0, 0.5),
+    lambda obj: obj.__setitem__("dim", "4"),
+], ids=["fractional-index", "string-dim"])
+def test_ill_typed_comodule_exits_two(tmp_path, capsys, edit):
+    obj = json.load(open(_data("w-plus-wdual.json")))
+    edit(obj)
+    p = tmp_path / "broken-comodule.json"
+    p.write_text(json.dumps(obj))
+    assert main(["invariants", "--scheme", _data("mu3a5.json"),
+                 "--module", str(p), "--max-degree", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

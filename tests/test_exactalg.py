@@ -183,3 +183,95 @@ def test_kernel_vectors_annihilate_q(mat):
     f = FieldSpec.rationals()
     for v in xa.kernel_basis(f, mat):
         assert xa.is_zero(f.reduce(mat @ v))
+
+
+# -- the row-loop elimination, kept as a reference --------------------------
+#
+# _seed_rref is the two-lane rref this package shipped before the single
+# elimination loop (F_p: dense outer product over every row; Q: a Python row
+# loop over Fractions), copied verbatim.  The new loop must return identical
+# (R, pivots) on every input.
+
+
+def _seed_first_nonzero(col) -> int | None:
+    for i, v in enumerate(col):
+        if v:
+            return i
+    return None
+
+
+def _seed_rref(field: FieldSpec, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    a = mat.copy()
+    m, n = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        if field.p is not None:
+            sub = np.nonzero(a[r:, c])[0]
+            hit = int(sub[0]) if sub.size else None
+        else:
+            hit = _seed_first_nonzero(a[r:, c])
+        if hit is None:
+            continue
+        if hit:
+            a[[r, r + hit]] = a[[r + hit, r]]
+        inv = field.inv(a[r, c])
+        if inv != field.one:
+            a[r] = field.reduce(a[r] * inv)
+        factors = a[:, c].copy()
+        factors[r] = field.zero
+        if field.p is not None:
+            if factors.any():
+                a -= np.outer(factors, a[r])
+                a %= field.p
+        else:
+            for i in range(m):
+                if factors[i]:
+                    a[i] = a[i] - factors[i] * a[r]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+_REFERENCE_FIELDS = [FieldSpec.rationals(), FieldSpec.prime(2), FieldSpec.prime(5),
+                     FieldSpec.prime(1048573)]
+
+
+@st.composite
+def shaped_matrices(draw):
+    """(field, matrix): sparse, dense, wide or tall, optionally with zero columns."""
+    field = draw(st.sampled_from(_REFERENCE_FIELDS))
+    kind = draw(st.sampled_from(["sparse", "dense", "wide", "tall"]))
+    short, long_ = st.integers(1, 4), st.integers(5, 9)
+    rows, cols = {
+        "wide": (short, long_), "tall": (long_, short),
+    }.get(kind, (st.integers(1, 7), st.integers(1, 7)))
+    rows, cols = draw(rows), draw(cols)
+    if field.p is None:
+        entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    else:
+        entry = st.integers(-(2**40), 2**40)
+    data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    if kind == "sparse":
+        keep = draw(st.lists(st.integers(0, 3), min_size=rows * cols,
+                             max_size=rows * cols))
+        data = [[v if keep[i * cols + j] == 0 else 0 for j, v in enumerate(row)]
+                for i, row in enumerate(data)]
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=cols)):
+        for row in data:
+            row[j] = 0
+    return field, field.asarray(data)
+
+
+@given(shaped_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rref_matches_seed_row_loop(case):
+    field, mat = case
+    r_new, p_new = xa.rref(field, mat)
+    r_ref, p_ref = _seed_rref(field, mat)
+    assert p_new == p_ref
+    assert r_new.dtype == r_ref.dtype
+    assert xa.arrays_equal(r_new, r_ref)
