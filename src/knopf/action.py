@@ -222,13 +222,15 @@ class _SymTower:
                         )
                 if not cols:
                     continue
-                src_block = prev_r[:, srcs, :]
+                rows = [i for i in range(n) if self._nz[i][j]]
+                if not rows:
+                    continue
+                # one product for every nonzero gamma_ij, so the block is
+                # converted once; contrib[:, :, k] belongs to gamma_{rows[k], j}
+                contrib = xa.tensordot(f, prev_r[:, srcs, :], self._rm[rows, j], ([2], [1]))
                 cols_arr = np.array(cols)
-                for i in range(n):
-                    if not self._nz[i][j]:
-                        continue
-                    contrib = xa.tensordot(f, src_block, self._rm[i, j], ([2], [0]))
-                    big[np.ix_(shifts[i], cols_arr)] += contrib
+                for k, i in enumerate(rows):
+                    big[np.ix_(shifts[i], cols_arr)] += contrib[:, :, k]
             self._exps[cur] = exps
             self._index[cur] = index
             self._coact[cur] = f.reduce(big)
@@ -263,13 +265,15 @@ class GradedInvariantRing:
     def _twist_key(self, twist):
         if twist is None:
             return None
-        return tuple(self.field.asarray(twist).tolist())
+        key = tuple(self.field.asarray(twist).tolist())
+        # twisting by the unit of Gamma is no twist: share the untwisted kernel
+        return None if key == tuple(self.scheme.gamma.unit.tolist()) else key
 
     def sym_coaction(self, d: int, twist=None) -> np.ndarray:
         r = self.tower.coaction(d)
-        if twist is None:
-            return r
         key = self._twist_key(twist)
+        if key is None:
+            return r
         if key not in self._twmat:
             # right multiplication by the twisting grouplike on Gamma
             self._twmat[key] = xa.tensordot(self.field, self.scheme.gamma.mult,

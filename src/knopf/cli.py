@@ -128,8 +128,15 @@ def _load_ring(args) -> act.GradedInvariantRing:
             jsonio.load_json(args.scheme), args.field,
             os.path.dirname(args.scheme) or ".",
         )
-    return jsonio.action_from_json(jsonio.load_json(args.module), scheme,
+    ring = jsonio.action_from_json(jsonio.load_json(args.module), scheme,
                                    args.field, base)
+    # `knopf verify` reports every check; the other commands refuse to run on
+    # a coaction that is not a comodule
+    bad = ring.module.verify().failures
+    if bad:
+        raise CheckFailure(f"{args.module} is not a comodule: {bad[0].name} "
+                           f"fails at {bad[0].witness}")
+    return ring
 
 
 def _axiom_payload(report) -> dict:

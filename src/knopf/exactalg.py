@@ -4,14 +4,19 @@ Scalars are `fractions.Fraction` over Q (always in lowest terms, positive
 denominator) and canonical representatives 0..p-1 (Python/int64) over F_p.
 Matrices are numpy arrays: dtype=object holding Fractions over Q, dtype=int64
 over F_p with reduction mod p after every operation.  The field split lives
-in `FieldSpec` (scalars, dtypes, reduction) and in the float64 speed lane of
-matmul/tensordot; everything else, including the one elimination loop in
-`rref`, is written once for both fields.  There are no tolerances anywhere; a
-pivot is the first nonzero entry, full stop.
+in `FieldSpec` (scalars, dtypes, reduction); everything else, including the
+one elimination loop in `rref`, is written once for both fields.  `matmul`
+and `tensordot` are one integer product for both fields: each operand is
+scaled once to integers (over Q by the lcm of its denominators), multiplied
+in float64 BLAS while k * max|a| * max|b| < 2^53 for a contraction of length
+k (exact: every partial sum is an integer below 2^53), on Python ints beyond,
+then reduced mod p or divided back into Fractions.  There are no tolerances
+anywhere; a pivot is the first nonzero entry, full stop.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -156,28 +161,53 @@ class FieldSpec:
         return arr % self.p if self.p is not None else arr
 
 
-def _float_safe(field: FieldSpec, k: int) -> bool:
-    # Sums of k products of residues stay below 2^53, so float64 matmul is
-    # exact integer arithmetic; purely a speed lane, never an approximation.
-    return field.p is not None and k * (field.p - 1) ** 2 < 2**53
+# While k * max|a| * max|b| < 2^53, every product and partial sum of an
+# integer dot product of length k is an integer float64 holds exactly.
+_EXACT_BOUND = 2**53
+
+
+def _integral(field: FieldSpec, a: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """(n, s, m) with a = n / s and |n| <= m, n int64 if it fits, else Python ints."""
+    if field.p is not None:
+        return a, 1, field.p - 1
+    flat = a.reshape(-1)
+    s = math.lcm(*{x.denominator for x in flat})
+    if s == 1:
+        nums = [x.numerator for x in flat]
+    else:
+        nums = [x.numerator * (s // x.denominator) for x in flat]
+    m = max(max(nums, default=0), -min(nums, default=0))
+    return np.array(nums, dtype=np.int64 if m < 2**63 else object).reshape(a.shape), s, m
+
+
+def _product(field: FieldSpec, a: np.ndarray, b: np.ndarray, k: int, mult) -> np.ndarray:
+    """mult(a, b) exactly, where each output entry sums k products."""
+    (na, sa, ma), (nb, sb, mb) = _integral(field, a), _integral(field, b)
+    # ma and mb on their own too: an all-zero partner must not let an operand
+    # beyond 2^53 into float64
+    if max(k * ma * mb, ma, mb) < _EXACT_BOUND:
+        out = np.rint(mult(na.astype(np.float64), nb.astype(np.float64))).astype(np.int64)
+    else:
+        out = np.asarray(mult(na.astype(object), nb.astype(object)))
+    if field.p is not None:
+        return (out % field.p).astype(np.int64, copy=False)
+    # lowest-terms Fractions, one object per distinct value
+    values = out.reshape(-1).tolist()
+    frac = {v: Fraction(v, sa * sb) for v in set(values)}
+    return np.fromiter(map(frac.__getitem__, values), dtype=object,
+                       count=len(values)).reshape(out.shape)
 
 
 def matmul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if _float_safe(field, a.shape[-1]):
-        out = a.astype(np.float64) @ b.astype(np.float64)
-        return np.rint(out).astype(np.int64) % field.p
-    return field.reduce(a @ b)
+    return _product(field, a, b, a.shape[-1], np.matmul)
 
 
 def tensordot(field: FieldSpec, a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
     if isinstance(axes, (int, np.integer)):
-        k = int(np.prod(a.shape[a.ndim - axes :], dtype=np.int64)) if axes else 1
+        k = int(np.prod(a.shape[a.ndim - axes :], dtype=np.int64))
     else:
         k = int(np.prod([a.shape[ax] for ax in np.atleast_1d(axes[0])], dtype=np.int64))
-    if k and _float_safe(field, k):
-        out = np.tensordot(a.astype(np.float64), b.astype(np.float64), axes)
-        return np.rint(out).astype(np.int64) % field.p
-    return field.reduce(np.tensordot(a, b, axes))
+    return _product(field, a, b, k, lambda x, y: np.tensordot(x, y, axes))
 
 
 def kron(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:

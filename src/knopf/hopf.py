@@ -257,13 +257,13 @@ class HopfAlgebraData:
         lam = space[0]
         f = self.field
         pivot = xa._first_nonzero(lam)
-        # the echelon integral need not have a unit leading entry
-        piv_inv = f.inv(lam[pivot])
-        alpha = f.zeros(self.dim)
+        # row i of w is lam * b_i; the echelon integral need not have a unit
+        # leading entry
+        w = xa.tensordot(f, lam, self.mult, ([0], [0]))
+        alpha = f.reduce(w[:, pivot] * f.inv(lam[pivot]))
+        expected = xa.outer(f, alpha, lam)
         for i in range(self.dim):
-            w = self.mult_vec(lam, f.eye(self.dim)[i])
-            alpha[i] = f.reduce(w[pivot] * piv_inv)
-            if not xa.arrays_equal(f.reduce(lam * alpha[i]), f.reduce(w)):
+            if not xa.arrays_equal(expected[i], w[i]):
                 raise InconsistencyError(
                     f"right multiplication by b_{i} does not preserve the integral line"
                 )

@@ -39,8 +39,8 @@ def parse_field(spec) -> FieldSpec:
             return FieldSpec.prime(int(spec[3:]))
         except ValueError:
             raise InputError(f"bad field spec {spec!r}; use Q or Fp:<prime>")
-    if isinstance(spec, dict) and set(spec) == {"Fp"}:
-        return FieldSpec.prime(int(spec["Fp"]))
+    if isinstance(spec, dict) and set(spec) == {"Fp"} and isinstance(spec["Fp"], int):
+        return FieldSpec.prime(spec["Fp"])
     raise InputError(f"bad field spec {spec!r}; use \"Q\" or {{\"Fp\": p}}")
 
 
@@ -89,9 +89,32 @@ def _check_indices(indices, n: int, what: str):
             raise InputError(f"{what}: index {idx!r} out of range 0..{n-1}")
 
 
+def _list(value, what: str, length: int | None = None) -> list:
+    if not isinstance(value, list) or length is not None and len(value) != length:
+        size = "a list" if length is None else f"a list of {length}"
+        raise InputError(f"{what}: expected {size}, got {value!r:.40}")
+    return value
+
+
+def _vector(field: FieldSpec, values, n: int, what: str) -> list:
+    return [_scalar(field, v) for v in _list(values, what, n)]
+
+
+def _matrix(field: FieldSpec, rows, n: int, what: str) -> list:
+    """An n x n matrix given as a list of n rows of n scalars."""
+    return [_vector(field, row, n, f"{what} row") for row in _list(rows, what, n)]
+
+
+def _labels(obj: dict, key: str, n: int):
+    labels = obj.get(key)
+    if labels is not None and not all(isinstance(v, str) for v in _list(labels, key, n)):
+        raise InputError(f"{key}: expected {n} strings")
+    return labels
+
+
 def _dense3(field: FieldSpec, triples, n: int, what: str):
     out = field.zeros((n, n, n))
-    for entry in triples:
+    for entry in _list(triples, what):
         if not isinstance(entry, list) or len(entry) != 4:
             raise InputError(f"{what}: entries must be [i, j, k, coeff]")
         i, j, k, c = entry
@@ -105,21 +128,14 @@ def hopf_from_json(obj: dict, field_override: FieldSpec | None = None) -> HopfAl
         raise InputError("hopf algebra: expected a JSON object")
     field = field_override or parse_field(_require(obj, "field", "hopf algebra"))
     n = _dim(obj, "hopf algebra")
-    basis = _require(obj, "basis", "hopf algebra")
-    if len(basis) != n:
-        raise InputError("hopf algebra: dim must match the basis length")
-    unit = [_scalar(field, v) for v in _require(obj, "unit", "hopf algebra")]
-    counit = [_scalar(field, v) for v in _require(obj, "counit", "hopf algebra")]
-    if len(unit) != n or len(counit) != n:
-        raise InputError("hopf algebra: unit/counit length must equal dim")
+    basis = _list(_require(obj, "basis", "hopf algebra"), "hopf algebra basis", n)
+    unit = _vector(field, _require(obj, "unit", "hopf algebra"), n, "unit")
+    counit = _vector(field, _require(obj, "counit", "hopf algebra"), n, "counit")
     mult = _dense3(field, _require(obj, "mult", "hopf algebra"), n, "mult")
     comult = _dense3(field, _require(obj, "comult", "hopf algebra"), n, "comult")
     antipode = None
     if obj.get("antipode") is not None:
-        rows = obj["antipode"]
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise InputError("antipode must be an n x n matrix")
-        antipode = [[_scalar(field, v) for v in row] for row in rows]
+        antipode = _matrix(field, obj["antipode"], n, "antipode")
     return HopfAlgebraData(field, [str(b) for b in basis], unit, mult,
                            counit=counit, comult=comult, antipode=antipode)
 
@@ -185,7 +201,7 @@ def comodule_from_json(obj: dict, scheme: FiniteGroupScheme | None = None,
     n = _dim(obj, "comodule")
     f = scheme.field
     coact = f.zeros((n, n, scheme.order))
-    for entry in _require(obj, "coaction", "comodule"):
+    for entry in _list(_require(obj, "coaction", "comodule"), "coaction"):
         if not isinstance(entry, list) or len(entry) != 3:
             raise InputError("coaction entries must be [i, j, [coefficients]]")
         i, j, coeffs = entry
@@ -196,8 +212,7 @@ def comodule_from_json(obj: dict, scheme: FiniteGroupScheme | None = None,
             )
         for t, c in enumerate(coeffs):
             coact[i, j, t] = _scalar(f, c)
-    labels = obj.get("labels")
-    return act.Comodule(scheme, coact, labels=labels)
+    return act.Comodule(scheme, coact, labels=_labels(obj, "labels", n))
 
 
 def comodule_to_json(module: act.Comodule, scheme_ref: str | None = None) -> dict:
@@ -229,11 +244,13 @@ def constant_group_from_json(cg, field_override: FieldSpec | None = None):
     """
     if not isinstance(cg, dict):
         raise InputError("constant_group: expected a JSON object")
-    mats = _require(cg, "matrices", "constant_group")
+    mats = _list(_require(cg, "matrices", "constant_group"), "constant_group matrices")
     field = field_override or (
         parse_field(cg["field"]) if "field" in cg else FieldSpec.rationals()
     )
-    return field, [[[_scalar(field, v) for v in row] for row in m] for m in mats]
+    n = len(_list(mats[0], "constant_group matrix")) if mats else 0
+    _labels(cg, "var_labels", n)
+    return field, [_matrix(field, m, n, "constant_group matrix") for m in mats]
 
 
 def action_from_json(obj: dict, scheme: FiniteGroupScheme | None = None,
@@ -249,7 +266,7 @@ def action_from_json(obj: dict, scheme: FiniteGroupScheme | None = None,
         )
     module = comodule_from_json(obj, scheme, field_override, base_dir)
     return act.GradedInvariantRing(module, label=obj.get("label"),
-                                   var_labels=obj.get("var_labels"))
+                                   var_labels=_labels(obj, "var_labels", module.dim))
 
 
 def canonical_json(payload) -> str:

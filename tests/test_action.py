@@ -211,6 +211,16 @@ def test_trivial_group_fixed_space_leaves_tower_intact(field, n):
 
 
 @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
+def test_unit_twist_shares_the_untwisted_kernel(field):
+    ring = act.constant_group_action(field, REFLECTION)
+    unit = ring.scheme.unit_grouplike()
+    for d in range(4):
+        assert ring.invariant_basis(d, twist=unit) is ring.invariant_basis(d)
+    sign = field.asarray([1, -1])
+    assert [ring.invariant_dim(d, twist=sign) for d in range(4)] == [0, 1, 1, 2]
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
 def test_one_dimensional_group_algebra_integrals(field):
     from knopf.hopf import group_algebra
 

@@ -224,7 +224,9 @@ def test_molien_reads_the_constant_group_field(tmp_path, capsys):
 @pytest.mark.parametrize("edit", [
     lambda obj: obj["coaction"][0].__setitem__(0, 0.5),
     lambda obj: obj.__setitem__("dim", "4"),
-], ids=["fractional-index", "string-dim"])
+    lambda obj: obj.__setitem__("labels", 5),
+    lambda obj: obj.__setitem__("var_labels", ["x"]),
+], ids=["fractional-index", "string-dim", "labels-int", "short-var-labels"])
 def test_ill_typed_comodule_exits_two(tmp_path, capsys, edit):
     obj = json.load(open(_data("w-plus-wdual.json")))
     edit(obj)
@@ -234,3 +236,61 @@ def test_ill_typed_comodule_exits_two(tmp_path, capsys, edit):
                  "--module", str(p), "--max-degree", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+_MINUS_ID = [[[1, 0], [0, 1]], [[-1, 0], [0, -1]]]
+
+
+@pytest.mark.parametrize("group", [
+    {"matrices": 5},
+    {"matrices": [5]},
+    {"matrices": [[[1, 0], [0]]]},
+    {"matrices": [[[1, 0], 0]]},
+    {"matrices": _MINUS_ID, "var_labels": 5},
+    {"matrices": _MINUS_ID, "field": {"Fp": 3.5}},
+], ids=["matrices-int", "matrix-int", "ragged-row", "row-int", "var-labels-int",
+        "float-modulus"])
+def test_ill_typed_constant_group_exits_two(tmp_path, capsys, group):
+    p = tmp_path / "broken-group.json"
+    p.write_text(json.dumps({"constant_group": group}))
+    assert main(["invariants", "--module", str(p), "--max-degree", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("basis", 5),
+    ("unit", 5),
+    ("counit", "1000"),
+    ("mult", 5),
+    ("antipode", 5),
+    ("antipode", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], 5]),
+], ids=["basis-int", "unit-int", "counit-string", "mult-int", "antipode-int",
+        "antipode-row-int"])
+def test_ill_typed_hopf_exits_two(tmp_path, capsys, key, value):
+    obj = json.load(open(_data("uL-p2.json")))
+    obj[key] = value
+    p = tmp_path / "broken-hopf.json"
+    p.write_text(json.dumps(obj))
+    assert main(["verify", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_coaction_that_is_not_a_comodule_is_refused(tmp_path, capsys):
+    # the (0, 0) coaction entry becomes the basis element a instead of its
+    # grouplike: `verify` reports the broken laws, and every command that
+    # computes with the module refuses it instead of printing dimensions
+    obj = json.load(open(_data("w-plus-wdual.json")))
+    basis = json.load(open(_data("mu3a5.json")))["coordinate_ring"]["basis"]
+    obj["coaction"][0][2] = [int(b == "a") for b in basis]
+    p = tmp_path / "not-a-comodule.json"
+    p.write_text(json.dumps(obj))
+    (tmp_path / "mu3a5.json").write_text(open(_data("mu3a5.json")).read())
+    assert main(["verify", str(p)]) == 1
+    assert "comodule_counit" in capsys.readouterr().out
+    for cmd in ("invariants", "classify", "gjs", "trace"):
+        assert main([cmd, "--module", str(p), "--max-degree", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("check failed:") and "comodule_counit" in err
+        assert "(0, 0)" in err and "Traceback" not in err

@@ -275,3 +275,87 @@ def test_rref_matches_seed_row_loop(case):
     assert p_new == p_ref
     assert r_new.dtype == r_ref.dtype
     assert xa.arrays_equal(r_new, r_ref)
+
+
+# -- the integer product lane -------------------------------------------------
+#
+# Q products clear denominators and multiply in float64 while k * max|a| *
+# max|b| < 2^53, on Python ints otherwise.  Plain object-dtype numpy on
+# Fractions is the reference for both routes.
+
+_ENTRIES = {
+    "integral": st.integers(-3, 3).map(Fraction),
+    "mixed": st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+    # with small partners these land between 2^53 and 2^64, alone or in pairs
+    # far beyond, where only Python ints are exact
+    "large": st.builds(Fraction, st.integers(2**40, 2**56) | st.integers(-(2**56), -(2**40)),
+                       st.sampled_from([1, 1, 3])),
+    "huge": st.integers(2**63, 2**70).map(Fraction),
+}
+
+
+def _q_array(draw, shape):
+    entry = _ENTRIES[draw(st.sampled_from(sorted(_ENTRIES)))]
+    flat = draw(st.lists(entry, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    arr = np.empty(len(flat), dtype=object)
+    arr[:] = flat
+    return arr.reshape(shape)
+
+
+@st.composite
+def q_products(draw):
+    """(a, b, axes): axes=0, an int, or two lists, possibly of length-0 axes."""
+    dims = st.lists(st.integers(0, 3), max_size=2)
+    free_a, free_b = draw(dims), draw(dims)
+    form = draw(st.sampled_from(["zero", "int", "lists"]))
+    shared = [] if form == "zero" else draw(dims)
+    a = _q_array(draw, tuple(free_a + shared))
+    b = _q_array(draw, tuple(shared + free_b))
+    if form == "zero":
+        return a, b, 0
+    if form == "int":
+        return a, b, len(shared)
+    # move the contracted axes to drawn positions
+    perm_a = draw(st.permutations(range(a.ndim)))
+    perm_b = draw(st.permutations(range(b.ndim)))
+    axes_a = [perm_a.index(len(free_a) + i) for i in range(len(shared))]
+    axes_b = [perm_b.index(i) for i in range(len(shared))]
+    return a.transpose(perm_a), b.transpose(perm_b), (axes_a, axes_b)
+
+
+def _assert_same_fractions(out, ref):
+    assert out.dtype == object and out.shape == np.shape(ref)
+    assert all(type(x) is Fraction for x in out.flat)
+    assert all(x == y for x, y in zip(out.flat, np.asarray(ref).flat))
+
+
+@given(q_products())
+@settings(max_examples=400, deadline=None)
+def test_q_tensordot_matches_object_fractions(case):
+    a, b, axes = case
+    _assert_same_fractions(xa.tensordot(FieldSpec.rationals(), a, b, axes),
+                           np.tensordot(a, b, axes))
+
+
+@st.composite
+def q_matmuls(draw):
+    m, k, n = (draw(st.integers(0, 4)) for _ in range(3))
+    shape_a, shape_b = draw(st.sampled_from([((m, k), (k, n)), ((k,), (k, n)),
+                                             ((m, k), (k,))]))
+    return _q_array(draw, shape_a), _q_array(draw, shape_b)
+
+
+@given(q_matmuls())
+@settings(max_examples=200, deadline=None)
+def test_q_matmul_matches_object_fractions(case):
+    a, b = case
+    _assert_same_fractions(xa.matmul(FieldSpec.rationals(), a, b), a @ b)
+
+
+def test_operand_beyond_float_range_with_zero_partner(QQ):
+    # the bound k * max|a| * max|b| is 0 here, but 2^1100 has no float64
+    huge = QQ.asarray([[2**1100, 1]])
+    zero = QQ.zeros((2, 2))
+    _assert_same_fractions(xa.matmul(QQ, huge, zero), huge @ zero)
+    empty = QQ.zeros((0, 2))
+    _assert_same_fractions(xa.matmul(QQ, huge[:, :0], empty), huge[:, :0] @ empty)
