@@ -4,12 +4,16 @@ A G-module V is a right comodule over Gamma = k[G]: rho(v_j) = sum_i v_i (x)
 gamma_ij.  The polynomial ring S = Sym(V*) carries the dual coaction on its
 variables; invariants, twisted invariants, Hilbert functions, Molien series,
 pseudo-reflection detection and the integral trace map Tr: S -> S^G all live
-here.  Everything is degree-truncated and exact.
+here.  Everything is degree-truncated and exact.  The Sym^d tower runs on
+exactalg's integer lane (integer numerators over one scale, one conversion to
+the field per degree); a twist by a grouplike chi is the untwisted kernel for
+the unit chi^-1.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -115,18 +119,24 @@ def det_character(v: Comodule):
     """Determinant of the coaction matrix in the commutative ring Gamma.
 
     This is the character of the top exterior power of V; it is trivial
-    exactly when the action factors through SL(V).
+    exactly when the action factors through SL(V).  The n! products
+    gamma_{0,s(0)} ... gamma_{n-1,s(n-1)} are formed together, one row of the
+    coaction matrix per step.
     """
     f = v.field
     gamma = v.scheme.gamma
     n = v.dim
-    acc = f.zeros(v.scheme.order)
-    for perm in itertools.permutations(range(n)):
-        term = gamma.unit
-        for i in range(n):
-            term = gamma.mult_vec(term, v.coaction[i, perm[i]])
-        s = _perm_sign(perm)
-        acc = f.reduce(acc + term if s > 0 else acc - term)
+    perms = list(itertools.permutations(range(n)))
+    # rm[i, j] is the right-multiplication matrix of gamma_ij on Gamma
+    rm = xa.tensordot(f, v.coaction, gamma.mult, ([2], [1]))
+    terms = np.repeat(gamma.unit[None, :], len(perms), axis=0)
+    every = np.arange(len(perms))
+    for i in range(n):
+        # every partial product times every gamma_ij of row i; keep gamma_{i,s(i)}
+        step = xa.tensordot(f, terms, rm[i], ([1], [1]))
+        terms = step[every, [perm[i] for perm in perms]]
+    signs = f.asarray([_perm_sign(perm) for perm in perms])
+    acc = xa.matmul(f, signs, terms)
     if not v.scheme.is_grouplike(acc):
         raise InconsistencyError("determinant of the coaction is not grouplike")
     return acc
@@ -163,6 +173,12 @@ class _SymTower:
     rho(x^m) = sum_m' x^m' (x) R_d[m', m, :], obtained from degree d-1 by
     multiplying with the coaction of the last variable occurring in each
     monomial (rho is an algebra map, Gamma is commutative).
+
+    The top degree is kept in exactalg's integral form: numerators (int64
+    while they fit, Python ints beyond) over one scale.  R_d is one exact
+    integer product per nonzero gamma_ij, integer scatter-adds, the common
+    gcd divided out of numerators and scale, and one conversion to the field.
+    Over F_p the residues are their own integral form (scale 1).
     """
 
     def __init__(self, variables: Comodule):
@@ -170,12 +186,11 @@ class _SymTower:
         self.field = variables.field
         gamma = variables.scheme.gamma
         f = self.field
-        # rm[i,j] is the right-multiplication matrix of gamma_ij on Gamma
-        self._rm = xa.tensordot(f, variables.coaction, gamma.mult, ([2], [1]))
-        self._nz = [
-            [not xa.is_zero(variables.coaction[i, j]) for j in range(variables.dim)]
-            for i in range(variables.dim)
-        ]
+        # rm[i,j] is the right-multiplication matrix of gamma_ij on Gamma, as
+        # integers over the scale rm_scale
+        rm = xa.tensordot(f, variables.coaction, gamma.mult, ([2], [1]))
+        self._rm, self._rm_scale, self._rm_bound = xa._integral(f, rm)
+        self._nz = np.count_nonzero(variables.coaction, axis=2) > 0
         unit = gamma.unit
         r0 = f.zeros((1, 1, variables.scheme.order))
         r0[0, 0] = unit
@@ -183,6 +198,8 @@ class _SymTower:
         self._exps: dict[int, list[tuple[int, ...]]] = {0: [zero_exp]}
         self._index: dict[int, dict[tuple[int, ...], int]] = {0: {zero_exp: 0}}
         self._coact: dict[int, np.ndarray] = {0: r0}
+        # (numerators, scale, bound) of the top degree
+        self._top = xa._integral(f, r0)
 
     def exponents(self, d: int) -> list[tuple[int, ...]]:
         self._build_to(d)
@@ -204,8 +221,11 @@ class _SymTower:
             exps = _exponents(n, cur)
             index = {e: m for m, e in enumerate(exps)}
             prev_exps = self._exps[prev]
-            prev_r = self._coact[prev]
-            big = f.zeros((len(exps), len(exps), ngamma))
+            num, scale, bound = self._top
+            # an entry of R_d sums at most n products of length ngamma
+            fits = n * ngamma * bound * self._rm_bound < 2**63
+            big = np.zeros((len(exps), len(exps), ngamma),
+                           dtype=np.int64 if fits else object)
             # shift_i[m'] = index of (exponent m') + e_i in degree cur
             shifts = [
                 np.array([index[e[:i] + (e[i] + 1,) + e[i + 1 :]] for e in prev_exps])
@@ -222,18 +242,31 @@ class _SymTower:
                         )
                 if not cols:
                     continue
-                rows = [i for i in range(n) if self._nz[i][j]]
-                if not rows:
-                    continue
-                # one product for every nonzero gamma_ij, so the block is
-                # converted once; contrib[:, :, k] belongs to gamma_{rows[k], j}
-                contrib = xa.tensordot(f, prev_r[:, srcs, :], self._rm[rows, j], ([2], [1]))
+                block = num[:, srcs, :].reshape(-1, ngamma)
                 cols_arr = np.array(cols)
-                for k, i in enumerate(rows):
-                    big[np.ix_(shifts[i], cols_arr)] += contrib[:, :, k]
+                for i in range(n):
+                    if not self._nz[i, j]:
+                        continue
+                    prod = xa._int_product(block, bound, self._rm[i, j],
+                                           self._rm_bound, ngamma, np.matmul)
+                    big[np.ix_(shifts[i], cols_arr)] += prod.astype(
+                        big.dtype, copy=False).reshape(len(prev_exps), len(cols), ngamma)
+            scale *= self._rm_scale
+            if f.p is None and scale > 1:
+                g = math.gcd(scale, int(np.gcd.reduce(big, axis=None)))
+                big //= g
+                scale //= g
+            r = xa._from_integral(f, big, scale)
+            if f.p is not None:
+                self._top = r, 1, f.p - 1
+            else:
+                bound = int(np.abs(big).max()) if big.size else 0
+                if bound < 2**63:
+                    big = big.astype(np.int64, copy=False)
+                self._top = big, scale, bound
             self._exps[cur] = exps
             self._index[cur] = index
-            self._coact[cur] = f.reduce(big)
+            self._coact[cur] = r
 
 
 class GradedInvariantRing:
@@ -250,7 +283,7 @@ class GradedInvariantRing:
             self.variables.labels = list(var_labels)
         self.tower = _SymTower(self.variables)
         self._inv: dict = {}
-        self._twmat: dict = {}
+        self._units: dict = {}
         self._delta = None
         self._det = None
         # set for constant matrix groups; enables Molien/smallness/Reynolds
@@ -262,29 +295,27 @@ class GradedInvariantRing:
 
     # -- invariants ---------------------------------------------------------
 
-    def _twist_key(self, twist):
-        if twist is None:
-            return None
-        key = tuple(self.field.asarray(twist).tolist())
-        # twisting by the unit of Gamma is no twist: share the untwisted kernel
-        return None if key == tuple(self.scheme.gamma.unit.tolist()) else key
+    def _kernel_unit(self, twist) -> np.ndarray:
+        """u with {x : rho(x) = x (x) u} the invariants twisted by chi.
 
-    def sym_coaction(self, d: int, twist=None) -> np.ndarray:
-        r = self.tower.coaction(d)
-        key = self._twist_key(twist)
-        if key is None:
-            return r
-        if key not in self._twmat:
-            # right multiplication by the twisting grouplike on Gamma
-            self._twmat[key] = xa.tensordot(self.field, self.scheme.gamma.mult,
-                                            self.field.asarray(twist), ([1], [0]))
-        return xa.tensordot(self.field, r, self._twmat[key], ([2], [0]))
+        Gamma is commutative and a grouplike chi is invertible, so
+        sum_j R_j x_j chi = x (x) 1 exactly when sum_j R_j x_j = x (x) chi^-1.
+        """
+        if twist is None:
+            return self.scheme.gamma.unit
+        chi = self.field.asarray(twist)
+        key = tuple(chi.tolist())
+        if key not in self._units:
+            if not self.scheme.is_grouplike(chi):
+                raise InputError("a twist must be a grouplike element of Gamma")
+            self._units[key] = self.scheme.grouplike_inverse(chi)
+        return self._units[key]
 
     def invariant_basis(self, d: int, twist=None) -> np.ndarray:
-        key = (d, self._twist_key(twist))
+        unit = self._kernel_unit(twist)
+        key = (d, tuple(unit.tolist()))
         if key not in self._inv:
-            self._inv[key] = xa.fixed_space(self.field, self.sym_coaction(d, twist),
-                                            self.scheme.gamma.unit)
+            self._inv[key] = xa.fixed_space(self.field, self.tower.coaction(d), unit)
         return self._inv[key]
 
     def invariant_dim(self, d: int, twist=None) -> int:
@@ -330,6 +361,8 @@ def _matrix_key(field: FieldSpec, m: np.ndarray):
 
 def _close_group(field: FieldSpec, matrices: list[np.ndarray]):
     """Validate that the list is a full group; return (table, identity index)."""
+    if not matrices:
+        raise InputError("need at least the identity matrix")
     n = matrices[0].shape[0]
     keys = {}
     for g, m in enumerate(matrices):
@@ -396,8 +429,6 @@ def constant_group_action(field: FieldSpec, matrices: list,
     the defining module is gamma_ij = sum_g g_ij e_g.
     """
     mats = [field.asarray(m) for m in matrices]
-    if not mats:
-        raise InputError("need at least the identity matrix")
     table, ident = _close_group(field, mats)
     if ident != 0:
         # normalize: identity listed first keeps labels predictable

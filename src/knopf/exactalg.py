@@ -23,8 +23,9 @@ import numpy as np
 
 from .errors import InputError
 
-# int64 safety: row operations form sums of at most ~10^5 products < p^2,
-# so p is capped far below overflow.
+# int64 safety: an elimination step forms one product of two residues
+# (< p^2 < 2^40) per entry, and products and sums of products are bounded
+# against _EXACT_BOUND or int64 before they run, with Python ints beyond.
 _MAX_PRIME = 1 << 20
 
 
@@ -180,22 +181,30 @@ def _integral(field: FieldSpec, a: np.ndarray) -> tuple[np.ndarray, int, int]:
     return np.array(nums, dtype=np.int64 if m < 2**63 else object).reshape(a.shape), s, m
 
 
-def _product(field: FieldSpec, a: np.ndarray, b: np.ndarray, k: int, mult) -> np.ndarray:
-    """mult(a, b) exactly, where each output entry sums k products."""
-    (na, sa, ma), (nb, sb, mb) = _integral(field, a), _integral(field, b)
+def _int_product(na: np.ndarray, ma: int, nb: np.ndarray, mb: int, k: int, mult) -> np.ndarray:
+    """mult(na, nb) exactly for integers |na| <= ma, |nb| <= mb, k products per entry."""
     # ma and mb on their own too: an all-zero partner must not let an operand
     # beyond 2^53 into float64
     if max(k * ma * mb, ma, mb) < _EXACT_BOUND:
-        out = np.rint(mult(na.astype(np.float64), nb.astype(np.float64))).astype(np.int64)
-    else:
-        out = np.asarray(mult(na.astype(object), nb.astype(object)))
+        return np.rint(mult(na.astype(np.float64), nb.astype(np.float64))).astype(np.int64)
+    return np.asarray(mult(na.astype(object), nb.astype(object)))
+
+
+def _from_integral(field: FieldSpec, n: np.ndarray, s: int) -> np.ndarray:
+    """The field array n / s: reduced mod p, or lowest-terms Fractions over Q."""
     if field.p is not None:
-        return (out % field.p).astype(np.int64, copy=False)
-    # lowest-terms Fractions, one object per distinct value
-    values = out.reshape(-1).tolist()
-    frac = {v: Fraction(v, sa * sb) for v in set(values)}
+        return (n % field.p).astype(np.int64, copy=False)
+    # one Fraction object per distinct value
+    values = n.reshape(-1).tolist()
+    frac = {v: Fraction(v, s) for v in set(values)}
     return np.fromiter(map(frac.__getitem__, values), dtype=object,
-                       count=len(values)).reshape(out.shape)
+                       count=len(values)).reshape(n.shape)
+
+
+def _product(field: FieldSpec, a: np.ndarray, b: np.ndarray, k: int, mult) -> np.ndarray:
+    """mult(a, b) exactly, where each output entry sums k products."""
+    (na, sa, ma), (nb, sb, mb) = _integral(field, a), _integral(field, b)
+    return _from_integral(field, _int_product(na, ma, nb, mb, k, mult), sa * sb)
 
 
 def matmul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -306,8 +315,9 @@ def fixed_space(field: FieldSpec, coact: np.ndarray, unit: np.ndarray) -> np.nda
     # contiguous, and subtracting in place would write into the caller's array
     a = coact.transpose(0, 2, 1).copy()
     idx = np.arange(n)
-    a[idx, :, idx] -= unit
-    return kernel_basis(field, field.reduce(a).reshape(n * ngamma, n))
+    # only the diagonal blocks change, so only they are reduced
+    a[idx, :, idx] = field.reduce(a[idx, :, idx] - unit)
+    return kernel_basis(field, a.reshape(n * ngamma, n))
 
 
 def solve(field: FieldSpec, mat: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:

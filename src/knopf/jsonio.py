@@ -199,9 +199,14 @@ def comodule_from_json(obj: dict, scheme: FiniteGroupScheme | None = None,
             )
         scheme = scheme_from_json(obj["scheme"], field_override, base_dir)
     n = _dim(obj, "comodule")
+    entries = _list(_require(obj, "coaction", "comodule"), "coaction")
+    if n > len(entries):
+        # checked before allocating: the counit law needs every (i, i) entry
+        raise InputError(f"comodule: dim {n} exceeds the {len(entries)} coaction "
+                         "entries, and the counit law needs an (i, i) entry for every i")
     f = scheme.field
     coact = f.zeros((n, n, scheme.order))
-    for entry in _list(_require(obj, "coaction", "comodule"), "coaction"):
+    for entry in entries:
         if not isinstance(entry, list) or len(entry) != 3:
             raise InputError("coaction entries must be [i, j, [coefficients]]")
         i, j, coeffs = entry

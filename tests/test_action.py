@@ -1,5 +1,7 @@
 """Comodules, symmetric powers, invariants, Molien series, and the trace map."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,51 @@ def test_det_characters():
     assert g.grouplike_equal(act.det_character(w), t)
     v = act.direct_sum(w, act.dual_comodule(w))
     assert g.grouplike_equal(act.det_character(v), g.unit_grouplike())
+
+
+def _loop_det_character(v):
+    """The per-permutation mult_vec loop that det_character replaced."""
+    f = v.field
+    gamma = v.scheme.gamma
+    n = v.dim
+    acc = f.zeros(v.scheme.order)
+    for perm in itertools.permutations(range(n)):
+        term = gamma.unit
+        for i in range(n):
+            term = gamma.mult_vec(term, v.coaction[i, perm[i]])
+        s = act._perm_sign(perm)
+        acc = f.reduce(acc + term if s > 0 else acc - term)
+    return acc
+
+
+def _det_cases():
+    g = _mu3a5()
+    w = standard_module(g, 3, 5)
+    wd = act.dual_comodule(w)
+    yield pytest.param(act.direct_sum(w, wd), id="W+W*")
+    yield pytest.param(act.tensor(w, wd), id="W.W*")
+    yield pytest.param(act.direct_sum(act.tensor(w, w), wd), id="W.W+W*")
+    yield pytest.param(
+        act.DiagonalizableAction([1, 2, 2], 3).to_kernel_route(F5).module, id="mu3")
+    s3 = [[[int(p[r] == c) for c in range(3)] for r in range(3)]
+          for p in itertools.permutations(range(3))]
+    rotation = [[1, 1, 0], [0, 1, 0], [-1, 0, 2]]
+    for field in (Q, FieldSpec.prime(7)):
+        yield pytest.param(act.constant_group_action(field, REFLECTION).module,
+                           id=f"reflection-{field}")
+        yield pytest.param(act.constant_group_action(field, s3).module, id=f"S3-{field}")
+    # S3 in a rational basis, where the coaction has denominators
+    p, p_inv = Q.asarray(rotation), xa.invert(Q, Q.asarray(rotation))
+    conj = [xa.matmul(Q, xa.matmul(Q, p, Q.asarray(m)), p_inv) for m in s3]
+    yield pytest.param(act.constant_group_action(Q, conj).module, id="S3-Q-rational-basis")
+
+
+@pytest.mark.parametrize("module", _det_cases())
+def test_det_character_matches_the_loop_form(module):
+    got = act.det_character(module)
+    want = _loop_det_character(module)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
 
 
 def test_constant_group_round_trip_and_labels():

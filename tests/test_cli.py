@@ -1,9 +1,16 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
+import copy
+import io
 import json
 import os
+import shutil
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from knopf import jsonio
 from knopf.cli import main
@@ -226,7 +233,9 @@ def test_molien_reads_the_constant_group_field(tmp_path, capsys):
     lambda obj: obj.__setitem__("dim", "4"),
     lambda obj: obj.__setitem__("labels", 5),
     lambda obj: obj.__setitem__("var_labels", ["x"]),
-], ids=["fractional-index", "string-dim", "labels-int", "short-var-labels"])
+    lambda obj: obj.__setitem__("dim", 10**30),
+], ids=["fractional-index", "string-dim", "labels-int", "short-var-labels",
+        "huge-dim"])
 def test_ill_typed_comodule_exits_two(tmp_path, capsys, edit):
     obj = json.load(open(_data("w-plus-wdual.json")))
     edit(obj)
@@ -294,3 +303,75 @@ def test_coaction_that_is_not_a_comodule_is_refused(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("check failed:") and "comodule_counit" in err
         assert "(0, 0)" in err and "Traceback" not in err
+
+
+def test_molien_of_an_empty_group_exits_two(tmp_path, capsys):
+    p = tmp_path / "empty-group.json"
+    p.write_text(json.dumps({"matrices": []}))
+    assert main(["molien", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "identity" in err and "Traceback" not in err
+
+
+# -- fuzzing the JSON boundary ----------------------------------------------
+
+_FUZZ_VALUES = [0.5, "x", None, [], {}, 10**30, {"Fp": 4}]
+_FUZZ_COMMANDS = {
+    "uL-p2.json": lambda path: ["verify", path],
+    "mu3a5.json": lambda path: ["verify", path],
+    "w-plus-wdual.json": lambda path: ["verify", path],
+    "minus-id.json": lambda path: ["invariants", "--module", path, "--max-degree", "2"],
+    "molien-minus-id.json": lambda path: ["molien", path],
+}
+
+
+def _node_paths(obj, prefix=()):
+    """Paths to every node below the root, containers included."""
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+def _fixture(name):
+    with open(_data(name)) as fh:
+        return json.load(fh)
+
+
+_FUZZ_PATHS = {name: list(_node_paths(_fixture(name))) for name in _FUZZ_COMMANDS}
+
+
+def _mutations():
+    return st.sampled_from(sorted(_FUZZ_COMMANDS)).flatmap(
+        lambda name: st.tuples(st.just(name), st.lists(
+            st.tuples(st.sampled_from(_FUZZ_PATHS[name]), st.sampled_from(_FUZZ_VALUES)),
+            min_size=1, max_size=2)))
+
+
+@given(_mutations())
+@example(("molien-minus-id.json", [(("matrices",), [])]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_mutated_fixtures_exit_cleanly(case):
+    """Any JSON the CLI reads gives exit 0, 1 or 2 and never a traceback."""
+    name, edits = case
+    obj = _fixture(name)
+    for path, value in edits:
+        node = obj
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = copy.deepcopy(value)
+        except (LookupError, TypeError):
+            pass  # an earlier edit replaced a container on this path
+    with tempfile.TemporaryDirectory() as tmp:
+        for fixture in os.listdir(os.path.dirname(_data(name))):
+            shutil.copy(_data(fixture), tmp)
+        path = os.path.join(tmp, "mutated-" + name)
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(_FUZZ_COMMANDS[name](path))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
