@@ -11,7 +11,6 @@ from .action import (
     GradedInvariantRing,
     constant_group_action,
     direct_sum,
-    dual_comodule,
     molien_series,
     tensor,
     trace_equivariance_check,
@@ -19,8 +18,6 @@ from .action import (
 from .canon import (
     ClassificationReport,
     GJSReport,
-    TwistedGradedModule,
-    a_invariant_via_molien,
     a_invariant_via_omega,
     canonical_twist,
     classify_small_action,
@@ -66,10 +63,8 @@ __all__ = [
     "NonTerminationError",
     "Poly",
     "RatFunc",
-    "TwistedGradedModule",
     "UndecidedError",
     "UnsupportedCaseError",
-    "a_invariant_via_molien",
     "a_invariant_via_omega",
     "alpha_scheme",
     "canonical_twist",
@@ -77,7 +72,6 @@ __all__ = [
     "constant_group_action",
     "constant_scheme",
     "direct_sum",
-    "dual_comodule",
     "gjs_inequality_check",
     "group_algebra",
     "molien_series",

@@ -23,7 +23,7 @@ from . import exactalg as xa
 from .errors import InconsistencyError, InputError, UnsupportedCaseError
 from .exactalg import FieldSpec
 from .gscheme import FiniteGroupScheme, constant_scheme, mu_scheme
-from .hopf import AxiomCheck, AxiomReport, _first_mismatch
+from .hopf import AxiomCheck, AxiomReport, _first_mismatch, monomial_label
 from .ratfunc import Poly, RatFunc, det_poly_matrix
 
 
@@ -75,10 +75,6 @@ class Comodule:
         ]
         return Comodule(self.scheme, np.ascontiguousarray(sc.transpose(1, 0, 2)),
                         labels=labels)
-
-
-def dual_comodule(v: Comodule) -> Comodule:
-    return v.dual()
 
 
 def direct_sum(v: Comodule, w: Comodule) -> Comodule:
@@ -154,16 +150,6 @@ def _exponents(nvars: int, degree: int) -> list[tuple[int, ...]]:
             e[i] += 1
         out.append(tuple(e))
     return out
-
-
-def monomial_label(exp: tuple[int, ...], var_labels: list[str]) -> str:
-    parts = []
-    for e, lb in zip(exp, var_labels):
-        if e == 1:
-            parts.append(lb)
-        elif e > 1:
-            parts.append(f"{lb}^{e}")
-    return "*".join(parts) if parts else "1"
 
 
 class _SymTower:
@@ -321,8 +307,9 @@ class GradedInvariantRing:
     def invariant_dim(self, d: int, twist=None) -> int:
         return len(self.invariant_basis(d, twist))
 
-    def hilbert_function(self, max_degree: int) -> list[int]:
-        return [self.invariant_dim(d) for d in range(max_degree + 1)]
+    def hilbert_function(self, max_degree: int, twist=None) -> list[int]:
+        """dim A_d, or of the invariants twisted by a grouplike, for d <= max_degree."""
+        return [self.invariant_dim(d, twist) for d in range(max_degree + 1)]
 
     def det_character(self):
         if self._det is None:
@@ -334,12 +321,7 @@ class GradedInvariantRing:
     def integral_functional(self) -> np.ndarray:
         """delta_G: the left integral of k[G]* normalized to leading value 1."""
         if self._delta is None:
-            basis = self.scheme.dual_algebra.integrals("left")
-            if len(basis) != 1:
-                raise InconsistencyError("integral space of k[G]* not 1-dimensional")
-            lam = basis[0]
-            piv = xa._first_nonzero(lam)
-            self._delta = self.field.reduce(lam * self.field.inv(lam[piv]))
+            self._delta = self.scheme.dual_algebra.left_integral()
         return self._delta
 
     def trace_matrix(self, d: int) -> np.ndarray:
@@ -527,14 +509,10 @@ class DiagonalizableAction:
             counts = new
         return counts
 
-    def twisted_hilbert(self, max_degree: int, twist_weight: int = 0) -> list[int]:
-        """dim of {monomials with weight + twist_weight = 0}, degree by degree."""
-        target_counts = self.weight_counts(max_degree)
-        tgt = self._red(-twist_weight)
-        return [c.get(tgt, 0) for c in target_counts]
-
-    def hilbert_function(self, max_degree: int) -> list[int]:
-        return self.twisted_hilbert(max_degree, 0)
+    def hilbert_function(self, max_degree: int, twist: int = 0) -> list[int]:
+        """Number of monomials of weight -twist, degree by degree (twist 0: A_d)."""
+        tgt = self._red(-int(twist))
+        return [c.get(tgt, 0) for c in self.weight_counts(max_degree)]
 
     def det_module_weight(self) -> int:
         """Weight of det V; the module V is dual to the variables."""
@@ -645,6 +623,8 @@ def trace_equivariance_check(ring: GradedInvariantRing, max_degree: int) -> Trac
     if ring.constant_matrices is not None and f.p is None:
         reynolds_scale = f.coerce(len(ring.constant_matrices))
     report = TraceReport(window=max_degree, unimodular=unimod)
+    # monomials with a nonzero trace, per degree, for the pairing scan below
+    nonzero_cols: dict[int, set] = {}
     for d in range(max_degree + 1):
         t = ring.trace_matrix(d)
         inv = ring.invariant_basis(d)
@@ -665,14 +645,11 @@ def trace_equivariance_check(ring: GradedInvariantRing, max_degree: int) -> Trac
         else:
             rey = "not applicable"
         report.degrees.append(TraceDegreeResult(d, img_ok, equi, rey))
-    # truncated nondegeneracy proxy for the pairing (s, t) -> Tr(st)
-    nonzero_cols: dict[int, set] = {}
-    for d in range(max_degree + 1):
-        t = ring.trace_matrix(d)
         exps = ring.tower.exponents(d)
         nonzero_cols[d] = {
             exps[m] for m in range(len(exps)) if not xa.is_zero(t[:, m])
         }
+    # truncated nondegeneracy proxy for the pairing (s, t) -> Tr(st)
     for d in range(max_degree + 1):
         uncovered = []
         for e in ring.tower.exponents(d):

@@ -8,6 +8,11 @@ classify_small_action assembles the seven-condition report: factoring through
 SL(V), equivariant triviality of omega_S and omega_A, quasi-Gorensteinness,
 and the a-invariant value -n, with all graded comparisons certified only up
 to the inspection window (Hilbert-consistency, never an isomorphism proof).
+
+An action is either a DiagonalizableAction (weights, counted on the lattice)
+or a GradedInvariantRing (kernels of the coaction).  Only _smallness,
+_characters, canonical_twist and the Molien route of classify_small_action
+ask which; the Hilbert functions of both kinds take a twist directly.
 """
 
 from __future__ import annotations
@@ -15,17 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from math import gcd
 
-from .action import DiagonalizableAction, is_small_constant
-from .errors import InputError
-from .ratfunc import RatFunc, reconstruct_rational
+from .action import DiagonalizableAction, is_small_constant, molien_series
+from .errors import InconsistencyError, InputError
+from .ratfunc import reconstruct_rational
 
 __all__ = [
-    "TwistedGradedModule",
     "ClassificationReport",
     "canonical_twist",
     "omega_hilbert",
     "a_invariant_via_omega",
-    "a_invariant_via_molien",
     "reconstruct_rational",
     "classify_small_action",
     "gjs_inequality_check",
@@ -35,6 +38,12 @@ __all__ = [
 
 def _is_diagonal(action) -> bool:
     return isinstance(action, DiagonalizableAction)
+
+
+def _window_and_label(action, max_window, label) -> tuple[int, str]:
+    """The inspection window (default 2n + 4) and the report label."""
+    window = max_window if max_window is not None else 2 * action.n + 4
+    return window, label or getattr(action, "label", None) or "action"
 
 
 def canonical_twist(action):
@@ -57,54 +66,26 @@ def omega_hilbert(action, twist, max_window: int) -> list[int]:
     Entry e is the invariant dimension of S_e twisted by the given character
     (a grouplike vector, or a weight for diagonalizable actions).
     """
-    if _is_diagonal(action):
-        return action.twisted_hilbert(max_window, int(twist))
-    return [action.invariant_dim(e, twist=twist) for e in range(max_window + 1)]
+    return action.hilbert_function(max_window, twist)
 
 
-@dataclass
-class TwistedGradedModule:
-    """A twisted invariants module omega = (S (x) character)^G, degreewise."""
-
-    action: object
-    twist: object
-    start_degree: int
-    dims: list[int]
-
-    @classmethod
-    def omega(cls, action, twist=None, max_window: int | None = None):
-        n = action.n
-        d = max_window if max_window is not None else 2 * n + 4
-        tw = twist if twist is not None else canonical_twist(action)
-        return cls(action, tw, n, omega_hilbert(action, tw, d))
-
-    def first_nonzero_degree(self) -> int | None:
-        for e, v in enumerate(self.dims):
-            if v:
-                return self.start_degree + e
-        return None
+def _first_degree(dims: list[int]) -> int | None:
+    """Offset e of the first nonzero omega degree n + e, or None."""
+    return next((e for e, v in enumerate(dims) if v), None)
 
 
-def undetermined_marker(n: int, window: int) -> str:
-    return f"<= -{n + window} (undetermined)"
+def _a_value(n: int, first: int | None, window: int):
+    """-(n + first), or a bounded-unknown marker when omega vanishes on the
+    whole window: the true value is then at most -(n+D) and is never guessed."""
+    if first is None:
+        return f"<= -{n + window} (undetermined)"
+    return -(n + first)
 
 
 def a_invariant_via_omega(action, twist, max_window: int):
-    """-min{d : omega_d != 0}, or a bounded-unknown marker string.
-
-    The marker is returned when omega vanishes on the whole window; the true
-    value is then at most -(n+D) and is never guessed.
-    """
+    """-min{d : omega_d != 0}, or a bounded-unknown marker string."""
     dims = omega_hilbert(action, twist, max_window)
-    for e, v in enumerate(dims):
-        if v:
-            return -(action.n + e)
-    return undetermined_marker(action.n, max_window)
-
-
-def a_invariant_via_molien(series: RatFunc) -> int:
-    """deg(numerator) - deg(denominator) of a reduced Hilbert series."""
-    return series.degree_difference()
+    return _a_value(action.n, _first_degree(dims), max_window)
 
 
 # -- classification ---------------------------------------------------------
@@ -201,50 +182,49 @@ class ClassificationReport:
         return "\n".join(lines)
 
 
-def _diag_smallness(action: DiagonalizableAction):
-    """Exact smallness for a faithful diagonal mu_m action.
+def _smallness(action) -> bool | None:
+    """Is the action small?  None when this action kind cannot decide it.
 
-    mu_m is small on V iff the weights generate Z/m (faithful) and no
-    subgroup mu_d (d | m, d > 1) acts trivially on all but one coordinate.
+    A constant group is small iff it is faithful and has no pseudo-reflection.
+    A diagonal mu_m action is small iff its weights generate Z/m (faithful)
+    and no subgroup mu_d (d | m, d > 1) acts trivially on all but one
+    coordinate.  The torus and general schemes are not decided here.
     """
-    m = action.modulus
-    ws = action.weights
+    if not _is_diagonal(action):
+        if action.constant_matrices is None:
+            return None
+        return is_small_constant(action.field, action.constant_matrices)
+    m, ws = action.modulus, action.weights
     if m == 0:
-        return None  # torus: not decided here
-    g = m
-    for w in ws:
-        g = gcd(g, w % m)
-    if g != 1:
+        return None
+    if gcd(m, *(w % m for w in ws)) != 1:
         return False
-    for d in range(2, m + 1):
-        if m % d:
-            continue
-        moved = sum(1 for w in ws if w % d)
-        if moved == 1:
-            return False
-    return True
+    return all(sum(1 for w in ws if w % d) != 1 for d in range(2, m + 1) if m % d == 0)
 
 
-def _lambda_data(action):
-    """(lambda trivial?, modular-route lambda or weight 0, note)."""
+def _characters(action) -> tuple[bool, bool, bool, str]:
+    """(det_V trivial, lambda trivial, det_V = lambda, note on lambda).
+
+    lambda is read on the modular route; canonical_twist uses the adjoint
+    route, so the two must agree (modular = adjoint^-1) before either is used.
+    """
     if _is_diagonal(action):
+        det_trivial = action.det_module_weight() == 0
         if action.modulus == 0:
-            return True, 0, "torus action: character group is free, lambda trivial"
-        return True, 0, "diagonalizable scheme: k[G]* is a group algebra, unimodular"
+            note = "torus action: character group is free, lambda trivial"
+        else:
+            note = "diagonalizable scheme: k[G]* is a group algebra, unimodular"
+        return det_trivial, True, det_trivial, note
     scheme = action.scheme
-    lam_mod = scheme.knop_character_modular_route()
-    trivial = scheme.grouplike_equal(lam_mod, scheme.unit_grouplike())
-    return trivial, lam_mod, ""
-
-
-def _det_data(action):
-    """(det trivial?, det character or weight)."""
-    if _is_diagonal(action):
-        w = action.det_module_weight()
-        return w == 0, w
-    scheme = action.scheme
+    lam = scheme.knop_character_modular_route()
     det = action.det_character()
-    return scheme.grouplike_equal(det, scheme.unit_grouplike()), det
+    if not scheme.knop_routes_agree():
+        raise InconsistencyError(
+            "the modular and adjoint routes give different Knop characters"
+        )
+    unit = scheme.unit_grouplike()
+    return (scheme.grouplike_equal(det, unit), scheme.grouplike_equal(lam, unit),
+            scheme.grouplike_equal(det, lam), "")
 
 
 def _shift_match(omega_dims, a_dims, offset):
@@ -270,37 +250,17 @@ def classify_small_action(action, small_asserted: bool = False,
     outside the hypotheses (non-small action) no pattern is enforced.
     """
     n = action.n
-    window = max_window if max_window is not None else 2 * n + 4
-    name = label or getattr(action, "label", None) or "action"
+    window, name = _window_and_label(action, max_window, label)
 
     witnesses: list = []
 
-    # smallness
-    if _is_diagonal(action):
-        verdict = _diag_smallness(action)
-        if verdict is None:
-            if not small_asserted:
-                raise InputError(
-                    "smallness of a torus action cannot be verified here; "
-                    "pass small_asserted=True to proceed"
-                )
-            smallness = "asserted"
-        else:
-            smallness = "verified" if verdict else "fails"
-    elif action.constant_matrices is not None:
-        f = action.field
-        smallness = (
-            "verified"
-            if is_small_constant(f, action.constant_matrices)
-            else "fails"
-        )
-    elif small_asserted:
-        smallness = "asserted"
-    else:
+    small = _smallness(action)
+    if small is None and not small_asserted:
         raise InputError(
             "smallness cannot be verified for this action kind; "
             "pass small_asserted=True (CLI: --assert-small) to proceed"
         )
+    smallness = "asserted" if small is None else "verified" if small else "fails"
     if smallness == "fails":
         witnesses.append({
             "kind": "outside_hypotheses",
@@ -308,10 +268,9 @@ def classify_small_action(action, small_asserted: bool = False,
                       "is not asserted",
         })
 
-    lam_trivial, lam, lam_note = _lambda_data(action)
+    det_trivial, lam_trivial, det_is_lam, lam_note = _characters(action)
     if lam_note:
         witnesses.append({"kind": "lambda_note", "detail": lam_note})
-    det_trivial, det = _det_data(action)
 
     report = ClassificationReport(
         label=name, n=n, window=window, smallness=smallness,
@@ -323,7 +282,6 @@ def classify_small_action(action, small_asserted: bool = False,
     conds["c1"] = Verdict("holds" if det_trivial else "fails",
                           "determinant character computed exactly")
 
-    watanabe = None
     if lam_trivial:
         base = conds["c1"].status
         conds["c2"] = Verdict(base, "equivalent to det_V triviality")
@@ -333,21 +291,16 @@ def classify_small_action(action, small_asserted: bool = False,
                   "replaced by the det_V vs lambda criterion")
         conds["c2"] = Verdict("not_evaluated", reason)
         conds["c3"] = Verdict("not_evaluated", reason)
-        if _is_diagonal(action):
-            watanabe = det == 0
-        else:
-            watanabe = action.scheme.grouplike_equal(det, lam)
-        report.watanabe_criterion = watanabe
+        report.watanabe_criterion = det_is_lam
         witnesses.append({
             "kind": "watanabe_path",
             "detail": "quasi-Gorenstein expectation evaluated as det_V = lambda: "
-                      + ("holds" if watanabe else "fails"),
+                      + ("holds" if det_is_lam else "fails"),
         })
 
     # Hilbert data for A and omega over the window
     a_dims = action.hilbert_function(window)
-    twist = canonical_twist(action)
-    omega_dims = omega_hilbert(action, twist, window)
+    omega_dims = omega_hilbert(action, canonical_twist(action), window)
     report.a_dims = a_dims
     report.omega_dims = omega_dims
 
@@ -366,7 +319,7 @@ def classify_small_action(action, small_asserted: bool = False,
         })
 
     # c5: quasi-Gorenstein evidence, shift forced by the first omega degree
-    first = next((e for e, v in enumerate(omega_dims) if v), None)
+    first = _first_degree(omega_dims)
     if first is None:
         conds["c5"] = Verdict(
             "not_evaluated", f"omega vanishes up to degree {n + window}"
@@ -392,16 +345,14 @@ def classify_small_action(action, small_asserted: bool = False,
             })
 
     # c7: a-invariant
-    report.a_omega = (
-        -(n + first) if first is not None else undetermined_marker(n, window)
-    )
+    report.a_omega = _a_value(n, first, window)
     if first is not None:
-        conds["c7"] = Verdict("holds" if n + first == n else "fails",
+        conds["c7"] = Verdict("holds" if first == 0 else "fails",
                               "omega-route a-invariant")
-        if conds["c7"].status == "fails":
+        if first:
             witnesses.append({
                 "kind": "a_invariant",
-                "detail": f"a(A) = {-(n + first)} != {-n} = -n",
+                "detail": f"a(A) = {report.a_omega} != {-n} = -n",
             })
     else:
         conds["c7"] = Verdict("not_evaluated",
@@ -420,10 +371,8 @@ def classify_small_action(action, small_asserted: bool = False,
     # Molien route for constant groups in characteristic zero
     if (not _is_diagonal(action) and action.constant_matrices is not None
             and action.field.p is None):
-        from .action import molien_series
-
         series = molien_series(action.constant_matrices, action.field)
-        report.a_molien = a_invariant_via_molien(series)
+        report.a_molien = series.degree_difference()
         if isinstance(report.a_omega, int) and report.a_molien != report.a_omega:
             witnesses.append({
                 "kind": "route_disagreement",
@@ -509,28 +458,22 @@ def gjs_inequality_check(action, max_window: int | None = None,
     are checked anyway and flagged as outside the theorem hypotheses.
     """
     n = action.n
-    window = max_window if max_window is not None else 2 * n + 4
-    name = label or getattr(action, "label", None) or "action"
-    twist = canonical_twist(action)
-    dims = omega_hilbert(action, twist, window)
-    first = next((e for e, v in enumerate(dims) if v), None)
+    window, name = _window_and_label(action, max_window, label)
+    first = _first_degree(omega_hilbert(action, canonical_twist(action), window))
     if small is None:
-        if _is_diagonal(action):
-            small = _diag_smallness(action)
-        elif action.constant_matrices is not None:
-            small = is_small_constant(action.field, action.constant_matrices)
+        small = _smallness(action)
     outside = not small if small is not None else False
+    a = _a_value(n, first, window)
     if first is None:
         return GJSReport(
             label=name, n=n, window=window, min_omega_degree=None,
-            a_invariant=undetermined_marker(n, window),
-            holds=True, strict=True, outside_hypotheses=outside,
+            a_invariant=a, holds=True, strict=True, outside_hypotheses=outside,
             note=f"omega vanishes up to degree {n + window}; a <= -{n + window}",
         )
     mindeg = n + first
     return GJSReport(
         label=name, n=n, window=window, min_omega_degree=mindeg,
-        a_invariant=-mindeg, holds=mindeg >= n, strict=mindeg > n,
+        a_invariant=a, holds=mindeg >= n, strict=mindeg > n,
         outside_hypotheses=outside,
         note="" if small is not None else "smallness not determined",
     )

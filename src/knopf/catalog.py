@@ -8,11 +8,10 @@ in parallel.
 
 from __future__ import annotations
 
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
-
-import numpy as np
 
 from . import action as act
 from . import canon
@@ -21,14 +20,11 @@ from . import gscheme as gs
 from . import hopf
 from .errors import InputError
 from .exactalg import FieldSpec
+from .hopf import cyclic_table
 from .ratfunc import Poly
 
 
 # -- small finite groups ----------------------------------------------------
-
-
-def cyclic_table(n: int) -> list[list[int]]:
-    return [[(i + j) % n for j in range(n)] for i in range(n)]
 
 
 def dihedral_table(n: int) -> list[list[int]]:
@@ -59,7 +55,7 @@ def standard_module(scheme: gs.FiniteGroupScheme, ell: int, p: int) -> act.Comod
     """W for mu_ell acting on alpha_p: the matrix form [[t, a], [0, 1]]."""
     f = scheme.field
     coact = f.zeros((2, 2, scheme.order))
-    coact[0, 0, 1 * p + 0] = f.one   # t
+    coact[0, 0, (1 % ell) * p] = f.one   # t, which is 1 when ell = 1
     coact[0, 1, 0 * p + 1] = f.one   # a
     coact[1, 1, 0] = f.one           # 1
     return act.Comodule(scheme, coact, labels=["w1", "w2"])
@@ -151,6 +147,15 @@ def _check_true(checks: list, name: str, actual: bool, detail: str = ""):
     checks.append(CheckResult(name, bool(actual), "true", detail or str(actual)))
 
 
+def _int(key: str, value) -> int:
+    """An integer entry parameter (an int, or a string of one); anything else,
+    a float included, is an input error."""
+    try:
+        return int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        raise InputError(f"parameter {key} must be an integer, got {value!r}") from None
+
+
 # -- entry builders and checkers -------------------------------------------
 
 
@@ -208,17 +213,17 @@ def _check_reflection(bundle, params):
 
 
 def _build_ul(params):
-    p = int(params.get("p", 2))
+    p = _int("p", params.get("p", 2))
     if p not in (2, 3, 5, 7):
         raise InputError("uL entry supports p in {2, 3, 5, 7}")
     h = u_l_hopf(p)
-    return {"kind": "hopf", "hopf": h, "scheme": gs.scheme_of_hopf_dual(h)}
+    return {"kind": "hopf", "hopf": h, "scheme": gs.scheme_of_hopf_dual(h), "p": p}
 
 
 def _check_ul(bundle, params):
     h = bundle["hopf"]
     scheme = bundle["scheme"]
-    p = int(params.get("p", 2))
+    p = bundle["p"]
     checks: list[CheckResult] = []
     _check(checks, "dimension", p * p, h.dim)
     _check_true(checks, "axioms", h.verify_axioms().ok)
@@ -239,8 +244,8 @@ def _check_ul(bundle, params):
 
 
 def _build_mu_semidirect_alpha(params):
-    ell = int(params.get("l", 3))
-    p = int(params.get("p", 5))
+    ell = _int("l", params.get("l", 3))
+    p = _int("p", params.get("p", 5))
     f = FieldSpec.prime(p)
     scheme = gs.mu_semidirect_alpha_scheme(f, ell)
     w = standard_module(scheme, ell, p)
@@ -250,12 +255,11 @@ def _build_mu_semidirect_alpha(params):
         var_labels=["x1", "x2", "x3", "x4"],
     )
     return {"kind": "scheme_action", "scheme": scheme, "module": v, "ring": ring,
-            "w": w}
+            "w": w, "l": ell, "p": p}
 
 
 def _check_mu_semidirect_alpha(bundle, params):
-    ell = int(params.get("l", 3))
-    p = int(params.get("p", 5))
+    ell, p = bundle["l"], bundle["p"]
     scheme = bundle["scheme"]
     ring = bundle["ring"]
     checks: list[CheckResult] = []
@@ -291,8 +295,8 @@ def _check_mu_semidirect_alpha(bundle, params):
 
 
 def _build_determinantal(params):
-    m = int(params.get("m", 2))
-    n = int(params.get("n", 2))
+    m = _int("m", params.get("m", 2))
+    n = _int("n", params.get("n", 2))
     if m < 1 or n < 1:
         raise InputError("determinantal entry needs m, n >= 1")
     weights = [1] * n + [-1] * m
@@ -310,9 +314,10 @@ def _check_determinantal(bundle, params):
     counts = diag.hilbert_function(window)
     den = Poly([1, 0, -1]).pow(m + n - 1)
     series = canon.reconstruct_rational(counts, den)
-    a = canon.a_invariant_via_molien(series)
+    a = series.degree_difference()
     _check(checks, "a-invariant", -2 * max(m, n), a)
-    _check(checks, "numerator palindromic iff m == n", m == n,
+    # min(m, n) = 1 leaves no 2x2 minors: a polynomial ring, Gorenstein
+    _check(checks, "numerator palindromic iff m == n", m == n or min(m, n) == 1,
            series.num.is_palindromic())
     num = series.series_normal_form()[0]
     if (m, n) == (2, 2):
@@ -328,13 +333,12 @@ def _check_determinantal(bundle, params):
 
 
 def _build_o2(params):
-    # reflection r acting on antisymmetric 2x2 matrices by B -> r B r^T
-    r = np.array([[1, 0], [0, -1]], dtype=np.int64)
-    e = np.array([[0, 1], [-1, 0]], dtype=np.int64)
-    image = r @ e @ r.T
-    # the antisymmetric part is 1-dimensional, so the action is a scalar
-    scalar = int(image[0, 1]) // int(e[0, 1])
-    return {"kind": "matrix_check", "scalar": scalar, "image": image}
+    # r = diag(1, -1) conjugates the antisymmetric 2x2 matrices B -> r B r^T;
+    # they are Lambda^2 V, on which r acts by det r: the value at r of the
+    # determinant character of the group {I, r} (r is group element 1)
+    ring = act.constant_group_action(FieldSpec.rationals(),
+                                     [[[1, 0], [0, 1]], [[1, 0], [0, -1]]])
+    return {"scalar": int(ring.det_character()[1])}
 
 
 def _check_o2(bundle, params):
@@ -346,13 +350,13 @@ def _check_o2(bundle, params):
 
 
 def _build_mu_weights(params):
-    m = int(params.get("m", 3))
+    m = _int("m", params.get("m", 3))
     if m < 1:
         raise InputError("mu-m-weights needs m >= 1")
     ws = params.get("w", (1, 2))
-    if isinstance(ws, str):
-        ws = tuple(int(x) for x in ws.split(",") if x.strip())
-    weights = [int(w) for w in ws]
+    if not isinstance(ws, (list, tuple)):
+        ws = [x for x in str(ws).split(",") if x.strip()]
+    weights = [_int("w", w) for w in ws]
     if not weights:
         raise InputError("mu-m-weights needs at least one weight")
     diag = act.DiagonalizableAction(weights, m)

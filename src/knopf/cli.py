@@ -102,16 +102,6 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _fmt_combo(field, vec, labels) -> str:
-    terms = []
-    for c, lb in zip(vec, labels):
-        if not c:
-            continue
-        s = str(field.fmt(c))
-        terms.append(lb if s == "1" else f"{s}*{lb}")
-    return " + ".join(terms) if terms else "0"
-
-
 def _load_hopf(args):
     obj = jsonio.load_json(args.path)
     if isinstance(obj, dict) and "coordinate_ring" in obj:
@@ -193,7 +183,7 @@ def _cmd_integrals(args):
         basis = h.integrals(side)
         payload[side] = [[h.field.fmt(v) for v in row]
                          for row in basis]
-        pretty = "; ".join(_fmt_combo(h.field, row, h.basis) for row in basis)
+        pretty = "; ".join(h.field.fmt_combo(row, h.basis) for row in basis)
         lines.append(f"{side} integral space (dim {len(basis)}): {pretty}")
     return 0, payload, "\n".join(lines)
 
@@ -210,8 +200,8 @@ def _cmd_unimodular(args):
     text = f"unimodular: {str(verdict).lower()}"
     if not verdict:
         text += (
-            f"\n  left:  {_fmt_combo(h.field, left[0], h.basis)}"
-            f"\n  right: {_fmt_combo(h.field, right[0], h.basis)}"
+            f"\n  left:  {h.field.fmt_combo(left[0], h.basis)}"
+            f"\n  right: {h.field.fmt_combo(right[0], h.basis)}"
         )
     return 0, payload, text
 

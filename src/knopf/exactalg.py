@@ -114,6 +114,15 @@ class FieldSpec:
         x = self.coerce(x)
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
+    def fmt_combo(self, vec, labels) -> str:
+        """A vector as a linear combination of labels: "b + 2*c", or "0"."""
+        terms = []
+        for c, lb in zip(vec, labels):
+            if c:
+                s = str(self.fmt(c))
+                terms.append(lb if s == "1" else f"{s}*{lb}")
+        return " + ".join(terms) if terms else "0"
+
     def inv(self, x):
         if self.p is not None:
             x = int(x) % self.p
@@ -318,24 +327,6 @@ def fixed_space(field: FieldSpec, coact: np.ndarray, unit: np.ndarray) -> np.nda
     # only the diagonal blocks change, so only they are reduced
     a[idx, :, idx] = field.reduce(a[idx, :, idx] - unit)
     return kernel_basis(field, a.reshape(n * ngamma, n))
-
-
-def solve(field: FieldSpec, mat: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """One solution of mat x = rhs with every free variable set to 0.
-
-    Returns None when the system is inconsistent.
-    """
-    m, n = mat.shape
-    aug = field.zeros((m, n + 1))
-    aug[:, :n] = mat
-    aug[:, n] = rhs
-    r, pivots = rref(field, aug)
-    if pivots and pivots[-1] == n:
-        return None
-    x = field.zeros(n)
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = r[row_idx, n]
-    return x
 
 
 def invert(field: FieldSpec, mat: np.ndarray) -> np.ndarray | None:

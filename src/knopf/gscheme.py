@@ -26,7 +26,14 @@ import numpy as np
 from . import exactalg as xa
 from .errors import InconsistencyError, InputError
 from .exactalg import FieldSpec
-from .hopf import HopfAlgebraData, function_algebra, tensor_hopf
+from .hopf import (
+    HopfAlgebraData,
+    cyclic_table,
+    function_algebra,
+    group_algebra,
+    monomial_label,
+    tensor_hopf,
+)
 
 
 class FiniteGroupScheme:
@@ -87,15 +94,7 @@ class FiniteGroupScheme:
         return xa.arrays_equal(self.field.asarray(u), self.field.asarray(v))
 
     def format_grouplike(self, v) -> str:
-        v = self.field.asarray(v)
-        terms = [
-            (str(self.field.fmt(c)), self.gamma.basis[i])
-            for i, c in enumerate(v)
-            if c
-        ]
-        if not terms:
-            return "0"
-        return " + ".join(b if c == "1" else f"{c}*{b}" for c, b in terms)
+        return self.field.fmt_combo(self.field.asarray(v), self.gamma.basis)
 
     # -- Knop character -----------------------------------------------------
 
@@ -126,10 +125,7 @@ class FiniteGroupScheme:
         f = self.field
         gamma = self.gamma
         d, c, smat = gamma.comult, gamma.mult, gamma.antipode
-        lam = self.dual_algebra.integrals("left")
-        if len(lam) != 1:
-            raise InconsistencyError("integral space of k[G]* is not one-dimensional")
-        lam = lam[0]
+        lam = self.dual_algebra.left_integral()
         # P[c,b,:] = S(b_c) * b_b in Gamma
         prod = xa.tensordot(f, smat, c, ([0], [0]))
         # E[a,c] = sum_j d[a,c,j] lam_j   (lam contracted into the last leg)
@@ -140,8 +136,8 @@ class FiniteGroupScheme:
         n2 = xa.tensordot(f, f3, prod, ([2, 1], [0, 1]))
         # M[i,:] = S applied to the Gamma-element N[i,:]
         m = xa.tensordot(f, n2, smat, ([1], [1]))
-        pivot = xa._first_nonzero(lam)
-        w = f.reduce(m[pivot] * f.inv(lam[pivot]))
+        # lam has a 1 at its first nonzero entry
+        w = m[xa._first_nonzero(lam)]
         if not xa.arrays_equal(m, xa.outer(f, lam, w)):
             raise InconsistencyError(
                 "dualized adjoint coaction does not stabilize the integral line"
@@ -203,65 +199,23 @@ def constant_scheme(field: FieldSpec, table, labels=None, label=None) -> FiniteG
     )
 
 
-def _power_label(sym: str, e: int) -> str:
-    if e == 0:
-        return ""
-    return sym if e == 1 else f"{sym}^{e}"
-
-
-def _monomial_label(parts: list[str]) -> str:
-    parts = [p for p in parts if p]
-    return "*".join(parts) if parts else "1"
-
-
 def mu_scheme(field: FieldSpec, m: int) -> FiniteGroupScheme:
-    """mu_m = Spec k[t]/(t^m - 1), the m-th roots of unity."""
+    """mu_m = Spec k[t]/(t^m - 1), the m-th roots of unity.
+
+    k[mu_m] is the group algebra of Z/m, with basis t^i.
+    """
     if m < 1:
         raise InputError("mu_m needs m >= 1")
-    f = field
-    mult = f.zeros((m, m, m))
-    comult = f.zeros((m, m, m))
-    for i in range(m):
-        for j in range(m):
-            mult[i, j, (i + j) % m] = f.one
-        comult[i, i, i] = f.one
-    unit = f.zeros(m)
-    unit[0] = f.one
-    counit = f.asarray([1] * m)
-    anti = f.zeros((m, m))
-    for i in range(m):
-        anti[(m - i) % m, i] = f.one
-    labels = [_monomial_label([_power_label("t", i)]) for i in range(m)]
-    gamma = HopfAlgebraData(f, labels, unit, mult, counit, comult, anti,
-                            solve_antipode=False)
-    return FiniteGroupScheme(gamma, label=f"mu_{m}")
+    labels = [monomial_label((i,), ("t",)) for i in range(m)]
+    return FiniteGroupScheme(group_algebra(field, cyclic_table(m), labels),
+                             label=f"mu_{m}")
 
 
 def alpha_scheme(field: FieldSpec) -> FiniteGroupScheme:
-    """alpha_p = Spec k[a]/(a^p) over a field of characteristic p."""
-    p = field.characteristic
-    if p == 0:
+    """alpha_p = Spec k[a]/(a^p) over a field of characteristic p: mu_1 x| alpha_p."""
+    if field.characteristic == 0:
         raise InputError("alpha_p lives in positive characteristic")
-    f = field
-    mult = f.zeros((p, p, p))
-    comult = f.zeros((p, p, p))
-    for i in range(p):
-        for j in range(p):
-            if i + j < p:
-                mult[i, j, i + j] = f.one
-        for j in range(i + 1):
-            comult[i, j, i - j] = f.coerce(comb(i, j))
-    unit = f.zeros(p)
-    unit[0] = f.one
-    counit = f.zeros(p)
-    counit[0] = f.one
-    anti = f.zeros((p, p))
-    for i in range(p):
-        anti[i, i] = f.coerce((-1) ** i)
-    labels = [_monomial_label([_power_label("a", i)]) for i in range(p)]
-    gamma = HopfAlgebraData(f, labels, unit, mult, counit, comult, anti,
-                            solve_antipode=False)
-    return FiniteGroupScheme(gamma, label=f"alpha_{p}")
+    return FiniteGroupScheme(_mu_alpha_ring(field, 1), label=f"alpha_{field.p}")
 
 
 def mu_semidirect_alpha_scheme(field: FieldSpec, ell: int) -> FiniteGroupScheme:
@@ -282,7 +236,13 @@ def mu_semidirect_alpha_scheme(field: FieldSpec, ell: int) -> FiniteGroupScheme:
             "the Knop character may be trivial",
             stacklevel=2,
         )
+    return FiniteGroupScheme(_mu_alpha_ring(field, ell), label=f"mu_{ell}:alpha_{p}")
+
+
+def _mu_alpha_ring(field: FieldSpec, ell: int) -> HopfAlgebraData:
+    """k[mu_ell x| alpha_p] = k[t,a]/(t^ell - 1, a^p), basis t^i a^j at i*p + j."""
     f = field
+    p = field.p
     n = ell * p
     idx = lambda i, j: i * p + j
     mult = f.zeros((n, n, n))
@@ -307,14 +267,8 @@ def mu_semidirect_alpha_scheme(field: FieldSpec, ell: int) -> FiniteGroupScheme:
             if j1 == 0:
                 counit[a] = f.one
     unit[idx(0, 0)] = f.one
-    labels = [
-        _monomial_label([_power_label("t", i), _power_label("a", j)])
-        for i in range(ell)
-        for j in range(p)
-    ]
-    gamma = HopfAlgebraData(f, labels, unit, mult, counit, comult, anti,
-                            solve_antipode=False)
-    return FiniteGroupScheme(gamma, label=f"mu_{ell}:alpha_{p}")
+    labels = [monomial_label((i, j), ("t", "a")) for i in range(ell) for j in range(p)]
+    return HopfAlgebraData(f, labels, unit, mult, counit, comult, anti)
 
 
 def mu_semidirect_c2_scheme(field: FieldSpec, m: int) -> FiniteGroupScheme:
@@ -354,13 +308,13 @@ def mu_semidirect_c2_scheme(field: FieldSpec, m: int) -> FiniteGroupScheme:
     unit[idx(0, 0)] = f.one
     unit[idx(1, 0)] = f.one
     labels = [
-        _monomial_label([_power_label("t", i), "e1" if q == 0 else "es"])
+        monomial_label((i, 1), ("t", "es" if q else "e1"))
         for q in range(2)
         for i in range(m)
     ]
-    gamma = HopfAlgebraData(f, labels, unit, mult, counit, comult, anti,
-                            solve_antipode=False)
-    return FiniteGroupScheme(gamma, label=f"mu_{m}:C2")
+    return FiniteGroupScheme(
+        HopfAlgebraData(f, labels, unit, mult, counit, comult, anti), label=f"mu_{m}:C2"
+    )
 
 
 def scheme_of_hopf_dual(h: HopfAlgebraData, label=None) -> FiniteGroupScheme:

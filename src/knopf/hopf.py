@@ -83,7 +83,6 @@ class HopfAlgebraData:
         counit=None,
         comult=None,
         antipode=None,
-        solve_antipode: bool = True,
     ):
         self.field = field
         self.basis = list(basis)
@@ -104,7 +103,7 @@ class HopfAlgebraData:
         self.antipode = None if antipode is None else field.asarray(antipode)
         if self.antipode is not None and self.antipode.shape != (n, n):
             raise InputError("antipode shape does not match basis size")
-        if self.antipode is None and self.comult is not None and solve_antipode:
+        if self.antipode is None and self.comult is not None:
             self.antipode = self._solve_antipode()
 
     # -- small helpers ---------------------------------------------------
@@ -172,12 +171,12 @@ class HopfAlgebraData:
             add(
                 "counit_algebra_map",
                 xa.tensordot(f, c, e, ([2], [0])),
-                f.reduce(np.tensordot(e, e, axes=0)),
+                xa.outer(f, e, e),
             )
             add(
                 "comult_unit",
                 xa.tensordot(f, self.unit, d, ([0], [0])),
-                f.reduce(np.tensordot(self.unit, self.unit, axes=0)),
+                xa.outer(f, self.unit, self.unit),
             )
             lhs = xa.tensordot(f, c, d, ([2], [0]))
             u4 = xa.tensordot(f, d, c, ([1], [0]))
@@ -185,7 +184,7 @@ class HopfAlgebraData:
             rhs = xa.tensordot(f, u4, v4, ([1, 2], [2, 1])).transpose(0, 2, 1, 3)
             add("comult_algebra_map", lhs, rhs)
             if self.antipode is not None:
-                target = f.reduce(np.tensordot(e, self.unit, axes=0))
+                target = xa.outer(f, e, self.unit)
                 x4 = xa.tensordot(f, d, self.antipode, ([1], [1]))
                 add("antipode_left", xa.tensordot(f, x4, c, ([2, 1], [0, 1])), target)
                 y4 = xa.tensordot(f, d, self.antipode, ([2], [1]))
@@ -199,19 +198,22 @@ class HopfAlgebraData:
         lhs = np.concatenate(
             [k1.reshape(n * n, n * n), k2.reshape(n * n, n * n)], axis=0
         )
-        target = f.reduce(np.tensordot(self.counit, self.unit, axes=0)).reshape(-1)
+        target = xa.outer(f, self.counit, self.unit).reshape(-1)
         rhs = np.concatenate([target, target])
         return lhs, rhs
 
     def _solve_antipode(self) -> np.ndarray:
+        """The unique S solving the antipode axiom, from one elimination of
+        [lhs | rhs]: a pivot in the rhs column means no solution, a column
+        of lhs without a pivot means more than one."""
         n = self.dim
         lhs, rhs = self._antipode_system()
-        sol = xa.solve(self.field, lhs, rhs)
-        if sol is None:
+        r, pivots = xa.rref(self.field, np.concatenate([lhs, rhs[:, None]], axis=1))
+        if pivots and pivots[-1] == n * n:
             raise InputError("bialgebra admits no antipode")
-        if len(xa.kernel_basis(self.field, lhs)) != 0:
+        if len(pivots) != n * n:
             raise InconsistencyError("antipode not unique; data is not a bialgebra")
-        return sol.reshape(n, n)
+        return r[: n * n, -1].reshape(n, n)
 
     # -- integrals and unimodularity -------------------------------------
 
@@ -246,21 +248,28 @@ class HopfAlgebraData:
             )
         return xa.arrays_equal(left, right)
 
-    def modular_element(self) -> np.ndarray:
-        """The algebra map alpha with Lambda*h = alpha(h)*Lambda, as a functional.
+    def left_integral(self) -> np.ndarray:
+        """The left integral Lambda, scaled to leading coefficient 1.
 
-        Lambda is the left integral; the returned vector lists alpha(b_i).
+        Every caller needs the integral line to be unique, so it is checked
+        here once.
         """
         space = self.integrals("left")
         if len(space) != 1:
             raise InconsistencyError("left integral space is not one-dimensional")
         lam = space[0]
+        return self.field.reduce(lam * self.field.inv(lam[xa._first_nonzero(lam)]))
+
+    def modular_element(self) -> np.ndarray:
+        """The algebra map alpha with Lambda*h = alpha(h)*Lambda, as a functional.
+
+        Lambda is the left integral; the returned vector lists alpha(b_i).
+        """
+        lam = self.left_integral()
         f = self.field
-        pivot = xa._first_nonzero(lam)
-        # row i of w is lam * b_i; the echelon integral need not have a unit
-        # leading entry
+        # row i of w is lam * b_i; lam has a 1 at its first nonzero entry
         w = xa.tensordot(f, lam, self.mult, ([0], [0]))
-        alpha = f.reduce(w[:, pivot] * f.inv(lam[pivot]))
+        alpha = w[:, xa._first_nonzero(lam)]
         expected = xa.outer(f, alpha, lam)
         for i in range(self.dim):
             if not xa.arrays_equal(expected[i], w[i]):
@@ -282,23 +291,10 @@ class HopfAlgebraData:
             mult=self.comult.transpose(1, 2, 0),
             counit=self.unit,
             comult=self.mult.transpose(2, 0, 1),
-            antipode=None if self.antipode is None else self.antipode.T,
-            solve_antipode=False,
+            antipode=self.antipode.T,
         )
 
     # -- Frobenius / symmetric forms -------------------------------------
-
-    def _form_space(self, symmetric: bool) -> np.ndarray:
-        """Functionals phi defining associative forms beta(a,b) = phi(ab).
-
-        Associativity beta(ac,b) = beta(a,cb) holds for every phi; the
-        symmetric variant additionally needs phi to kill all commutators.
-        """
-        f, c, n = self.field, self.mult, self.dim
-        if not symmetric:
-            return f.eye(n)
-        comm = f.reduce(c - c.transpose(1, 0, 2)).reshape(n * n, n)
-        return xa.kernel_basis(f, comm)
 
     def _form_candidates(self, space: np.ndarray) -> list[np.ndarray]:
         f = self.field
@@ -315,13 +311,6 @@ class HopfAlgebraData:
                 pass
         return cands
 
-    def _in_span_of_constraints(self, phi: np.ndarray, symmetric: bool) -> bool:
-        if not symmetric:
-            return True
-        f, c, n = self.field, self.mult, self.dim
-        comm = f.reduce(c - c.transpose(1, 0, 2)).reshape(n * n, n)
-        return xa.is_zero(xa.matmul(f, comm, phi))
-
     def _form_matrix(self, phi: np.ndarray) -> np.ndarray:
         return xa.tensordot(self.field, self.mult, phi, ([2], [0]))
 
@@ -332,40 +321,36 @@ class HopfAlgebraData:
         sound exhaustion: all projective F_p-combinations, or a (degree+1)-wide
         integer grid over Q (the determinant has degree <= n per variable, so a
         grid vanishing proves the zero polynomial).  Beyond budget: undecided.
+
+        Every phi gives an associative form beta(a,b) = phi(ab); a symmetric
+        one needs phi to kill each commutator b_i b_j - b_j b_i (row i*n+j).
         """
-        f, n = self.field, self.dim
-        space = self._form_space(symmetric)
+        f, c, n = self.field, self.mult, self.dim
+        comm = f.reduce(c - c.transpose(1, 0, 2)).reshape(n * n, n) if symmetric else None
+        space = xa.kernel_basis(f, comm) if symmetric else f.eye(n)
         r = len(space)
         if r == 0:
             return None
         for phi in self._form_candidates(space):
-            if not self._in_span_of_constraints(phi, symmetric):
+            if symmetric and not xa.is_zero(xa.matmul(f, comm, phi)):
                 continue
             if xa.rank(f, self._form_matrix(phi)) == n:
                 return phi
         stack = np.stack([self._form_matrix(phi) for phi in space])
         if f.p is not None:
             count = (f.p**r - 1) // (f.p - 1)
-            if count > SEARCH_BUDGET:
-                raise UndecidedError(
-                    f"form search space F_{f.p}^{r} exceeds the exhaustion budget"
-                )
-            for t in _projective_tuples(f.p, r):
-                mat = f.reduce(np.tensordot(np.asarray(t, dtype=np.int64), stack, ([0], [0])))
-                if xa.rank(f, mat) == n:
-                    return f.asarray(t) @ space % f.p
-            return None
-        if (n + 1) ** r > SEARCH_BUDGET:
-            raise UndecidedError(f"form search grid (n+1)^{r} exceeds the budget over Q")
-        for t in iproduct(range(n + 1), repeat=r):
-            if not any(t):
-                continue
-            mat = f.reduce(np.tensordot(f.asarray(list(t)), stack, ([0], [0])))
-            if xa.rank(f, mat) == n:
-                phi = f.zeros(n)
-                for coeff, row in zip(t, space):
-                    phi = phi + row * f.coerce(coeff)
-                return f.reduce(phi)
+            tuples = _projective_tuples(f.p, r)
+            what = f"form search space F_{f.p}^{r} exceeds the exhaustion budget"
+        else:
+            count = (n + 1) ** r
+            tuples = (t for t in iproduct(range(n + 1), repeat=r) if any(t))
+            what = f"form search grid (n+1)^{r} exceeds the budget over Q"
+        if count > SEARCH_BUDGET:
+            raise UndecidedError(what)
+        for t in tuples:
+            coeffs = f.asarray(t)
+            if xa.rank(f, f.reduce(np.tensordot(coeffs, stack, ([0], [0])))) == n:
+                return f.reduce(np.tensordot(coeffs, space, ([0], [0])))
         return None
 
     def is_frobenius(self) -> bool:
@@ -385,6 +370,16 @@ def _projective_tuples(p: int, r: int):
 
 
 # -- constructors --------------------------------------------------------
+
+
+def monomial_label(exponents, symbols, sep: str = "*") -> str:
+    """The monomial prod s^e as a basis label: "t^2*a", or "1" when empty."""
+    parts = [s if e == 1 else f"{s}^{e}" for e, s in zip(exponents, symbols) if e]
+    return sep.join(parts) or "1"
+
+
+def cyclic_table(n: int) -> list[list[int]]:
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
 
 
 def _check_group_table(table: list[list[int]]) -> tuple[int, list[int]]:
@@ -438,8 +433,7 @@ def group_algebra(field: FieldSpec, table: list[list[int]], labels=None) -> Hopf
 
 def function_algebra(field: FieldSpec, table: list[list[int]], labels=None) -> HopfAlgebraData:
     """Functions on a finite group: the dual of its group algebra."""
-    ga = group_algebra(field, table, labels)
-    return ga.dual()
+    return group_algebra(field, table, labels).dual()
 
 
 def tensor_hopf(h1: HopfAlgebraData, h2: HopfAlgebraData, sep: str = "|") -> HopfAlgebraData:
@@ -455,8 +449,8 @@ def tensor_hopf(h1: HopfAlgebraData, h2: HopfAlgebraData, sep: str = "|") -> Hop
         return t.transpose(0, 3, 1, 4, 2, 5).reshape(n, n, n)
 
     labels = [f"{x}{sep}{y}" for x in h1.basis for y in h2.basis]
-    unit = f.reduce(np.tensordot(h1.unit, h2.unit, axes=0)).reshape(n)
-    counit = f.reduce(np.tensordot(h1.counit, h2.counit, axes=0)).reshape(n)
+    unit = xa.outer(f, h1.unit, h2.unit).reshape(n)
+    counit = xa.outer(f, h1.counit, h2.counit).reshape(n)
     anti = None
     if h1.antipode is not None and h2.antipode is not None:
         anti = xa.kron(f, h1.antipode, h2.antipode)
@@ -588,74 +582,33 @@ def restricted_enveloping(
         rmul.append(rm)
         lmul.append(lm)
 
-    def last_gen(exp: tuple[int, ...]) -> int:
-        return max(g for g in range(m) if exp[g])
-
+    # Everything is grown from the predecessor monomial x^a' = x^a / x_g, g the
+    # last generator of x^a: b_i x^a = (b_i x^a') x_g; Delta is multiplicative
+    # with primitive generators, so Delta(x^a) = Delta(x^a') (x_g (x) 1 + 1 (x)
+    # x_g), which on coefficient matrices is R_g^T D' + D' R_g; and
+    # S(x^a) = S(x_g) S(x^a') = -x_g S(x^a').
     c = field.zeros((n, n, n))
+    d = field.zeros((n, n, n))
+    s = field.zeros((n, n))
     for i in range(n):
         c[i, unit_idx, i] = field.one
-    for j, ej in enumerate(exps):
-        if j == unit_idx:
-            continue
-        g = last_gen(ej)
-        jp = index[tuple(a - 1 if t == g else a for t, a in enumerate(ej))]
-        c[:, j, :] = xa.matmul(field, c[:, jp, :], rmul[g])
-
-    # Delta is multiplicative with primitive generators; Delta(x^a) is grown
-    # from Delta of the predecessor monomial by one factor x_g (x) 1 + 1 (x) x_g.
-    def pair_mult_gen(elem: dict, g: int) -> dict:
-        out: dict[tuple[int, int], object] = {}
-        rm = rmul[g]
-        for (i1, j1), cf in elem.items():
-            for ki in range(n):
-                ci = rm[i1, ki]
-                if ci:
-                    key = (ki, j1)
-                    out[key] = field.reduce(out.get(key, field.zero) + cf * ci)
-            for kj in range(n):
-                cj = rm[j1, kj]
-                if cj:
-                    key = (i1, kj)
-                    out[key] = field.reduce(out.get(key, field.zero) + cf * cj)
-        return {k: v for k, v in out.items() if v}
-
-    d = field.zeros((n, n, n))
-    elems: list[dict] = [None] * n
-    elems[unit_idx] = {(unit_idx, unit_idx): field.one}
     d[unit_idx, unit_idx, unit_idx] = field.one
+    s[unit_idx, unit_idx] = field.one
+    minus_one = field.coerce(-1)
     for j, ej in enumerate(exps):
         if j == unit_idx:
             continue
-        g = last_gen(ej)
-        jp = index[tuple(a - 1 if t == g else a for t, a in enumerate(ej))]
-        elem = pair_mult_gen(elems[jp], g)
-        elems[j] = elem
-        for (i1, j1), cf in elem.items():
-            d[j, i1, j1] = cf
+        g = max(t for t in range(m) if ej[t])
+        jp = index[ej[:g] + (ej[g] - 1,) + ej[g + 1 :]]
+        rm = rmul[g]
+        c[:, j, :] = xa.matmul(field, c[:, jp, :], rm)
+        d[j] = field.reduce(xa.matmul(field, rm.T, d[jp]) + xa.matmul(field, d[jp], rm))
+        s[:, j] = field.reduce(xa.matmul(field, s[:, jp], lmul[g]) * minus_one)
 
     counit = field.zeros(n)
     counit[unit_idx] = field.one
     unit = field.zeros(n)
     unit[unit_idx] = field.one
 
-    # S(x^a) reverses the word with a sign; grown by S(w x_g) = -x_g S(w).
-    s = field.zeros((n, n))
-    s[unit_idx, unit_idx] = field.one
-    minus_one = field.coerce(-1)
-    for j, ej in enumerate(exps):
-        if j == unit_idx:
-            continue
-        g = last_gen(ej)
-        jp = index[tuple(a - 1 if t == g else a for t, a in enumerate(ej))]
-        s[:, j] = field.reduce(xa.matmul(field, s[:, jp], lmul[g]) * minus_one)
-
-    labels = []
-    for ea in exps:
-        parts = [
-            generators[g] if a == 1 else f"{generators[g]}^{a}"
-            for g, a in enumerate(ea)
-            if a
-        ]
-        labels.append("".join(parts) or "1")
-
+    labels = [monomial_label(ea, generators, sep="") for ea in exps]
     return HopfAlgebraData(field, labels, unit, c, counit, d, s)

@@ -21,6 +21,8 @@ import json
 import os
 from fractions import Fraction
 
+import numpy as np
+
 from . import action as act
 from .errors import InputError
 from .exactalg import FieldSpec
@@ -141,14 +143,8 @@ def hopf_from_json(obj: dict, field_override: FieldSpec | None = None) -> HopfAl
 
 
 def _sparse3(field: FieldSpec, arr):
-    n = arr.shape[0]
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if arr[i, j, k]:
-                    out.append([i, j, k, field.fmt(arr[i, j, k])])
-    return out
+    return [[int(i), int(j), int(k), field.fmt(arr[i, j, k])]
+            for i, j, k in np.argwhere(arr)]
 
 
 def hopf_to_json(h: HopfAlgebraData) -> dict:
@@ -222,18 +218,12 @@ def comodule_from_json(obj: dict, scheme: FiniteGroupScheme | None = None,
 
 def comodule_to_json(module: act.Comodule, scheme_ref: str | None = None) -> dict:
     """Serialize a comodule; scheme_ref (a file path) replaces the inline scheme."""
-    f = module.scheme.field
-    coaction = []
-    n = module.dim
-    for i in range(n):
-        for j in range(n):
-            col = module.coaction[i, j]
-            if not col.any():
-                continue
-            coaction.append([i, j, [f.fmt(v) for v in col]])
+    f, c = module.scheme.field, module.coaction
+    coaction = [[int(i), int(j), [f.fmt(v) for v in c[i, j]]]
+                for i, j in np.argwhere(np.count_nonzero(c, axis=2))]
     out = {
         "scheme": scheme_ref if scheme_ref else scheme_to_json(module.scheme),
-        "dim": n,
+        "dim": module.dim,
         "coaction": coaction,
     }
     if module.labels:

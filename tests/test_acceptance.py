@@ -29,7 +29,7 @@ REFLECTION = [[[1, 0], [0, 1]], [[1, 0], [0, -1]]]
 def _mu3a5_ring():
     scheme = gs.mu_semidirect_alpha_scheme(FieldSpec.prime(5), 3)
     w = standard_module(scheme, 3, 5)
-    v = act.direct_sum(w, act.dual_comodule(w))
+    v = act.direct_sum(w, w.dual())
     return scheme, act.GradedInvariantRing(v, label="W(+)W*")
 
 
@@ -144,7 +144,7 @@ def test_determinantal_hilbert_series_exact():
         counts = diag.hilbert_function(window)
         den = Poly([1, 0, -1]).pow(m + n - 1)
         series = canon.reconstruct_rational(counts, den)
-        assert canon.a_invariant_via_molien(series) == expect_a, (m, n)
+        assert series.degree_difference() == expect_a, (m, n)
         assert series.num.is_palindromic() == palindromic, (m, n)
         gjs = canon.gjs_inequality_check(diag, window, small=True)
         assert gjs.holds

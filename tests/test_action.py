@@ -41,7 +41,7 @@ def test_comodule_axioms_and_witness():
 def test_dual_and_sums_and_tensors():
     g = _mu3a5()
     w = standard_module(g, 3, 5)
-    wd = act.dual_comodule(w)
+    wd = w.dual()
     assert wd.verify().ok
     v = act.direct_sum(w, wd)
     assert v.dim == 4 and v.verify().ok
@@ -56,7 +56,7 @@ def test_det_characters():
     t = g.field.zeros(g.order)
     t[1 * 5 + 0] = 1
     assert g.grouplike_equal(act.det_character(w), t)
-    v = act.direct_sum(w, act.dual_comodule(w))
+    v = act.direct_sum(w, w.dual())
     assert g.grouplike_equal(act.det_character(v), g.unit_grouplike())
 
 
@@ -78,7 +78,7 @@ def _loop_det_character(v):
 def _det_cases():
     g = _mu3a5()
     w = standard_module(g, 3, 5)
-    wd = act.dual_comodule(w)
+    wd = w.dual()
     yield pytest.param(act.direct_sum(w, wd), id="W+W*")
     yield pytest.param(act.tensor(w, wd), id="W.W*")
     yield pytest.param(act.direct_sum(act.tensor(w, w), wd), id="W.W+W*")
@@ -125,7 +125,7 @@ def test_symmetric_power_dimensions():
         assert ring.tower.coaction(d).shape[0] == d + 1
     g = _mu3a5()
     v = act.direct_sum(standard_module(g, 3, 5),
-                       act.dual_comodule(standard_module(g, 3, 5)))
+                       standard_module(g, 3, 5).dual())
     ring4 = act.GradedInvariantRing(v)
     assert ring4.tower.coaction(4).shape[0] == 35  # C(4+3, 3)
 
@@ -187,7 +187,7 @@ def test_diagonalizable_weights_match_kernel_route():
 def test_diagonalizable_twisted_hilbert_brute_force():
     diag = act.DiagonalizableAction([1, 2], 3)
     for k in range(3):
-        got = diag.twisted_hilbert(6, k)
+        got = diag.hilbert_function(6, twist=k)
         want = []
         for e in range(7):
             count = sum(

@@ -6,7 +6,7 @@ from knopf import action as act
 from knopf import canon
 from knopf import gscheme as gs
 from knopf.catalog import standard_module
-from knopf.errors import InputError
+from knopf.errors import InconsistencyError, InputError
 from knopf.exactalg import FieldSpec
 from knopf.ratfunc import Poly
 
@@ -28,7 +28,7 @@ def _reflection_ring():
 def _mu3a5_ring():
     g = gs.mu_semidirect_alpha_scheme(F5, 3)
     w = standard_module(g, 3, 5)
-    v = act.direct_sum(w, act.dual_comodule(w))
+    v = act.direct_sum(w, w.dual())
     return act.GradedInvariantRing(v, label="W(+)W*")
 
 
@@ -52,6 +52,18 @@ def test_canonical_twist_mu3a5_is_t_squared():
                              g.knop_character_modular_route())
 
 
+def test_classify_refuses_disagreeing_knop_routes():
+    ring = _mu3a5_ring()
+    g = ring.scheme
+    t = g.field.zeros(g.order)
+    t[1 * 5 + 0] = 1
+    # the modular route is t^2 (the inverse of the adjoint route's t); t is
+    # still a grouplike, but no longer agrees with the adjoint route
+    g._knop_modular = t
+    with pytest.raises(InconsistencyError, match="Knop characters"):
+        canon.classify_small_action(ring, small_asserted=True, max_window=4)
+
+
 def test_canonical_twist_diagonal_weight():
     assert canon.canonical_twist(act.DiagonalizableAction([1, 2], 3)) == 0
     assert canon.canonical_twist(act.DiagonalizableAction([1, 1], 3)) == 1
@@ -60,9 +72,11 @@ def test_canonical_twist_diagonal_weight():
 def test_omega_module_first_degree():
     refl = _reflection_ring()
     tw = canon.canonical_twist(refl)
-    omega = canon.TwistedGradedModule.omega(refl, tw, max_window=5)
-    assert omega.dims[:4] == [0, 1, 1, 2]
-    assert omega.first_nonzero_degree() == refl.n + 1  # degree 3 in omega grading
+    dims = canon.omega_hilbert(refl, tw, 5)
+    assert dims[:4] == [0, 1, 1, 2]
+    # degree 3 in omega grading
+    assert refl.n + canon._first_degree(dims) == refl.n + 1
+    assert canon.a_invariant_via_omega(refl, tw, 5) == -(refl.n + 1)
 
 
 def test_a_invariant_via_omega_frozen_values():
@@ -82,7 +96,7 @@ def test_a_invariant_undetermined_marker():
 
 def test_a_invariant_via_molien():
     series = act.molien_series(MINUS_ID, Q)
-    assert canon.a_invariant_via_molien(series) == -2
+    assert series.degree_difference() == -2
 
 
 def test_classify_minus_id_all_seven_hold():

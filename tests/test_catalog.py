@@ -41,6 +41,19 @@ def test_run_with_parameters():
     assert weights.passed
 
 
+@pytest.mark.parametrize("m, n", [(4, 1), (1, 3), (3, 1)])
+def test_determinantal_with_a_single_row_or_column(m, n):
+    # no 2x2 minors: the invariant ring is a polynomial ring, Gorenstein
+    res = catalog.run("determinantal", m=m, n=n)
+    assert res.passed, [c for c in res.checks if not c.passed]
+
+
+@pytest.mark.filterwarnings("ignore:outside the ell odd prime")
+def test_mu_semidirect_alpha_with_trivial_mu():
+    # ell = 1 is alpha_5 alone: t is 1, and the standard module [[1, a], [0, 1]]
+    assert catalog.run("mu-semidirect-alpha", l=1, p=5).passed
+
+
 def test_run_unknown_entry_raises():
     with pytest.raises(InputError):
         catalog.run("no-such-entry")
@@ -49,6 +62,8 @@ def test_run_unknown_entry_raises():
 def test_run_rejects_bad_parameters():
     with pytest.raises(InputError):
         catalog.run("uL", p=4)
+    with pytest.raises(InputError):
+        catalog.run("uL", p=2.9)  # not truncated to p = 2
 
 
 def test_run_all_default_sweeps_green():

@@ -178,6 +178,37 @@ def test_catalog_run_with_param(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["uL", "--param", "p=x"],
+    ["mu-semidirect-alpha", "--param", "l=x"],
+    ["determinantal", "--param", "m=x"],
+    ["mu-m-weights", "--param", "m=x"],
+    ["mu-m-weights", "--param", "w=1,a"],
+])
+def test_catalog_non_integer_param_exits_two(argv, capsys):
+    assert main(["catalog", "run", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, code", [("no-antipode", 2), ("non-unique", 1)])
+def test_verify_hopf_without_usable_antipode(name, code, tmp_path, capsys):
+    if name == "no-antipode":
+        obj = {"field": "Q", "dim": 2, "basis": ["1", "z"], "unit": [1, 0],
+               "counit": [1, 1],
+               "mult": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 1, 1]],
+               "comult": [[0, 0, 0, 1], [1, 1, 1, 1]]}
+    else:
+        obj = {"field": "Q", "dim": 1, "basis": ["b"], "unit": [1],
+               "counit": [0], "mult": [], "comult": [[0, 0, 0, 1]]}
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(obj))
+    assert main(["verify", str(p)]) == code
+    err = capsys.readouterr().err
+    assert ("admits no antipode" if code == 2 else "not unique") in err
+    assert "Traceback" not in err
+
+
 def test_catalog_param_without_name_exits_two(capsys):
     assert main(["catalog", "run", "--param", "p=3"]) == 2
     capsys.readouterr()

@@ -5,6 +5,7 @@ import pytest
 
 from knopf import exactalg as xa
 from knopf.catalog import cyclic_table, dihedral_table, u_l_hopf
+from knopf.errors import InconsistencyError, InputError
 from knopf.exactalg import FieldSpec
 from knopf.hopf import HopfAlgebraData, group_algebra, restricted_enveloping
 
@@ -46,7 +47,7 @@ def test_corrupted_product_fails_associativity_with_witness():
     bad_mult[1, 2, k_true] = Q.zero
     bad_mult[1, 2, 1 if k_true != 1 else 2] = Q.one
     bad = HopfAlgebraData(Q, h.basis, h.unit, bad_mult, h.counit, h.comult,
-                          h.antipode, solve_antipode=False)
+                          h.antipode)
     rep = bad.verify_axioms()
     assert not rep.ok
     assoc = rep.failures[0]
@@ -97,6 +98,30 @@ def test_antipode_solver_matches_group_inverse():
     assert xa.arrays_equal(solved.antipode, h.antipode)
     # S(g) = g^{-1}: column 1 (generator) maps to index 2 (its inverse)
     assert solved.antipode[2, 1] == 1
+
+
+def _monoid_z2_eq_z():
+    """The monoid bialgebra of {1, z}, z^2 = z: S(z) z = eps(z) = 1 is impossible."""
+    mult = Q.zeros((2, 2, 2))
+    mult[0, 0, 0] = mult[0, 1, 1] = mult[1, 0, 1] = mult[1, 1, 1] = 1
+    comult = Q.zeros((2, 2, 2))
+    comult[0, 0, 0] = comult[1, 1, 1] = 1
+    return ["1", "z"], [1, 0], mult, [1, 1], comult
+
+
+def _zero_one_dim():
+    """One basis vector, zero product and zero counit: every S solves the axiom."""
+    return ["b"], [1], Q.zeros((1, 1, 1)), [0], Q.asarray([[[1]]])
+
+
+def test_antipode_solver_refuses_a_bialgebra_without_antipode():
+    with pytest.raises(InputError, match="admits no antipode"):
+        HopfAlgebraData(Q, *_monoid_z2_eq_z())
+
+
+def test_antipode_solver_refuses_a_non_unique_antipode():
+    with pytest.raises(InconsistencyError, match="not unique"):
+        HopfAlgebraData(Q, *_zero_one_dim())
 
 
 def test_restricted_enveloping_basis_and_dimension():
