@@ -4,10 +4,11 @@ A G-module V is a right comodule over Gamma = k[G]: rho(v_j) = sum_i v_i (x)
 gamma_ij.  The polynomial ring S = Sym(V*) carries the dual coaction on its
 variables; invariants, twisted invariants, Hilbert functions, Molien series,
 pseudo-reflection detection and the integral trace map Tr: S -> S^G all live
-here.  Everything is degree-truncated and exact.  The Sym^d tower runs on
-exactalg's integer lane (integer numerators over one scale, one conversion to
-the field per degree); a twist by a grouplike chi is the untwisted kernel for
-the unit chi^-1.
+here.  Everything is degree-truncated and exact.  The Sym^d tower is sparse:
+each degree holds only the nonzero entries of its coaction, as Python ints
+over one scale, and its invariants are exactalg's sparse fixed-space kernel
+of that form; a twist by a grouplike chi is the untwisted kernel for the
+unit chi^-1.
 """
 
 from __future__ import annotations
@@ -160,38 +161,36 @@ class _SymTower:
     multiplying with the coaction of the last variable occurring in each
     monomial (rho is an algebra map, Gamma is commutative).
 
-    The top degree is kept in exactalg's integral form: numerators (int64
-    while they fit, Python ints beyond) over one scale.  R_d is one exact
-    integer product per nonzero gamma_ij, integer scatter-adds, the common
-    gcd divided out of numerators and scale, and one conversion to the field.
-    Over F_p the residues are their own integral form (scale 1).
+    Every degree is kept as an `exactalg.SparseCoaction`: per monomial, its
+    nonzero (m', gamma) entries as Python ints over one scale (residues over
+    F_p, numerators over Q with the common gcd divided out).  Column m of R_d
+    is its source column in degree d-1 times the nonzero rows of the
+    right-multiplication table of the last variable's coaction.
     """
 
     def __init__(self, variables: Comodule):
         self.vars = variables
-        self.field = variables.field
+        self.field = f = variables.field
         gamma = variables.scheme.gamma
-        f = self.field
-        # rm[i,j] is the right-multiplication matrix of gamma_ij on Gamma, as
-        # integers over the scale rm_scale
+        n, order = variables.dim, variables.scheme.order
+        # e_a * gamma_ij = sum_c rm[i, j, a, c] e_c, as integers over rm_scale
         rm = xa.tensordot(f, variables.coaction, gamma.mult, ([2], [1]))
-        self._rm, self._rm_scale, self._rm_bound = xa._integral(f, rm)
-        self._nz = np.count_nonzero(variables.coaction, axis=2) > 0
-        unit = gamma.unit
-        r0 = f.zeros((1, 1, variables.scheme.order))
-        r0[0, 0] = unit
-        zero_exp = (0,) * variables.dim
+        nums, self._rm_scale, _ = xa._integral(f, rm)
+        # times[j][a]: the nonzero (i, c, rm[i, j, a, c])
+        self._times = [[[] for _ in range(order)] for _ in range(n)]
+        for i, j, a, c, v in xa._nonzeros(nums):
+            self._times[j][a].append((i, c, v))
+        unit, scale, _ = xa._integral(f, gamma.unit)
+        zero_exp = (0,) * n
         self._exps: dict[int, list[tuple[int, ...]]] = {0: [zero_exp]}
-        self._index: dict[int, dict[tuple[int, ...], int]] = {0: {zero_exp: 0}}
-        self._coact: dict[int, np.ndarray] = {0: r0}
-        # (numerators, scale, bound) of the top degree
-        self._top = xa._integral(f, r0)
+        self._top_index = {zero_exp: 0}
+        self._coact = {0: xa.SparseCoaction([dict(xa._nonzeros(unit))], order, scale)}
 
     def exponents(self, d: int) -> list[tuple[int, ...]]:
         self._build_to(d)
         return self._exps[d]
 
-    def coaction(self, d: int) -> np.ndarray:
+    def coaction(self, d: int) -> xa.SparseCoaction:
         self._build_to(d)
         return self._coact[d]
 
@@ -199,60 +198,41 @@ class _SymTower:
         if d < 0:
             raise InputError("degree must be >= 0")
         n = self.vars.dim
-        f = self.field
-        ngamma = self.vars.scheme.order
-        while max(self._coact) < d:
-            prev = max(self._coact)
-            cur = prev + 1
+        p = self.field.p
+        while len(self._coact) <= d:
+            cur = len(self._coact)
+            prev = self._coact[cur - 1]
+            order = prev.order
             exps = _exponents(n, cur)
             index = {e: m for m, e in enumerate(exps)}
-            prev_exps = self._exps[prev]
-            num, scale, bound = self._top
-            # an entry of R_d sums at most n products of length ngamma
-            fits = n * ngamma * bound * self._rm_bound < 2**63
-            big = np.zeros((len(exps), len(exps), ngamma),
-                           dtype=np.int64 if fits else object)
-            # shift_i[m'] = index of (exponent m') + e_i in degree cur
-            shifts = [
-                np.array([index[e[:i] + (e[i] + 1,) + e[i + 1 :]] for e in prev_exps])
-                for i in range(n)
-            ]
-            for j in range(n):
-                cols, srcs = [], []
-                for m, e in enumerate(exps):
-                    last = max(k for k in range(n) if e[k])
-                    if last == j:
-                        cols.append(m)
-                        srcs.append(
-                            self._index[prev][e[:j] + (e[j] - 1,) + e[j + 1 :]]
-                        )
-                if not cols:
-                    continue
-                block = num[:, srcs, :].reshape(-1, ngamma)
-                cols_arr = np.array(cols)
-                for i in range(n):
-                    if not self._nz[i, j]:
-                        continue
-                    prod = xa._int_product(block, bound, self._rm[i, j],
-                                           self._rm_bound, ngamma, np.matmul)
-                    big[np.ix_(shifts[i], cols_arr)] += prod.astype(
-                        big.dtype, copy=False).reshape(len(prev_exps), len(cols), ngamma)
-            scale *= self._rm_scale
-            if f.p is None and scale > 1:
-                g = math.gcd(scale, int(np.gcd.reduce(big, axis=None)))
-                big //= g
-                scale //= g
-            r = xa._from_integral(f, big, scale)
-            if f.p is not None:
-                self._top = r, 1, f.p - 1
-            else:
-                bound = int(np.abs(big).max()) if big.size else 0
-                if bound < 2**63:
-                    big = big.astype(np.int64, copy=False)
-                self._top = big, scale, bound
+            # up[m'][i] = index of (exponent m') + e_i
+            up = [[index[e[:i] + (e[i] + 1,) + e[i + 1 :]] for i in range(n)]
+                  for e in self._exps[cur - 1]]
+            cols = []
+            for e in exps:
+                j = max(k for k in range(n) if e[k])
+                src = prev.cols[self._top_index[e[:j] + (e[j] - 1,) + e[j + 1 :]]]
+                times = self._times[j]
+                acc: dict[int, int] = {}
+                for key, v in src.items():
+                    mp, a = divmod(key, order)
+                    ups = up[mp]
+                    for i, c, w in times[a]:
+                        k = ups[i] * order + c
+                        acc[k] = acc.get(k, 0) + v * w
+                if p is None:
+                    cols.append({k: x for k, x in acc.items() if x})
+                else:
+                    cols.append({k: y for k, x in acc.items() if (y := x % p)})
+            scale = prev.scale * self._rm_scale
+            if p is None and scale > 1:
+                g = math.gcd(scale, *(x for col in cols for x in col.values()))
+                if g > 1:
+                    cols = [{k: x // g for k, x in col.items()} for col in cols]
+                    scale //= g
             self._exps[cur] = exps
-            self._index[cur] = index
-            self._coact[cur] = r
+            self._top_index = index
+            self._coact[cur] = xa.SparseCoaction(cols, order, scale)
 
 
 class GradedInvariantRing:
@@ -269,6 +249,7 @@ class GradedInvariantRing:
             self.variables.labels = list(var_labels)
         self.tower = _SymTower(self.variables)
         self._inv: dict = {}
+        self._dims: dict = {}
         self._units: dict = {}
         self._delta = None
         self._det = None
@@ -290,6 +271,10 @@ class GradedInvariantRing:
         if twist is None:
             return self.scheme.gamma.unit
         chi = self.field.asarray(twist)
+        if chi.shape != (self.scheme.order,):
+            raise InputError(
+                f"a twist must have shape ({self.scheme.order},), got {chi.shape}"
+            )
         key = tuple(chi.tolist())
         if key not in self._units:
             if not self.scheme.is_grouplike(chi):
@@ -298,6 +283,7 @@ class GradedInvariantRing:
         return self._units[key]
 
     def invariant_basis(self, d: int, twist=None) -> np.ndarray:
+        """Echelon-normal basis (k, dim S_d) of the (twisted) invariants."""
         unit = self._kernel_unit(twist)
         key = (d, tuple(unit.tolist()))
         if key not in self._inv:
@@ -305,7 +291,13 @@ class GradedInvariantRing:
         return self._inv[key]
 
     def invariant_dim(self, d: int, twist=None) -> int:
-        return len(self.invariant_basis(d, twist))
+        unit = self._kernel_unit(twist)
+        key = (d, tuple(unit.tolist()))
+        if key in self._inv:
+            return len(self._inv[key])
+        if key not in self._dims:
+            self._dims[key] = xa.fixed_dim(self.field, self.tower.coaction(d), unit)
+        return self._dims[key]
 
     def hilbert_function(self, max_degree: int, twist=None) -> list[int]:
         """dim A_d, or of the invariants twisted by a grouplike, for d <= max_degree."""
@@ -326,8 +318,14 @@ class GradedInvariantRing:
 
     def trace_matrix(self, d: int) -> np.ndarray:
         """Matrix of Tr on S_d: column m holds the coefficients of Tr(x^m)."""
-        return xa.tensordot(self.field, self.tower.coaction(d),
-                            self.integral_functional(), ([2], [0]))
+        r = self.tower.coaction(d)
+        delta = self.integral_functional().tolist()
+        t = np.zeros((r.dim, r.dim), dtype=object)
+        for j, col in enumerate(r.cols):
+            for key, v in col.items():
+                i, g = divmod(key, r.order)
+                t[i, j] += v * delta[g]
+        return self.field.asarray(t * Fraction(1, r.scale))
 
     def trace_map(self, d: int, coeffs) -> np.ndarray:
         v = self.field.asarray(coeffs)
@@ -608,6 +606,25 @@ def _span_contains(field, basis: np.ndarray, vectors: np.ndarray) -> bool:
     return xa.rank(field, stacked) == xa.rank(field, basis)
 
 
+def _equivariant(field, r: xa.SparseCoaction, t: np.ndarray) -> bool:
+    """rho(Tr x^j) = (Tr (x) id)(rho x^j) for every monomial x^j of R_d.
+
+    Column j of t is Tr(x^j).  Both sides carry one factor of R_d, so they
+    are compared as numerators over its scale.
+    """
+    tcols = [dict(xa._nonzeros(col)) for col in t.T]
+    for j, col in enumerate(r.cols):
+        lhs, rhs = {}, {}
+        for k, tk in tcols[j].items():
+            xa._axpy(field.p, lhs, tk, r.cols[k])
+        for key, v in col.items():
+            k, g = divmod(key, r.order)
+            xa._axpy(field.p, rhs, v, {i * r.order + g: x for i, x in tcols[k].items()})
+        if lhs != rhs:
+            return False
+    return True
+
+
 def trace_equivariance_check(ring: GradedInvariantRing, max_degree: int) -> TraceReport:
     """Trace-map sanity report over a degree window.
 
@@ -630,10 +647,7 @@ def trace_equivariance_check(ring: GradedInvariantRing, max_degree: int) -> Trac
         inv = ring.invariant_basis(d)
         img_ok = _span_contains(f, inv, t.T)
         if unimod:
-            r = ring.tower.coaction(d)
-            lhs = xa.tensordot(f, r, t, ([1], [0])).transpose(0, 2, 1)
-            rhs = xa.tensordot(f, t, r, ([1], [0]))
-            equi = "pass" if xa.arrays_equal(lhs, rhs) else "fail"
+            equi = "pass" if _equivariant(f, ring.tower.coaction(d), t) else "fail"
         else:
             equi = "skipped (k[G]* not unimodular)"
         if reynolds_scale is not None and len(inv):

@@ -1,31 +1,37 @@
-"""Exact scalars and dense linear algebra over Q and F_p.
+"""Exact scalars and linear algebra over Q and F_p.
 
 Scalars are `fractions.Fraction` over Q (always in lowest terms, positive
 denominator) and canonical representatives 0..p-1 (Python/int64) over F_p.
-Matrices are numpy arrays: dtype=object holding Fractions over Q, dtype=int64
-over F_p with reduction mod p after every operation.  The field split lives
-in `FieldSpec` (scalars, dtypes, reduction); everything else, including the
-one elimination loop in `rref`, is written once for both fields.  `matmul`
-and `tensordot` are one integer product for both fields: each operand is
-scaled once to integers (over Q by the lcm of its denominators), multiplied
-in float64 BLAS while k * max|a| * max|b| < 2^53 for a contraction of length
-k (exact: every partial sum is an integer below 2^53), on Python ints beyond,
-then reduced mod p or divided back into Fractions.  There are no tolerances
-anywhere; a pivot is the first nonzero entry, full stop.
+Dense matrices are numpy arrays: dtype=object holding Fractions over Q,
+dtype=int64 over F_p with reduction mod p after every operation.  The field
+split lives in `FieldSpec` (scalars, dtypes, reduction); everything else is
+written once for both fields.  `matmul` and `tensordot` are one integer
+product for both fields: each operand is scaled once to integers (over Q by
+the lcm of its denominators), multiplied in float64 BLAS while
+k * max|a| * max|b| < 2^53 for a contraction of length k (exact: every
+partial sum is an integer below 2^53), on Python ints beyond, then reduced
+mod p or divided back into Fractions.
+
+Elimination is sparse and also written once: rows are dicts {column: nonzero
+scalar}, reduced shortest row first and back-substituted to the unique RREF.
+`fixed_space` and `fixed_dim` take a `SparseCoaction` and never build a
+dense system; `rref`, `rank`, `kernel_basis` and `invert` keep dense arrays
+as their boundary.  There are no tolerances anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError
 
-# int64 safety: an elimination step forms one product of two residues
+# int64 safety: dense F_p array arithmetic forms one product of two residues
 # (< p^2 < 2^40) per entry, and products and sums of products are bounded
-# against _EXACT_BOUND or int64 before they run, with Python ints beyond.
+# against _EXACT_BOUND before they run, with Python ints beyond.
 _MAX_PRIME = 1 << 20
 
 
@@ -190,15 +196,6 @@ def _integral(field: FieldSpec, a: np.ndarray) -> tuple[np.ndarray, int, int]:
     return np.array(nums, dtype=np.int64 if m < 2**63 else object).reshape(a.shape), s, m
 
 
-def _int_product(na: np.ndarray, ma: int, nb: np.ndarray, mb: int, k: int, mult) -> np.ndarray:
-    """mult(na, nb) exactly for integers |na| <= ma, |nb| <= mb, k products per entry."""
-    # ma and mb on their own too: an all-zero partner must not let an operand
-    # beyond 2^53 into float64
-    if max(k * ma * mb, ma, mb) < _EXACT_BOUND:
-        return np.rint(mult(na.astype(np.float64), nb.astype(np.float64))).astype(np.int64)
-    return np.asarray(mult(na.astype(object), nb.astype(object)))
-
-
 def _from_integral(field: FieldSpec, n: np.ndarray, s: int) -> np.ndarray:
     """The field array n / s: reduced mod p, or lowest-terms Fractions over Q."""
     if field.p is not None:
@@ -213,7 +210,13 @@ def _from_integral(field: FieldSpec, n: np.ndarray, s: int) -> np.ndarray:
 def _product(field: FieldSpec, a: np.ndarray, b: np.ndarray, k: int, mult) -> np.ndarray:
     """mult(a, b) exactly, where each output entry sums k products."""
     (na, sa, ma), (nb, sb, mb) = _integral(field, a), _integral(field, b)
-    return _from_integral(field, _int_product(na, ma, nb, mb, k, mult), sa * sb)
+    # ma and mb on their own too: an all-zero partner must not let an operand
+    # beyond 2^53 into float64
+    if max(k * ma * mb, ma, mb) < _EXACT_BOUND:
+        n = np.rint(mult(na.astype(np.float64), nb.astype(np.float64))).astype(np.int64)
+    else:
+        n = np.asarray(mult(na.astype(object), nb.astype(object)))
+    return _from_integral(field, n, sa * sb)
 
 
 def matmul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -250,46 +253,135 @@ def _first_nonzero(col) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def rref(field: FieldSpec, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; pivots are the first nonzero in each column.
+# The elimination works on rows {column: nonzero scalar}: residues 0..p-1 over
+# F_p, and ints or Fractions over Q.  An integral rational enters as an int,
+# because Python int arithmetic is many times faster than Fraction's.
 
-    Returns (R, pivot_columns).  Deterministic: no pivot choice beyond
-    first-nonzero, so identical inputs give identical outputs.  Each pivot
-    updates only the rows with a nonzero in its column, and in them only the
-    columns where the pivot row is nonzero, so sparse systems stay cheap over
-    both fields.
+
+def _nonzeros(arr: np.ndarray):
+    """(index..., value) of each nonzero entry, as Python ints and Fractions."""
+    nz = np.nonzero(arr)
+    values = [v.numerator if v.denominator == 1 else v for v in arr[nz].tolist()]
+    return zip(*(x.tolist() for x in nz), values)
+
+
+class SparseCoaction(NamedTuple):
+    """A coaction array (n, n, |G|) by its nonzero entries.
+
+    cols[j] maps i * order + g to the numerator of entry [i, j, g], which is
+    that numerator over `scale` (always 1 over F_p).  The key is the row of
+    the fixed-space system, so a column of the coaction is a column of it.
     """
-    a = mat.copy()
-    m, n = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.flatnonzero(a[:, c])
-        below = nz[nz >= r]
-        if not below.size:
-            continue
-        hit = int(below[0])
-        if hit != r:
-            a[[r, hit]] = a[[hit, r]]
-        inv = field.inv(a[r, c])
-        if inv != field.one:
-            a[r] = field.reduce(a[r] * inv)
-        # a[r, c] was zero when hit != r, so after the swap the other rows
-        # with a nonzero in column c are exactly nz without hit
-        rows = nz[nz != hit]
-        if rows.size:
-            cols = np.flatnonzero(a[r])
-            block = np.ix_(rows, cols)
-            a[block] = field.reduce(a[block] - np.outer(a[rows, c], a[r, cols]))
-        pivots.append(c)
-        r += 1
-    return a, pivots
+
+    cols: list[dict]
+    order: int
+    scale: int = 1
+
+    @property
+    def dim(self) -> int:
+        return len(self.cols)
+
+    @classmethod
+    def from_dense(cls, coact: np.ndarray) -> "SparseCoaction":
+        n, _, order = coact.shape
+        cols: list[dict] = [{} for _ in range(n)]
+        for i, j, g, v in _nonzeros(coact):
+            cols[j][i * order + g] = v
+        return cls(cols, order)
+
+
+def _axpy(p: int | None, row: dict, f, other: dict) -> None:
+    """row += f * other in place, dropping the entries that cancel."""
+    for k, v in other.items():
+        x = row.get(k, 0) + f * v
+        if p is not None:
+            x %= p
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+
+
+def _echelon(field: FieldSpec, rows) -> dict[int, dict]:
+    """Row-dict elimination, consuming `rows`: {leading column: echelon row}.
+
+    Rows are taken shortest first (Faugere-Lachartre style: a short row
+    brings little fill); each is reduced by the pivot rows at its leading
+    column until that column is new.  Every returned row is 1 at its key and
+    nonzero only to the right of it.  The leading columns of an echelon basis
+    depend only on the row space, so the order rows arrive in changes nothing.
+    """
+    p = field.p
+    piv: dict[int, dict] = {}
+    for row in sorted(rows, key=len):
+        while row:
+            lead = min(row)
+            prow = piv.get(lead)
+            if prow is None:
+                # an integral inverse (+-1 over Q) is taken as an int, which
+                # keeps integral rows in ints
+                inv = field.inv(row[lead])
+                piv[lead] = prow = {}
+                _axpy(p, prow, inv.numerator if inv.denominator == 1 else inv, row)
+                break
+            _axpy(p, row, -row[lead], prow)
+    return piv
+
+
+def _back_substitute(field: FieldSpec, piv: dict[int, dict]) -> dict[int, dict]:
+    """The echelon rows of `_echelon`, reduced in place to the unique RREF.
+
+    Pivot rows are cleared right to left: a row already cleared holds no
+    other pivot column, so subtracting it brings none back.
+    """
+    for c in sorted(piv, reverse=True):
+        row = piv[c]
+        for k in [k for k in row if k != c and k in piv]:
+            _axpy(field.p, row, -row[k], piv[k])
+    return piv
+
+
+def _dense_rows(mat: np.ndarray) -> list[dict]:
+    rows: list[dict] = [{} for _ in range(mat.shape[0])]
+    for i, j, v in _nonzeros(mat):
+        rows[i][j] = v
+    return rows
+
+
+def _kernel(field: FieldSpec, rows, n: int) -> np.ndarray:
+    """Echelon-normal basis (k, n) of the null space of `rows` (consumed)."""
+    piv = _back_substitute(field, _echelon(field, rows))
+    free = [c for c in range(n) if c not in piv]
+    basis = field.zeros((len(free), n))
+    at = {f: k for k, f in enumerate(free)}
+    for k, f in enumerate(free):
+        basis[k, f] = field.one
+    for c, row in piv.items():
+        for f, v in row.items():
+            if f != c:
+                basis[at[f], c] = field.neg(v)
+    return basis
+
+
+def rref(field: FieldSpec, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form and its pivot columns.
+
+    Returns (R, pivot_columns), R padded with zero rows to the shape of mat.
+    The RREF is unique, so identical inputs give identical outputs.  The
+    dense array is only the boundary: the elimination is `_echelon` and
+    `_back_substitute` on the nonzero entries.
+    """
+    piv = _back_substitute(field, _echelon(field, _dense_rows(mat)))
+    pivots = sorted(piv)
+    r = field.zeros(mat.shape)
+    for i, c in enumerate(pivots):
+        for k, v in piv[c].items():
+            r[i, k] = field.coerce(v)
+    return r, pivots
 
 
 def rank(field: FieldSpec, mat: np.ndarray) -> int:
-    return len(rref(field, mat)[1])
+    return len(_echelon(field, _dense_rows(mat)))
 
 
 def kernel_basis(field: FieldSpec, mat: np.ndarray) -> np.ndarray:
@@ -299,19 +391,27 @@ def kernel_basis(field: FieldSpec, mat: np.ndarray) -> np.ndarray:
     column and 0 in every other free column (echelon-normal form), so equal
     kernels give byte-identical bases.
     """
-    r, pivots = rref(field, mat)
-    n = mat.shape[1]
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    basis = field.zeros((len(free), n))
-    for k, f in enumerate(free):
-        basis[k, f] = field.one
-        for row_idx, pc in enumerate(pivots):
-            basis[k, pc] = field.neg(r[row_idx, f])
-    return basis
+    return _kernel(field, _dense_rows(mat), mat.shape[1])
 
 
-def fixed_space(field: FieldSpec, coact: np.ndarray, unit: np.ndarray) -> np.ndarray:
+def _fixed_rows(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray) -> list[dict]:
+    """Rows (i, g) of the system sum_j coact[i, j, g] x_j - x_i unit[g] = 0,
+    times the coaction's scale."""
+    if np.shape(unit) != (coact.order,):
+        raise InputError(
+            f"the unit must have shape ({coact.order},), got {np.shape(unit)}"
+        )
+    unit_nz = list(_nonzeros(unit))
+    rows: dict[int, dict] = {}
+    for j, col in enumerate(coact.cols):
+        col = dict(col)
+        _axpy(field.p, col, -coact.scale, {j * coact.order + g: u for g, u in unit_nz})
+        for key, v in col.items():
+            rows.setdefault(key, {})[j] = v
+    return list(rows.values())
+
+
+def fixed_space(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray) -> np.ndarray:
     """Echelon basis of {x : sum_j coact[:, j, :] x_j = x (x) unit}, shape (k, n).
 
     coact[i, j, :] is the coefficient vector of the i-th basis vector in the
@@ -319,14 +419,12 @@ def fixed_space(field: FieldSpec, coact: np.ndarray, unit: np.ndarray) -> np.nda
     unit.  Invariants (unit = 1 of k[G]), twisted invariants and integrals
     (unit = the counit) are all this kernel.
     """
-    n, _, ngamma = coact.shape
-    # copy(), not ascontiguousarray(): for ngamma == 1 the transpose is already
-    # contiguous, and subtracting in place would write into the caller's array
-    a = coact.transpose(0, 2, 1).copy()
-    idx = np.arange(n)
-    # only the diagonal blocks change, so only they are reduced
-    a[idx, :, idx] = field.reduce(a[idx, :, idx] - unit)
-    return kernel_basis(field, a.reshape(n * ngamma, n))
+    return _kernel(field, _fixed_rows(field, coact, unit), coact.dim)
+
+
+def fixed_dim(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray) -> int:
+    """len(fixed_space(field, coact, unit)), without back-substitution."""
+    return coact.dim - len(_echelon(field, _fixed_rows(field, coact, unit)))
 
 
 def invert(field: FieldSpec, mat: np.ndarray) -> np.ndarray | None:

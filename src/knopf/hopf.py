@@ -236,7 +236,8 @@ class HopfAlgebraData:
             coact = self.mult.transpose(2, 0, 1)
         else:
             raise InputError(f"side must be 'left' or 'right', got {side!r}")
-        return xa.fixed_space(self.field, coact, self.counit)
+        return xa.fixed_space(self.field, xa.SparseCoaction.from_dense(coact),
+                              self.counit)
 
     def is_unimodular(self) -> bool:
         """Left integral space equals right integral space (exact spans)."""

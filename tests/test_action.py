@@ -1,5 +1,6 @@
 """Comodules, symmetric powers, invariants, Molien series, and the trace map."""
 
+import copy
 import itertools
 
 import numpy as np
@@ -122,12 +123,12 @@ def test_constant_group_requires_closure():
 def test_symmetric_power_dimensions():
     ring = act.constant_group_action(Q, MINUS_ID)
     for d in range(6):
-        assert ring.tower.coaction(d).shape[0] == d + 1
+        assert ring.tower.coaction(d).dim == d + 1
     g = _mu3a5()
     v = act.direct_sum(standard_module(g, 3, 5),
                        standard_module(g, 3, 5).dual())
     ring4 = act.GradedInvariantRing(v)
-    assert ring4.tower.coaction(4).shape[0] == 35  # C(4+3, 3)
+    assert ring4.tower.coaction(4).dim == 35  # C(4+3, 3)
 
 
 def test_minus_id_hilbert_matches_molien():
@@ -250,10 +251,10 @@ def test_trivial_group_fixed_space_leaves_tower_intact(field, n):
     assert ring.scheme.order == 1
     unit = ring.scheme.unit_grouplike()
     for d in range(5):
-        before = ring.tower.coaction(d).copy()
+        before = copy.deepcopy(ring.tower.coaction(d))
         plain = ring.invariant_basis(d)
         twisted = ring.invariant_basis(d, twist=unit)
-        assert xa.arrays_equal(ring.tower.coaction(d), before)
+        assert ring.tower.coaction(d) == before
         assert len(plain) == len(twisted) == comb(d + n - 1, n - 1)
 
 

@@ -267,6 +267,71 @@ def test_rref_matches_seed_row_loop(case):
     assert xa.arrays_equal(r_new, r_ref)
 
 
+def _seed_kernel(field: FieldSpec, mat: np.ndarray) -> np.ndarray:
+    """The echelon-normal kernel basis, read off `_seed_rref`."""
+    r, pivots = _seed_rref(field, mat)
+    n = mat.shape[1]
+    free = [c for c in range(n) if c not in pivots]
+    basis = field.zeros((len(free), n))
+    for k, f in enumerate(free):
+        basis[k, f] = field.one
+        for row_idx, pc in enumerate(pivots):
+            basis[k, pc] = field.neg(r[row_idx, f])
+    return basis
+
+
+@st.composite
+def sparse_coactions(draw):
+    """(field, coact (n, n, |G|), unit): mostly zeros, the unit arbitrary.
+
+    Half the draws are unit (x) id + E for E = A B of rank < n, so that the
+    fixed space (the kernel of E) is nonzero and back-substitution has work.
+    """
+    field = draw(st.sampled_from(_REFERENCE_FIELDS))
+    n, order = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    if field.p is None:
+        entry = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+    else:
+        entry = st.integers(0, field.p - 1)
+
+    def sparse(rows, cols):
+        size = rows * cols
+        values = draw(st.lists(entry, min_size=size, max_size=size))
+        keep = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+        data = [v if k == 0 else 0 for v, k in zip(values, keep)]
+        return field.asarray(data).reshape(rows, cols)
+
+    unit = field.asarray(draw(st.lists(entry, min_size=order, max_size=order)))
+    if draw(st.booleans()):
+        return field, sparse(n * n, order).reshape(n, n, order), unit
+    r = draw(st.integers(0, n - 1))
+    e = xa.matmul(field, sparse(n * order, r), sparse(r, n)).reshape(n, order, n)
+    coact = e.transpose(0, 2, 1).copy()
+    for i in range(n):
+        coact[i, i] = field.reduce(coact[i, i] + unit)
+    return field, coact, unit
+
+
+@given(sparse_coactions(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_fixed_space_matches_seed_kernel(case, rng):
+    field, coact, unit = case
+    n, _, order = coact.shape
+    # the explicit system: row (i, g), column j holds coact[i, j, g] - [i == j] unit[g]
+    a = coact.transpose(0, 2, 1).copy()
+    for i in range(n):
+        a[i, :, i] = field.reduce(a[i, :, i] - unit)
+    want = _seed_kernel(field, a.reshape(n * order, n))
+    sparse = xa.SparseCoaction.from_dense(coact)
+    got = xa.fixed_space(field, sparse, unit)
+    assert got.dtype == want.dtype and xa.arrays_equal(got, want)
+    assert xa.fixed_dim(field, sparse, unit) == len(want)
+    # rows in another order are eliminated in another pivot order
+    rows = xa._fixed_rows(field, sparse, unit)
+    rng.shuffle(rows)
+    assert xa.arrays_equal(xa._kernel(field, rows, n), want)
+
+
 # -- the integer product lane -------------------------------------------------
 #
 # Q products clear denominators and multiply in float64 while k * max|a| *

@@ -1,12 +1,14 @@
 """The Sym^d tower and twisted kernels, against the forms they replaced.
 
-`_SeedTower` is the original Fraction/residue tower, kept verbatim as the
-reference for the integer-lane `_SymTower`; `_twisted_coaction` is the
-explicit twisted coaction R_d * chi that twisted kernels were once taken of.
+`_SeedTower` is the original dense Fraction/residue tower, kept verbatim as
+the reference for the sparse `_SymTower`, which is compared against it
+through `_dense`; `_twisted_coaction` is the explicit twisted coaction
+R_d * chi that twisted kernels were once taken of.
 """
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knopf import action as act
+from knopf import canon
 from knopf import exactalg as xa
 from knopf import gscheme as gs
 from knopf.action import Comodule, _exponents
@@ -31,6 +34,13 @@ ROTATION4 = [[[1, 0], [0, 1]], [[0, -1], [1, 0]], [[-1, 0], [0, -1]], [[0, 1], [
 S3 = [
     [[int(perm[r] == c) for c in range(3)] for r in range(3)]
     for perm in itertools.permutations(range(3))
+]
+# the rotations of the cube: signed permutation matrices of determinant 1
+CUBE = [
+    [[signs[r] * int(perm[r] == c) for c in range(3)] for r in range(3)]
+    for perm in itertools.permutations(range(3))
+    for signs in itertools.product((1, -1), repeat=3)
+    if act._perm_sign(perm) * signs[0] * signs[1] * signs[2] == 1
 ]
 
 
@@ -108,10 +118,21 @@ class _SeedTower:
             self._coact[cur] = f.reduce(big)
 
 
+def _dense(ring, d):
+    """R_d of the ring's sparse tower as a dense (m, m, |G|) field array."""
+    f, r = ring.field, ring.tower.coaction(d)
+    out = f.zeros((r.dim, r.dim, r.order))
+    for j, col in enumerate(r.cols):
+        for key, v in col.items():
+            i, g = divmod(key, r.order)
+            out[i, j, g] = f.coerce(Fraction(v, r.scale))
+    return out
+
+
 def _assert_same_tower(ring, max_degree):
     seed = _SeedTower(ring.variables)
     for d in range(max_degree + 1):
-        got, want = ring.tower.coaction(d), seed.coaction(d)
+        got, want = _dense(ring, d), seed.coaction(d)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.reshape(-1).tolist() == want.reshape(-1).tolist()
         if ring.field.p is None:
@@ -154,10 +175,13 @@ def test_q_tower_numerators_pass_int64():
     p = _random_invertible(Q, 2, rng, _big_rational)
     ring = act.constant_group_action(Q, _conjugated(Q, ROTATION4, p))
     _assert_same_tower(ring, 6)
-    nums, scale, bound = xa._integral(Q, ring.tower.coaction(6))
-    assert bound >= 2**63 and scale > 1
-    assert nums.dtype == object
-    assert xa._integral(Q, ring.tower.coaction(2))[2] >= 2**53
+
+    def bound(d):
+        return max(abs(x) for col in ring.tower.coaction(d).cols for x in col.values())
+
+    assert bound(6) >= 2**63 and ring.tower.coaction(6).scale > 1
+    assert all(type(x) is int for col in ring.tower.coaction(6).cols for x in col.values())
+    assert bound(2) >= 2**53
 
 
 @pytest.mark.parametrize("p", [2, 5, 1048573])
@@ -193,7 +217,7 @@ def _twisted_coaction(ring, d, chi):
     """R_d * chi: right multiplication of every coefficient by chi in Gamma."""
     f = ring.field
     twmat = xa.tensordot(f, ring.scheme.gamma.mult, f.asarray(chi), ([1], [0]))
-    return xa.tensordot(f, ring.tower.coaction(d), twmat, ([2], [0]))
+    return xa.tensordot(f, _dense(ring, d), twmat, ([2], [0]))
 
 
 def _assert_twisted_kernels(ring, grouplikes, max_degree):
@@ -202,7 +226,8 @@ def _assert_twisted_kernels(ring, grouplikes, max_degree):
         assert ring.scheme.is_grouplike(chi)
         for d in range(max_degree + 1):
             got = ring.invariant_basis(d, twist=chi)
-            want = xa.fixed_space(ring.field, _twisted_coaction(ring, d, chi), unit)
+            twisted = xa.SparseCoaction.from_dense(_twisted_coaction(ring, d, chi))
+            want = xa.fixed_space(ring.field, twisted, unit)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.reshape(-1).tolist() == want.reshape(-1).tolist()
 
@@ -257,3 +282,73 @@ def test_twist_that_is_not_grouplike_is_refused(field):
     a = _basis_vectors(F5, g.order, [1])[0]  # the nilpotent a of alpha_5
     with pytest.raises(InputError, match="grouplike"):
         ring.invariant_dim(2, twist=a)
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
+def test_wrongly_shaped_twist_or_unit_is_refused(field):
+    ring = act.constant_group_action(field, CUBE)
+    for bad in ([1, 0], [[1] * 24], [1] * 25):
+        with pytest.raises(InputError, match=r"\(24,\)"):
+            ring.invariant_dim(2, twist=bad)
+    with pytest.raises(InputError, match=r"\(24,\)"):
+        xa.fixed_space(field, ring.tower.coaction(2), field.asarray([1, 0]))
+    with pytest.raises(InputError, match=r"\(24,\)"):
+        xa.fixed_dim(field, ring.tower.coaction(2), field.asarray([[1] * 24]))
+
+
+# -- deep degrees --------------------------------------------------------------
+
+# dim A_d and dim omega_d of mu_3 x| alpha_5 on W + W*, d = 0..16, as the dense
+# tower computed them
+MU3A5_A_DIMS = [1, 1, 2, 3, 4, 6, 8, 11, 14, 18, 22, 28, 34, 41, 49, 59, 69]
+MU3A5_OMEGA_DIMS = [0, 1, 1, 2, 3, 5, 7, 10, 13, 17, 22, 27, 34, 41, 49, 58, 69]
+
+
+def _mu3a5_w_plus_wdual():
+    g = gs.mu_semidirect_alpha_scheme(F5, 3)
+    w = standard_module(g, 3, 5)
+    return act.GradedInvariantRing(act.direct_sum(w, w.dual()))
+
+
+def test_q_cube_dims_match_molien_to_degree_30():
+    ring = act.constant_group_action(Q, CUBE)
+    molien = act.molien_series(CUBE, Q).series_coeffs(31)
+    assert ring.hilbert_function(30) == molien
+
+
+def test_fp_dims_pinned_to_degree_16():
+    ring = _mu3a5_w_plus_wdual()
+    assert ring.hilbert_function(16) == MU3A5_A_DIMS
+    assert ring.hilbert_function(16, canon.canonical_twist(ring)) == MU3A5_OMEGA_DIMS
+
+
+def test_window_20_classify_peak_memory():
+    ring = _mu3a5_w_plus_wdual()
+    tracemalloc.start()
+    try:
+        report = canon.classify_small_action(ring, small_asserted=True, max_window=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.a_dims[:17] == MU3A5_A_DIMS
+    assert peak < 150 * 2**20
+
+
+@pytest.mark.parametrize("field, group", [(Q, CUBE), (F5, S3), (Q, REFLECTION)],
+                         ids=["Q-cube", "F5-S3", "Q-reflection"])
+def test_sparse_equivariance_matches_dense_tensordots(field, group):
+    # the trace report's sparse check against the dense contractions it
+    # replaced, on the true trace matrix and on perturbed ones
+    ring = act.constant_group_action(field, group)
+    rng = random.Random(0)
+    for d in range(5):
+        t, r = ring.trace_matrix(d), _dense(ring, d)
+        for perturb in (False, True, True):
+            t2 = t.copy()
+            if perturb:
+                i, j = rng.randrange(len(t)), rng.randrange(len(t))
+                t2[i, j] = field.reduce(t2[i, j] + field.one)
+            lhs = xa.tensordot(field, r, t2, ([1], [0])).transpose(0, 2, 1)
+            rhs = xa.tensordot(field, t2, r, ([1], [0]))
+            assert act._equivariant(field, ring.tower.coaction(d), t2) == \
+                xa.arrays_equal(lhs, rhs)
