@@ -24,7 +24,7 @@ from . import exactalg as xa
 from .errors import InconsistencyError, InputError, UnsupportedCaseError
 from .exactalg import FieldSpec
 from .gscheme import FiniteGroupScheme, constant_scheme, mu_scheme
-from .hopf import AxiomCheck, AxiomReport, _first_mismatch, monomial_label
+from .hopf import AxiomCheck, AxiomReport, monomial_label
 from .ratfunc import Poly, RatFunc, det_poly_matrix
 
 
@@ -48,34 +48,44 @@ class Comodule:
         return self.scheme.field
 
     def verify(self) -> AxiomReport:
-        """Counit law and coassociativity of the coaction, with witnesses."""
-        f, c = self.field, self.coaction
+        """Counit law and coassociativity of the coaction, with witnesses.
+
+        Coassociativity, sum_k gamma_ik (x) gamma_kj = Delta(gamma_ij), is
+        contracted on the nonzeros and compared one (i, j) at a time.
+        """
+        f, n, p = self.field, self.dim, self.field.p
         gamma = self.scheme.gamma
-        checks = []
-        eps = xa.tensordot(f, c, gamma.counit, ([2], [0]))
-        ident = f.eye(self.dim)
-        checks.append(
-            AxiomCheck("comodule_counit", xa.arrays_equal(eps, ident),
-                       _first_mismatch(eps, ident))
-        )
-        lhs = xa.tensordot(f, c, c, ([1], [0])).transpose(0, 2, 1, 3)
-        rhs = xa.tensordot(f, c, gamma.comult, ([2], [0]))
-        checks.append(
-            AxiomCheck("comodule_coassociativity", xa.arrays_equal(lhs, rhs),
-                       _first_mismatch(lhs, rhs))
-        )
+        nums, s, _ = xa._integral(f, self.coaction)
+        ent = [[dict(xa._nonzeros(nums[i, j])) for j in range(n)] for i in range(n)]
+        e, se = xa._nonzero_dict(f, gamma.counit)
+        eps = {(i, j): sum(v * e[g] for g, v in ent[i][j].items() if g in e)
+               for i in range(n) for j in range(n)}
+        eye = {(i, i): 1 for i in range(n)}
+        w = xa._first_mismatch(p, eps, eye, s * se)
+        checks = [AxiomCheck("comodule_counit", w is None, w)]
+        d_first = xa._by(list(gamma.comult.entries()), 0)
+        w = None
+        for i, j in itertools.product(range(n), repeat=2):
+            lhs = xa._acc(((g, h), v * x) for k in range(n) for g, v in ent[i][k].items()
+                          for h, x in ent[k][j].items())
+            rhs = xa._acc(((g, h), v * x) for y, v in ent[i][j].items()
+                          for g, h, x in d_first.get(y, ()))
+            w = xa._first_mismatch(p, lhs, rhs, s * s, s * gamma.comult.scale, (i, j))
+            if w is not None:
+                break
+        checks.append(AxiomCheck("comodule_coassociativity", w is None, w))
         return AxiomReport(checks)
 
     def dual(self) -> "Comodule":
         """Dual comodule: rho(v*_i) = sum_j v*_j (x) S(gamma_ij)."""
-        f = self.field
-        smat = self.scheme.gamma.antipode
-        sc = xa.tensordot(f, self.coaction, smat, ([2], [1]))  # [i,j,a] = S(g_ij)_a
+        gamma = self.scheme.gamma
+        sc = self.field.zeros(self.coaction.shape)
+        for i, j in itertools.product(range(self.dim), repeat=2):
+            sc[j, i] = gamma.apply_antipode(self.coaction[i, j])
         labels = [
             lb[:-1] if lb.endswith("*") else lb + "*" for lb in self.labels
         ]
-        return Comodule(self.scheme, np.ascontiguousarray(sc.transpose(1, 0, 2)),
-                        labels=labels)
+        return Comodule(self.scheme, sc, labels=labels)
 
 
 def direct_sum(v: Comodule, w: Comodule) -> Comodule:
@@ -92,48 +102,41 @@ def direct_sum(v: Comodule, w: Comodule) -> Comodule:
 def tensor(v: Comodule, w: Comodule) -> Comodule:
     if v.scheme is not w.scheme and v.scheme.gamma != w.scheme.gamma:
         raise InputError("tensor needs comodules over the same scheme")
-    f = v.field
-    u = xa.tensordot(f, v.coaction, w.coaction, 0)  # [i1,j1,k1,i2,j2,k2]
-    t = xa.tensordot(f, u, v.scheme.gamma.mult, ([2, 5], [0, 1]))
-    t = t.transpose(0, 2, 1, 3, 4)
+    gamma = v.scheme.gamma
+    # [i1 n2 + i2, j1 n2 + j2] holds gamma_{i1 j1} gamma'_{i2 j2}
+    t = v.field.zeros((v.dim, w.dim, v.dim, w.dim, v.scheme.order))
+    for i1, j1, i2, j2 in itertools.product(range(v.dim), range(v.dim),
+                                            range(w.dim), range(w.dim)):
+        t[i1, i2, j1, j2] = gamma.mult_vec(v.coaction[i1, j1], w.coaction[i2, j2])
     n = v.dim * w.dim
     labels = [f"{a}.{b}" for a in v.labels for b in w.labels]
-    return Comodule(v.scheme, np.ascontiguousarray(t).reshape(n, n, v.scheme.order),
-                    labels=labels)
-
-
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    inv = sum(
-        1
-        for a in range(len(perm))
-        for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
-    )
-    return -1 if inv % 2 else 1
+    return Comodule(v.scheme, t.reshape(n, n, v.scheme.order), labels=labels)
 
 
 def det_character(v: Comodule):
     """Determinant of the coaction matrix in the commutative ring Gamma.
 
     This is the character of the top exterior power of V; it is trivial
-    exactly when the action factors through SL(V).  The n! products
-    gamma_{0,s(0)} ... gamma_{n-1,s(n-1)} are formed together, one row of the
-    coaction matrix per step.
+    exactly when the action factors through SL(V).  Minors are expanded
+    along their first row and shared between the column sets they cover
+    (n 2^(n-1) sparse products in Gamma instead of n n!).
     """
     f = v.field
     gamma = v.scheme.gamma
     n = v.dim
-    perms = list(itertools.permutations(range(n)))
-    # rm[i, j] is the right-multiplication matrix of gamma_ij on Gamma
-    rm = xa.tensordot(f, v.coaction, gamma.mult, ([2], [1]))
-    terms = np.repeat(gamma.unit[None, :], len(perms), axis=0)
-    every = np.arange(len(perms))
-    for i in range(n):
-        # every partial product times every gamma_ij of row i; keep gamma_{i,s(i)}
-        step = xa.tensordot(f, terms, rm[i], ([1], [1]))
-        terms = step[every, [perm[i] for perm in perms]]
-    signs = f.asarray([_perm_sign(perm) for perm in perms])
-    acc = xa.matmul(f, signs, terms)
+    # minors[cols]: the minor on the last len(cols) rows and the columns cols
+    minors = {(): gamma.unit}
+    for i in range(n - 1, -1, -1):
+        step = {}
+        for cols in itertools.combinations(range(n), n - i):
+            acc = f.zeros(v.scheme.order)
+            for k, j in enumerate(cols):
+                if not xa.is_zero(v.coaction[i, j]):
+                    term = gamma.mult_vec(v.coaction[i, j], minors[cols[:k] + cols[k + 1:]])
+                    acc = acc - term if k % 2 else acc + term
+            step[cols] = f.reduce(acc)
+        minors = step
+    acc = minors[tuple(range(n))]
     if not v.scheme.is_grouplike(acc):
         raise InconsistencyError("determinant of the coaction is not grouplike")
     return acc
@@ -173,12 +176,18 @@ class _SymTower:
         self.field = f = variables.field
         gamma = variables.scheme.gamma
         n, order = variables.dim, variables.scheme.order
-        # e_a * gamma_ij = sum_c rm[i, j, a, c] e_c, as integers over rm_scale
-        rm = xa.tensordot(f, variables.coaction, gamma.mult, ([2], [1]))
-        nums, self._rm_scale, _ = xa._integral(f, rm)
+        # e_a * gamma_ij = sum_g gamma_ij[g] e_a e_g = sum_c rm[i, j, a, c] e_c,
+        # as integers over rm_scale
+        nums, scale, _ = xa._integral(f, variables.coaction)
+        self._rm_scale = scale * gamma.mult.scale
+        rm: dict = {}
+        for i, j, g, v in xa._nonzeros(nums):
+            for key, w in gamma.mult.cols[g].items():
+                a, c = divmod(key, order)
+                rm[j, a, i, c] = rm.get((j, a, i, c), 0) + v * w
         # times[j][a]: the nonzero (i, c, rm[i, j, a, c])
         self._times = [[[] for _ in range(order)] for _ in range(n)]
-        for i, j, a, c, v in xa._nonzeros(nums):
+        for (j, a, i, c), v in xa._clean(f.p, rm).items():
             self._times[j][a].append((i, c, v))
         unit, scale, _ = xa._integral(f, gamma.unit)
         zero_exp = (0,) * n
@@ -340,35 +349,45 @@ def _matrix_key(field: FieldSpec, m: np.ndarray):
 
 
 def _close_group(field: FieldSpec, matrices: list[np.ndarray]):
-    """Validate that the list is a full group; return (table, identity index)."""
+    """Validate that the list is a full group; return (table, identity index).
+
+    The matrices are scaled to integers by one lcm s of their denominators
+    (residues over F_p) and each row of the table is one batched exact
+    integer product; a product s^2 g h is found by its integers among the
+    s^2 g.
+    """
     if not matrices:
         raise InputError("need at least the identity matrix")
     n = matrices[0].shape[0]
+    p = field.p
+    s = 1 if p is not None else math.lcm(
+        *(x.denominator for m in matrices for x in m.reshape(-1).tolist()))
     keys = {}
     for g, m in enumerate(matrices):
         if m.shape != (n, n):
             raise InputError("group matrices must share one square shape")
-        k = _matrix_key(field, m)
+        k = tuple(int(x * s) for x in m.reshape(-1).tolist())
         if k in keys:
             raise InputError(
                 f"duplicate matrix at positions {keys[k]} and {g}: "
                 "a constant group must be listed without repetition"
             )
         keys[k] = g
-    ident = None
-    eye = field.eye(n)
+    order = len(matrices)
+    mx = max(abs(v) for k in keys for v in k)
+    nums = np.array(list(keys), dtype=np.int64 if mx < 2**63 else object)
+    nums = nums.reshape(order, n, n)
+    found = keys if s == 1 else {tuple(s * v for v in k): g for k, g in keys.items()}
     table = []
-    for a, ma in enumerate(matrices):
-        if xa.arrays_equal(ma, eye):
-            ident = a
-        row = []
-        for mb in matrices:
-            prod = xa.matmul(field, ma, mb)
-            k = _matrix_key(field, prod)
-            if k not in keys:
-                raise InputError("matrix list is not closed under products")
-            row.append(keys[k])
+    for a in range(order):
+        prods = xa._int_product(nums[a], mx, nums, mx, n, np.matmul)
+        if p is not None:
+            prods %= p
+        row = [found.get(tuple(r)) for r in prods.reshape(order, -1).tolist()]
+        if None in row:
+            raise InputError("matrix list is not closed under products")
         table.append(row)
+    ident = keys.get(tuple(s * int(i == j) for i in range(n) for j in range(n)))
     if ident is None:
         raise InputError("identity matrix missing from the group list")
     return table, ident
@@ -413,8 +432,9 @@ def constant_group_action(field: FieldSpec, matrices: list,
     if ident != 0:
         # normalize: identity listed first keeps labels predictable
         order = [ident] + [i for i in range(len(mats)) if i != ident]
+        at = {g: k for k, g in enumerate(order)}
         mats = [mats[i] for i in order]
-        table, ident = _close_group(field, mats)
+        table = [[at[table[a][b]] for b in order] for a in order]
     scheme = constant_scheme(
         field,
         table,
@@ -445,9 +465,9 @@ def molien_series(matrices: list, field: FieldSpec | None = None) -> RatFunc:
         )
     mats = [f.asarray(m) for m in matrices]
     _close_group(f, mats)
-    order = Fraction(len(mats))
-    total = RatFunc.from_poly(Poly.zero())
     n = mats[0].shape[0]
+    # elements with one characteristic polynomial share one summand
+    counts: dict[Poly, int] = {}
     for g in mats:
         entries = [
             [
@@ -457,8 +477,11 @@ def molien_series(matrices: list, field: FieldSpec | None = None) -> RatFunc:
             for i in range(n)
         ]
         det = det_poly_matrix(entries)
-        total = total + RatFunc(Poly.one(), det)
-    return total.scale(Fraction(1, 1) / order)
+        counts[det] = counts.get(det, 0) + 1
+    total = RatFunc.from_poly(Poly.zero())
+    for det, k in counts.items():
+        total = total + RatFunc(Poly([k]), det)
+    return total.scale(Fraction(1, len(mats)))
 
 
 # -- diagonalizable actions -------------------------------------------------

@@ -17,12 +17,21 @@ scalar}, reduced shortest row first and back-substituted to the unique RREF.
 `fixed_space` and `fixed_dim` take a `SparseCoaction` and never build a
 dense system; `rref`, `rank`, `kernel_basis` and `invert` keep dense arrays
 as their boundary.  There are no tolerances anywhere.
+
+`SparseCoaction` is the one sparse array type: an (n, n, order) array by its
+nonzeros, as Python ints over one scale.  It holds the Sym^d coactions and
+the Hopf structure constants alike; `transpose` permutes its indices and
+`to_dense` is the on-demand dense boundary.  Sparse contractions accumulate
+numerators in dicts keyed by index tuples (`_acc`, `_by`) and compare two
+sides over their scales (`_mismatches`, `_first_mismatch`, which returns the
+C-order-first differing index as a dense comparison would).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -207,16 +216,21 @@ def _from_integral(field: FieldSpec, n: np.ndarray, s: int) -> np.ndarray:
                        count=len(values)).reshape(n.shape)
 
 
-def _product(field: FieldSpec, a: np.ndarray, b: np.ndarray, k: int, mult) -> np.ndarray:
-    """mult(a, b) exactly, where each output entry sums k products."""
-    (na, sa, ma), (nb, sb, mb) = _integral(field, a), _integral(field, b)
+def _int_product(na: np.ndarray, ma: int, nb: np.ndarray, mb: int, k: int, mult):
+    """mult(na, nb) on integer arrays with |na| <= ma, |nb| <= mb, exactly:
+    in float64 BLAS when each output entry, a sum of k products, stays below
+    2^53, on Python ints otherwise."""
     # ma and mb on their own too: an all-zero partner must not let an operand
     # beyond 2^53 into float64
     if max(k * ma * mb, ma, mb) < _EXACT_BOUND:
-        n = np.rint(mult(na.astype(np.float64), nb.astype(np.float64))).astype(np.int64)
-    else:
-        n = np.asarray(mult(na.astype(object), nb.astype(object)))
-    return _from_integral(field, n, sa * sb)
+        return np.rint(mult(na.astype(np.float64), nb.astype(np.float64))).astype(np.int64)
+    return np.asarray(mult(na.astype(object), nb.astype(object)))
+
+
+def _product(field: FieldSpec, a: np.ndarray, b: np.ndarray, k: int, mult) -> np.ndarray:
+    """mult(a, b) exactly, where each output entry sums k products."""
+    (na, sa, ma), (nb, sb, mb) = _integral(field, a), _integral(field, b)
+    return _from_integral(field, _int_product(na, ma, nb, mb, k, mult), sa * sb)
 
 
 def matmul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -229,11 +243,6 @@ def tensordot(field: FieldSpec, a: np.ndarray, b: np.ndarray, axes) -> np.ndarra
     else:
         k = int(np.prod([a.shape[ax] for ax in np.atleast_1d(axes[0])], dtype=np.int64))
     return _product(field, a, b, k, lambda x, y: np.tensordot(x, y, axes))
-
-
-def kron(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with row-major index pairing (i1*m2+i2, j1*n2+j2)."""
-    return field.reduce(np.kron(a, b))
 
 
 def outer(field: FieldSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -265,12 +274,29 @@ def _nonzeros(arr: np.ndarray):
     return zip(*(x.tolist() for x in nz), values)
 
 
+def _ratio(field: FieldSpec, v, scale: int = 1):
+    """The field element v / scale of an int or Fraction numerator v."""
+    return field.coerce(v if scale == 1 else Fraction(v, scale))
+
+
+def _from_numerators(field: FieldSpec, acc: dict, shape, scale: int = 1) -> np.ndarray:
+    """The field array holding acc[index] / scale, and zero off acc's keys."""
+    out = field.zeros(shape)
+    for idx, v in acc.items():
+        out[idx] = _ratio(field, v, scale)
+    return out
+
+
 class SparseCoaction(NamedTuple):
-    """A coaction array (n, n, |G|) by its nonzero entries.
+    """An array (n, n, order) by its nonzero entries.
 
     cols[j] maps i * order + g to the numerator of entry [i, j, g], which is
-    that numerator over `scale` (always 1 over F_p).  The key is the row of
-    the fixed-space system, so a column of the coaction is a column of it.
+    that numerator over `scale` (always 1 over F_p).  The numerators are
+    Python ints with no factor common to all of them and the scale, so equal
+    arrays are equal tuples.  For a coaction, order is |G| and the key is the
+    row of the fixed-space system, so a column of the coaction is a column of
+    it; Hopf structure constants are held the same way (order n, or 1 for the
+    antipode matrix).
     """
 
     cols: list[dict]
@@ -281,13 +307,99 @@ class SparseCoaction(NamedTuple):
     def dim(self) -> int:
         return len(self.cols)
 
+    def entries(self):
+        """(i, j, g, numerator) of every nonzero entry, column by column."""
+        order = self.order
+        for j, col in enumerate(self.cols):
+            for key, v in col.items():
+                i, g = divmod(key, order)
+                yield i, j, g, v
+
+    @classmethod
+    def from_entries(cls, entries, dim: int, order: int) -> "SparseCoaction":
+        """From (i, j, g, value) with canonical field scalars as values (ints
+        or Fractions over Q, residues over F_p); a later entry at an index
+        replaces an earlier one, and zeros are dropped."""
+        cols: list[dict] = [{} for _ in range(dim)]
+        for i, j, g, v in entries:
+            cols[j][i * order + g] = v
+        scale = math.lcm(*(v.denominator for col in cols for v in col.values()))
+        return cls([{k: int(v * scale) for k, v in col.items() if v} for col in cols],
+                   order, scale)
+
     @classmethod
     def from_dense(cls, coact: np.ndarray) -> "SparseCoaction":
-        n, _, order = coact.shape
-        cols: list[dict] = [{} for _ in range(n)]
-        for i, j, g, v in _nonzeros(coact):
-            cols[j][i * order + g] = v
-        return cls(cols, order)
+        return cls.from_entries(_nonzeros(coact), coact.shape[1], coact.shape[2])
+
+    def to_dense(self, field: FieldSpec) -> np.ndarray:
+        """The dense (n, n, order) field array: an on-demand boundary."""
+        acc = {(i, j, g): v for i, j, g, v in self.entries()}
+        return _from_numerators(field, acc, (self.dim, self.dim, self.order), self.scale)
+
+    def transpose(self, axes) -> "SparseCoaction":
+        """The array with its axes permuted as `np.transpose(array, axes)`;
+        an index permutation of the nonzeros, without arithmetic."""
+        shape = (self.dim, self.dim, self.order)
+        order = shape[axes[2]]
+        cols: list[dict] = [{} for _ in range(shape[axes[1]])]
+        for idx in self.entries():
+            cols[idx[axes[1]]][idx[axes[0]] * order + idx[axes[2]]] = idx[3]
+        return SparseCoaction(cols, order, self.scale)
+
+
+# Sparse contractions work on dicts of numerators keyed by index tuples.
+
+
+def _acc(terms) -> dict:
+    """Sum (index, numerator) terms by index."""
+    out: dict = {}
+    for k, v in terms:
+        out[k] = out.get(k, 0) + v
+    return out
+
+
+def _by(entries, *axes) -> dict:
+    """Nonzero entries (i, j, k, v) grouped by the indices at `axes`: each
+    key maps to the list of (other indices..., v)."""
+    key = itemgetter(*axes)
+    rest = itemgetter(*(a for a in range(4) if a not in axes))
+    out: dict = {}
+    for e in entries:
+        out.setdefault(key(e), []).append(rest(e))
+    return out
+
+
+def _nonzero(p: int | None, x) -> bool:
+    return bool(x % p if p is not None else x)
+
+
+def _clean(p: int | None, row: dict) -> dict:
+    """The nonzero entries of row, reduced mod p over F_p."""
+    if p is None:
+        return {k: v for k, v in row.items() if v}
+    return {k: v % p for k, v in row.items() if v % p}
+
+
+def _mismatches(p: int | None, lhs: dict, rhs: dict, ls=1, rs=1) -> list:
+    """The keys where lhs / ls and rhs / rs differ: dicts of numerators,
+    an absent key meaning 0."""
+    if ls == rs and _clean(p, lhs) == _clean(p, rhs):
+        return []
+    return [k for k in lhs.keys() | rhs.keys()
+            if _nonzero(p, lhs.get(k, 0) * rs - rhs.get(k, 0) * ls)]
+
+
+def _first_mismatch(p: int | None, lhs: dict, rhs: dict, ls=1, rs=1, prefix=()) -> tuple | None:
+    """The least index (C order) where lhs / ls and rhs / rs differ, as
+    prefix + index, for dicts keyed by index tuples."""
+    bad = _mismatches(p, lhs, rhs, ls, rs)
+    return prefix + min(bad) if bad else None
+
+
+def _nonzero_dict(field: FieldSpec, vec: np.ndarray) -> tuple[dict, int]:
+    """({i: numerator}, scale) of the nonzero entries of a field vector."""
+    nums, s, _ = _integral(field, vec)
+    return dict(_nonzeros(nums)), s
 
 
 def _axpy(p: int | None, row: dict, f, other: dict) -> None:
@@ -302,7 +414,7 @@ def _axpy(p: int | None, row: dict, f, other: dict) -> None:
             del row[k]
 
 
-def _echelon(field: FieldSpec, rows) -> dict[int, dict]:
+def _echelon(field: FieldSpec, rows, piv: dict | None = None) -> dict[int, dict]:
     """Row-dict elimination, consuming `rows`: {leading column: echelon row}.
 
     Rows are taken shortest first (Faugere-Lachartre style: a short row
@@ -310,9 +422,10 @@ def _echelon(field: FieldSpec, rows) -> dict[int, dict]:
     column until that column is new.  Every returned row is 1 at its key and
     nonzero only to the right of it.  The leading columns of an echelon basis
     depend only on the row space, so the order rows arrive in changes nothing.
+    Given `piv`, an echelon basis of earlier rows, the rows are added to it.
     """
     p = field.p
-    piv: dict[int, dict] = {}
+    piv = {} if piv is None else piv
     for row in sorted(rows, key=len):
         while row:
             lead = min(row)
@@ -350,7 +463,11 @@ def _dense_rows(mat: np.ndarray) -> list[dict]:
 
 def _kernel(field: FieldSpec, rows, n: int) -> np.ndarray:
     """Echelon-normal basis (k, n) of the null space of `rows` (consumed)."""
-    piv = _back_substitute(field, _echelon(field, rows))
+    return _null_basis(field, _back_substitute(field, _echelon(field, rows)), n)
+
+
+def _null_basis(field: FieldSpec, piv: dict[int, dict], n: int) -> np.ndarray:
+    """Echelon-normal basis (k, n) of the null space of the RREF rows `piv`."""
     free = [c for c in range(n) if c not in piv]
     basis = field.zeros((len(free), n))
     at = {f: k for k, f in enumerate(free)}

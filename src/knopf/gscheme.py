@@ -76,13 +76,23 @@ class FiniteGroupScheme:
 
     def is_grouplike(self, v) -> bool:
         """Delta v = v (x) v and eps(v) = 1, checked exactly."""
-        f = self.field
-        v = f.asarray(v)
-        dv = xa.tensordot(f, v, self.gamma.comult, ([0], [0]))
-        if not xa.arrays_equal(dv, xa.outer(f, v, v)):
+        f, n = self.field, self.order
+        x, s = xa._nonzero_dict(f, f.asarray(v))
+        counit = self.gamma.counit.tolist()
+        if xa._nonzero(f.p, sum(a * counit[i] for i, a in x.items()) - s):
             return False
-        eps = xa.tensordot(f, v, self.gamma.counit, ([0], [0]))
-        return bool(eps == f.one)
+        d = self.gamma.comult
+        # one middle leg j at a time: sum_i v_i Delta[i, j, :] = v_j v
+        for j, col in enumerate(d.cols):
+            dv: dict = {}
+            for key, w in col.items():
+                i, k = divmod(key, n)
+                if i in x:
+                    dv[k] = dv.get(k, 0) + x[i] * w
+            line = {k: x[j] * a for k, a in x.items()} if j in x else {}
+            if xa._mismatches(f.p, dv, line, s * d.scale, s * s):
+                return False
+        return True
 
     def grouplike_product(self, u, v) -> np.ndarray:
         return self.gamma.mult_vec(self.field.asarray(u), self.field.asarray(v))
@@ -118,30 +128,49 @@ class FiniteGroupScheme:
         left integral space of Gamma* must satisfy
         sum_j lambda_j S(g_{ji}) = lambda_i w for a single grouplike w, where
         g_{ji} are the coaction coefficients.  The contraction below computes
-        sum_j lambda_j g_{ji} without materializing the n^4 tensor d2.
+        sum_j lambda_j g_{ji} on the nonzeros: Delta is contracted with lambda
+        first, and S(b_c) b_b with that at each entry of the second Delta, so
+        no intermediate outgrows the nonzeros of Delta or of the products
+        S(b_c) b_b.
         """
         if self._knop_adjoint is not None:
             return self._knop_adjoint.copy()
-        f = self.field
+        f, n = self.field, self.order
         gamma = self.gamma
-        d, c, smat = gamma.comult, gamma.mult, gamma.antipode
+        d, smat = gamma.comult, gamma.antipode
         lam = self.dual_algebra.left_integral()
-        # P[c,b,:] = S(b_c) * b_b in Gamma
-        prod = xa.tensordot(f, smat, c, ([0], [0]))
-        # E[a,c] = sum_j d[a,c,j] lam_j   (lam contracted into the last leg)
-        e2 = xa.tensordot(f, d, lam, ([2], [0]))
-        # F[i,b,c] = sum_a d[i,a,b] E[a,c]
-        f3 = xa.tensordot(f, d, e2, ([1], [0]))
-        # N[i,k] = sum_{c,b} F[i,b,c] P[c,b,k] = sum_j lam_j g_{ji}[k]
-        n2 = xa.tensordot(f, f3, prod, ([2, 1], [0, 1]))
-        # M[i,:] = S applied to the Gamma-element N[i,:]
-        m = xa.tensordot(f, n2, smat, ([1], [1]))
-        # lam has a 1 at its first nonzero entry
-        w = m[xa._first_nonzero(lam)]
-        if not xa.arrays_equal(m, xa.outer(f, lam, w)):
-            raise InconsistencyError(
-                "dualized adjoint coaction does not stabilize the integral line"
-            )
+        lam_x, ls = xa._nonzero_dict(f, lam)
+        # E[a][c] = sum_j d[a,c,j] lam_j   (lam contracted into the last leg)
+        e2: dict = {}
+        for a, c, j, v in d.entries():
+            if j in lam_x:
+                row = e2.setdefault(a, {})
+                row[c] = row.get(c, 0) + v * lam_x[j]
+        # N[i][k] = sum_{a,b,c} d[i,a,b] E[a][c] (S(b_c) b_b)[k] = sum_j lam_j g_{ji}[k]:
+        # E and S(b_c) b_b are contracted at each entry of the second Delta
+        prods = _antipode_products(gamma)
+        n2: dict = {}
+        for i, a, b, v in d.entries():
+            ea = e2.get(a)
+            if ea:
+                for c, vec in prods.get(b, {}).items():
+                    if c in ea:
+                        row = n2.setdefault(i, {})
+                        for k, pv in vec.items():
+                            row[k] = row.get(k, 0) + v * ea[c] * pv
+        # M[i] = S applied to the Gamma-element N[i]
+        m = {i: xa._acc((x, v * sv) for k, v in row.items()
+                        for x, sv in smat.cols[k].items()) for i, row in n2.items()}
+        # M = lam (x) w: lam has a 1 at its first nonzero entry
+        w = m.get(xa._first_nonzero(lam), {})
+        for i in m.keys() | lam_x.keys():
+            line = {x: lam_x.get(i, 0) * wv for x, wv in w.items()}
+            if xa._mismatches(f.p, m.get(i, {}), line, 1, ls):
+                raise InconsistencyError(
+                    "dualized adjoint coaction does not stabilize the integral line"
+                )
+        scale = d.scale * d.scale * ls * smat.scale * smat.scale * gamma.mult.scale
+        w = xa._from_numerators(f, w, n, scale)
         if not self.is_grouplike(w):
             raise InconsistencyError("adjoint-route character is not grouplike")
         self._knop_adjoint = w
@@ -167,17 +196,34 @@ class FiniteGroupScheme:
         expected = self.grouplike_inverse(self.knop_character_adjoint_route())
         return self.grouplike_equal(self.knop_character_modular_route(), expected)
 
-    def adjoint_coaction(self) -> np.ndarray:
-        """Full adjoint coaction matrix G[e,j,:], the Gamma-coefficient of
-        b_e in rho_ad(b_j).  O(n^4) memory; intended for small schemes and
-        cross-checks, the Knop routes never need it."""
-        f = self.field
-        d, c, smat = self.gamma.comult, self.gamma.mult, self.gamma.antipode
-        prod = xa.tensordot(f, smat, c, ([0], [0]))  # P[c,b,:]
-        # T[j,b,c,e] = sum_a d[j,a,b] d[a,c,e]
-        t = xa.tensordot(f, d, d, ([1], [0]))
-        g = xa.tensordot(f, t, prod, ([2, 1], [0, 1]))  # [j,e,:]
-        return np.ascontiguousarray(g.transpose(1, 0, 2))
+    def adjoint_coaction(self) -> xa.SparseCoaction:
+        """Full adjoint coaction G[e,j,:], the Gamma-coefficient of b_e in
+        rho_ad(b_j) = sum d[j,a,b] d[a,c,e] b_e (x) S(b_c) b_b.  Intended for
+        small schemes and cross-checks; the Knop routes never need it."""
+        gamma = self.gamma
+        d = list(gamma.comult.entries())
+        d_first = xa._by(d, 0)
+        prods = _antipode_products(gamma)
+        acc = xa._acc(((e, j, k), v * w * pv) for j, a, b, v in d
+                      for c, e, w in d_first.get(a, ())
+                      for k, pv in prods.get(b, {}).get(c, {}).items())
+        scale = gamma.comult.scale ** 2 * gamma.antipode.scale * gamma.mult.scale
+        return xa.SparseCoaction.from_entries(
+            ((e, j, k, xa._ratio(self.field, v, scale)) for (e, j, k), v in acc.items()),
+            self.order, self.order)
+
+
+def _antipode_products(gamma: HopfAlgebraData) -> dict:
+    """prods[b][c]: the numerators of S(b_c) b_b by basis index, over the
+    antipode and mult scales."""
+    by_first = xa._by(gamma.mult.entries(), 0)
+    prods: dict = {}
+    for c, col in enumerate(gamma.antipode.cols):
+        for a, sv in col.items():
+            for b, k, v in by_first.get(a, ()):
+                vec = prods.setdefault(b, {}).setdefault(c, {})
+                vec[k] = vec.get(k, 0) + sv * v
+    return prods
 
 
 def direct_product(g1: FiniteGroupScheme, g2: FiniteGroupScheme) -> FiniteGroupScheme:
@@ -245,30 +291,28 @@ def _mu_alpha_ring(field: FieldSpec, ell: int) -> HopfAlgebraData:
     p = field.p
     n = ell * p
     idx = lambda i, j: i * p + j
-    mult = f.zeros((n, n, n))
-    comult = f.zeros((n, n, n))
+    mult, comult, anti = [], [], []
     counit = f.zeros(n)
     unit = f.zeros(n)
-    anti = f.zeros((n, n))
     for i1 in range(ell):
         for j1 in range(p):
             a = idx(i1, j1)
             for i2 in range(ell):
-                for j2 in range(p):
-                    if j1 + j2 < p:
-                        mult[a, idx(i2, j2), idx((i1 + i2) % ell, j1 + j2)] = f.one
+                for j2 in range(p - j1):
+                    mult.append((a, idx(i2, j2), idx((i1 + i2) % ell, j1 + j2), 1))
             # Delta(t^i a^j) = sum_k C(j,k) t^(i+k) a^(j-k) (x) t^i a^k
             for k in range(j1 + 1):
-                comult[a, idx((i1 + k) % ell, j1 - k), idx(i1, k)] = f.coerce(
-                    comb(j1, k)
-                )
+                comult.append((a, idx((i1 + k) % ell, j1 - k), idx(i1, k),
+                               f.coerce(comb(j1, k))))
             # S(t^i a^j) = (-1)^j t^(-i-j) a^j
-            anti[idx((-i1 - j1) % ell, j1), a] = f.coerce((-1) ** j1)
+            anti.append((idx((-i1 - j1) % ell, j1), a, 0, f.coerce((-1) ** j1)))
             if j1 == 0:
                 counit[a] = f.one
     unit[idx(0, 0)] = f.one
     labels = [monomial_label((i, j), ("t", "a")) for i in range(ell) for j in range(p)]
-    return HopfAlgebraData(f, labels, unit, mult, counit, comult, anti)
+    sparse = xa.SparseCoaction.from_entries
+    return HopfAlgebraData(f, labels, unit, sparse(mult, n, n), counit,
+                           sparse(comult, n, n), sparse(anti, n, 1))
 
 
 def mu_semidirect_c2_scheme(field: FieldSpec, m: int) -> FiniteGroupScheme:
@@ -284,27 +328,25 @@ def mu_semidirect_c2_scheme(field: FieldSpec, m: int) -> FiniteGroupScheme:
     f = field
     n = 2 * m
     idx = lambda q, i: q * m + i
-    mult = f.zeros((n, n, n))
-    comult = f.zeros((n, n, n))
+    mult, comult, anti = [], [], []
     counit = f.zeros(n)
     unit = f.zeros(n)
-    anti = f.zeros((n, n))
     for q in range(2):
         for i in range(m):
             a = idx(q, i)
             for j in range(m):
-                mult[a, idx(q, j), idx(q, (i + j) % m)] = f.one
+                mult.append((a, idx(q, j), idx(q, (i + j) % m), 1))
             if q == 0:
                 # Delta(t^i e_1) = t^i e_1 (x) t^i e_1 + t^i e_s (x) t^-i e_s
-                comult[a, idx(0, i), idx(0, i)] = f.one
-                comult[a, idx(1, i), idx(1, (-i) % m)] = f.one
-                anti[idx(0, (-i) % m), a] = f.one
+                comult.append((a, idx(0, i), idx(0, i), 1))
+                comult.append((a, idx(1, i), idx(1, (-i) % m), 1))
+                anti.append((idx(0, (-i) % m), a, 0, 1))
                 counit[a] = f.one
             else:
                 # Delta(t^i e_s) = t^i e_1 (x) t^i e_s + t^i e_s (x) t^-i e_1
-                comult[a, idx(0, i), idx(1, i)] = f.one
-                comult[a, idx(1, i), idx(0, (-i) % m)] = f.one
-                anti[idx(1, i), a] = f.one
+                comult.append((a, idx(0, i), idx(1, i), 1))
+                comult.append((a, idx(1, i), idx(0, (-i) % m), 1))
+                anti.append((idx(1, i), a, 0, 1))
     unit[idx(0, 0)] = f.one
     unit[idx(1, 0)] = f.one
     labels = [
@@ -312,9 +354,10 @@ def mu_semidirect_c2_scheme(field: FieldSpec, m: int) -> FiniteGroupScheme:
         for q in range(2)
         for i in range(m)
     ]
-    return FiniteGroupScheme(
-        HopfAlgebraData(f, labels, unit, mult, counit, comult, anti), label=f"mu_{m}:C2"
-    )
+    sparse = xa.SparseCoaction.from_entries
+    gamma = HopfAlgebraData(f, labels, unit, sparse(mult, n, n), counit,
+                            sparse(comult, n, n), sparse(anti, n, 1))
+    return FiniteGroupScheme(gamma, label=f"mu_{m}:C2")
 
 
 def scheme_of_hopf_dual(h: HopfAlgebraData, label=None) -> FiniteGroupScheme:

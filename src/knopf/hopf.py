@@ -7,6 +7,11 @@ Conventions (basis b_0..b_{n-1} over the field):
   counit[i]:       eps(b_i)
   antipode[a,j]:   S(b_j) = sum_a antipode[a,j] b_a
 
+mult, comult and antipode are held by their nonzeros only, as
+`exactalg.SparseCoaction`s of these arrays (the antipode with order 1), and
+every operation contracts on the nonzeros: k^G has |G| nonzero products and
+|G|^2 coproduct terms where the dense arrays held |G|^3 each.
+
 The antipode may be omitted; it is then solved from the antipode axiom (a
 linear system in the matrix entries) and uniqueness is asserted.  A coalgebra
 part may also be absent entirely ("plain algebra" inputs used by the Frobenius
@@ -16,7 +21,8 @@ and symmetry probes); coalgebra operations then refuse to run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from functools import cached_property
+from itertools import chain, product as iproduct
 
 import numpy as np
 
@@ -34,6 +40,17 @@ from .exactalg import FieldSpec
 # procedure: Frobenius/symmetric descend along field extensions
 # (Noether-Deuring), so no extension can overturn a base-field exhaustion.
 SEARCH_BUDGET = 1_000_000
+
+# Sparse terms one step may hold at once: the antipode system's rows and the
+# outer products the axiom checks compare against.  Inputs beyond it are
+# refused rather than allowed to run the machine out of memory.
+TERM_BUDGET = 4_000_000
+
+
+def _check_budget(count: int, what: str) -> None:
+    if count > TERM_BUDGET:
+        raise UndecidedError(
+            f"{what} needs {count} sparse terms, over hopf.TERM_BUDGET = {TERM_BUDGET}")
 
 
 @dataclass
@@ -66,13 +83,25 @@ class AxiomReport:
         return "\n".join(str(c) for c in self.checks)
 
 
-def _first_mismatch(a: np.ndarray, b: np.ndarray) -> tuple | None:
-    idx = np.argwhere(a != b)
-    return tuple(int(v) for v in idx[0]) if idx.size else None
+def _held(field: FieldSpec, t, shape) -> xa.SparseCoaction | None:
+    """t as a SparseCoaction of shape (n, n, order), a matrix (n, n) as order
+    1; a dense array is converted.  None when the shape does not match."""
+    dense = shape if len(shape) == 3 else shape + (1,)
+    if not isinstance(t, xa.SparseCoaction):
+        arr = field.asarray(t)
+        if arr.shape != shape:
+            return None
+        t = xa.SparseCoaction.from_dense(arr.reshape(dense))
+    return t if (t.dim, t.dim, t.order) == dense else None
 
 
 class HopfAlgebraData:
-    """Structure-constant record for a (Hopf) algebra; immutable by convention."""
+    """Structure-constant record for a (Hopf) algebra; immutable by convention.
+
+    mult, comult and antipode are `exactalg.SparseCoaction`s of the arrays in
+    the module docstring (the antipode as order 1: cols[j] is S(b_j)); dense
+    arrays or nested lists given to the constructor are converted.
+    """
 
     def __init__(
         self,
@@ -89,22 +118,21 @@ class HopfAlgebraData:
         n = len(self.basis)
         self.dim = n
         self.unit = field.asarray(unit)
-        self.mult = field.asarray(mult)
-        if self.unit.shape != (n,) or self.mult.shape != (n, n, n):
+        self.mult = _held(field, mult, (n, n, n))
+        if self.unit.shape != (n,) or self.mult is None:
             raise InputError("unit/mult shape does not match basis size")
         self.counit = None if counit is None else field.asarray(counit)
-        self.comult = None if comult is None else field.asarray(comult)
-        if (self.counit is None) != (self.comult is None):
+        self.comult = None if comult is None else _held(field, comult, (n, n, n))
+        if (self.counit is None) != (comult is None):
             raise InputError("counit and comult must be given together")
-        if self.comult is not None and (
-            self.comult.shape != (n, n, n) or self.counit.shape != (n,)
-        ):
+        if comult is not None and (self.comult is None or self.counit.shape != (n,)):
             raise InputError("counit/comult shape does not match basis size")
-        self.antipode = None if antipode is None else field.asarray(antipode)
-        if self.antipode is not None and self.antipode.shape != (n, n):
+        self.antipode = None if antipode is None else _held(field, antipode, (n, n))
+        if antipode is not None and self.antipode is None:
             raise InputError("antipode shape does not match basis size")
         if self.antipode is None and self.comult is not None:
             self.antipode = self._solve_antipode()
+        self._integrals: dict[str, np.ndarray] = {}
 
     # -- small helpers ---------------------------------------------------
 
@@ -113,107 +141,187 @@ class HopfAlgebraData:
             raise InputError("operation needs a coalgebra structure")
 
     def mult_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        t = xa.tensordot(self.field, x, self.mult, ([0], [0]))
-        return xa.tensordot(self.field, y, t, ([0], [0]))
+        n = self.dim
+        xs = x.tolist()
+        acc: dict = {}
+        for j, yj in enumerate(y.tolist()):
+            if yj:
+                for key, v in self.mult.cols[j].items():
+                    i, k = divmod(key, n)
+                    if xs[i]:
+                        acc[k] = acc.get(k, 0) + xs[i] * yj * v
+        return xa._from_numerators(self.field, acc, n, self.mult.scale)
 
     def apply_antipode(self, x: np.ndarray) -> np.ndarray:
-        return xa.matmul(self.field, self.antipode, x)
+        acc: dict = {}
+        for j, xj in enumerate(x.tolist()):
+            if xj:
+                for a, v in self.antipode.cols[j].items():
+                    acc[a] = acc.get(a, 0) + xj * v
+        return xa._from_numerators(self.field, acc, self.dim, self.antipode.scale)
 
     def is_commutative(self) -> bool:
-        return xa.arrays_equal(self.mult, self.mult.transpose(1, 0, 2))
+        return self.mult == self.mult.transpose((1, 0, 2))
 
     def is_cocommutative(self) -> bool:
         self._need_coalgebra()
-        return xa.arrays_equal(self.comult, self.comult.transpose(0, 2, 1))
+        return self.comult == self.comult.transpose((0, 2, 1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HopfAlgebraData):
             return NotImplemented
         if self.field != other.field or self.basis != other.basis:
             return False
-        for mine, theirs in (
-            (self.unit, other.unit),
-            (self.mult, other.mult),
-            (self.counit, other.counit),
-            (self.comult, other.comult),
-            (self.antipode, other.antipode),
-        ):
+        for mine, theirs in ((self.unit, other.unit), (self.counit, other.counit)):
             if (mine is None) != (theirs is None):
                 return False
             if mine is not None and not xa.arrays_equal(mine, theirs):
                 return False
-        return True
+        return (self.mult, self.comult, self.antipode) == (
+            other.mult, other.comult, other.antipode)
 
     # -- axioms ----------------------------------------------------------
 
     def verify_axioms(self) -> AxiomReport:
-        f, c, n = self.field, self.mult, self.dim
-        eye = f.eye(n)
+        """Every axiom with the C-order-first index where it fails.
+
+        Each side is contracted on the nonzeros; the four-index checks are
+        compared one leading index at a time, so only one slice is held.
+        """
+        f, n, p = self.field, self.dim, self.field.p
+        c, sc = list(self.mult.entries()), self.mult.scale
+        u, su = xa._nonzero_dict(f, self.unit)
+        eye = {(i, i): 1 for i in range(n)}
         checks: list[AxiomCheck] = []
 
-        def add(name, lhs, rhs):
-            w = _first_mismatch(lhs, rhs)
+        def add(name, w):
             checks.append(AxiomCheck(name, w is None, w))
 
-        add("unit_left", xa.tensordot(f, self.unit, c, ([0], [0])), eye)
-        add("unit_right", xa.tensordot(f, self.unit, c, ([0], [1])), eye)
-        t1 = xa.tensordot(f, c, c, ([2], [0]))
-        t2 = xa.tensordot(f, c, c, ([2], [1])).transpose(2, 0, 1, 3)
-        add("associativity", t1, t2)
+        def four(slices):
+            # the first slice (by leading index) with a mismatch holds the witness
+            for i in range(n):
+                w = xa._first_mismatch(p, *slices(i), prefix=(i,))
+                if w is not None:
+                    return w
+            return None
+
+        add("unit_left", xa._first_mismatch(
+            p, xa._acc(((j, k), u[i] * v) for i, j, k, v in c if i in u), eye, su * sc))
+        add("unit_right", xa._first_mismatch(
+            p, xa._acc(((i, k), u[j] * v) for i, j, k, v in c if j in u), eye, su * sc))
+        c_first, c_last = xa._by(c, 0), xa._by(c, 2)
+
+        def assoc(i):
+            # (b_i b_j) b_l against b_i (b_j b_l), by (j, l, m)
+            t1 = xa._acc(((j, l, m), v * w) for j, k, v in c_first.get(i, ())
+                      for l, m, w in c_first.get(k, ()))
+            t2 = xa._acc(((j, l, m), v * w) for k, m, w in c_first.get(i, ())
+                      for j, l, v in c_last.get(k, ()))
+            return t1, t2
+
+        add("associativity", four(assoc))
 
         if self.comult is not None:
-            d, e = self.comult, self.counit
-            add("counit_left", xa.tensordot(f, d, e, ([1], [0])), eye)
-            add("counit_right", xa.tensordot(f, d, e, ([2], [0])), eye)
-            l3 = xa.tensordot(f, d, d, ([1], [0])).transpose(0, 2, 3, 1)
-            r3 = xa.tensordot(f, d, d, ([2], [0]))
-            add("coassociativity", l3, r3)
-            add(
-                "counit_algebra_map",
-                xa.tensordot(f, c, e, ([2], [0])),
-                xa.outer(f, e, e),
-            )
-            add(
-                "comult_unit",
-                xa.tensordot(f, self.unit, d, ([0], [0])),
-                xa.outer(f, self.unit, self.unit),
-            )
-            lhs = xa.tensordot(f, c, d, ([2], [0]))
-            u4 = xa.tensordot(f, d, c, ([1], [0]))
-            v4 = xa.tensordot(f, d, c, ([2], [1]))
-            rhs = xa.tensordot(f, u4, v4, ([1, 2], [2, 1])).transpose(0, 2, 1, 3)
-            add("comult_algebra_map", lhs, rhs)
+            d, sd = list(self.comult.entries()), self.comult.scale
+            e, se = xa._nonzero_dict(f, self.counit)
+            add("counit_left", xa._first_mismatch(
+                p, xa._acc(((i, k), v * e[j]) for i, j, k, v in d if j in e), eye, sd * se))
+            add("counit_right", xa._first_mismatch(
+                p, xa._acc(((i, j), v * e[k]) for i, j, k, v in d if k in e), eye, sd * se))
+            d_first = xa._by(d, 0)
+
+            def coassoc(i):
+                # (Delta (x) id) Delta b_i against (id (x) Delta) Delta b_i
+                l3 = xa._acc(((x, y, z), v * w) for j, z, v in d_first.get(i, ())
+                          for x, y, w in d_first.get(j, ()))
+                r3 = xa._acc(((x, y, z), v * w) for x, k, v in d_first.get(i, ())
+                          for y, z, w in d_first.get(k, ()))
+                return l3, r3
+
+            add("coassociativity", four(coassoc))
+            _check_budget(max(len(e), len(u)) ** 2, "the counit and unit axioms")
+            add("counit_algebra_map", xa._first_mismatch(
+                p, xa._acc(((i, j), v * e[k]) for i, j, k, v in c if k in e),
+                {(i, j): a * b for i, a in e.items() for j, b in e.items()},
+                sc * se, se * se))
+            add("comult_unit", xa._first_mismatch(
+                p, xa._acc(((j, k), u[i] * v) for i, j, k, v in d if i in u),
+                {(i, j): a * b for i, a in u.items() for j, b in u.items()},
+                su * sd, su * su))
+            c_pair, d_mid = xa._by(c, 0, 1), xa._by(d, 1)
+
+            def comult_mult(i):
+                # Delta(b_i b_j) against Delta(b_i) Delta(b_j), by (j, m, m2)
+                lhs = xa._acc(((j, a, b), v * w) for j, k, v in c_first.get(i, ())
+                           for a, b, w in d_first.get(k, ()))
+                rhs = xa._acc(((j, m, m2), dv * cv * dw * cw)
+                           for x, k, dv in d_first.get(i, ())
+                           for y, m, cv in c_first.get(x, ())
+                           for j, z, dw in d_mid.get(y, ())
+                           for m2, cw in c_pair.get((k, z), ()))
+                return lhs, rhs, sc * sd, sd * sd * sc * sc
+
+            add("comult_algebra_map", four(comult_mult))
             if self.antipode is not None:
-                target = xa.outer(f, e, self.unit)
-                x4 = xa.tensordot(f, d, self.antipode, ([1], [1]))
-                add("antipode_left", xa.tensordot(f, x4, c, ([2, 1], [0, 1])), target)
-                y4 = xa.tensordot(f, d, self.antipode, ([2], [1]))
-                add("antipode_right", xa.tensordot(f, y4, c, ([1, 2], [0, 1])), target)
+                sides: tuple[dict, dict] = ({}, {})
+                for side, i, m, a, j, coef in self._antipode_terms():
+                    s = self.antipode.cols[j].get(a)
+                    if s:
+                        sides[side][i, m] = sides[side].get((i, m), 0) + coef * s
+                target = {(i, m): a * b for i, a in e.items() for m, b in u.items()}
+                ls, rs = sc * sd * self.antipode.scale, se * su
+                add("antipode_left", xa._first_mismatch(p, sides[0], target, ls, rs))
+                add("antipode_right", xa._first_mismatch(p, sides[1], target, ls, rs))
         return AxiomReport(checks)
 
-    def _antipode_system(self) -> tuple[np.ndarray, np.ndarray]:
-        f, c, d, n = self.field, self.mult, self.comult, self.dim
-        k1 = xa.tensordot(f, d, c, ([2], [1])).transpose(0, 3, 2, 1)  # [i,m,a,j]
-        k2 = xa.tensordot(f, d, c, ([1], [0])).transpose(0, 3, 2, 1)  # [i,m,a,k]
-        lhs = np.concatenate(
-            [k1.reshape(n * n, n * n), k2.reshape(n * n, n * n)], axis=0
-        )
-        target = xa.outer(f, self.counit, self.unit).reshape(-1)
-        rhs = np.concatenate([target, target])
-        return lhs, rhs
+    def _antipode_terms(self):
+        """(side, i, m, a, j, coefficient) of the antipode axioms in the
+        unknowns S[a, j]: sum S(b_j) b_k Delta[i, j, k] (side 0) and
+        sum b_j S(b_k) Delta[i, j, k] (side 1) have coefficient
+        sum coefficient * S[a, j] at b_m, as numerators over the mult and
+        comult scales; both must equal eps(b_i) 1."""
+        c = list(self.mult.entries())
+        c_first, c_mid = xa._by(c, 0), xa._by(c, 1)
+        d = list(self.comult.entries())
+        _check_budget(sum(len(c_mid.get(k, ())) + len(c_first.get(j, ())) for _, j, k, _ in d),
+                      "the antipode axioms")
+        for i, j, k, dv in d:
+            for a, m, cv in c_mid.get(k, ()):
+                yield 0, i, m, a, j, dv * cv
+            for a, m, cv in c_first.get(j, ()):
+                yield 1, i, m, a, k, dv * cv
 
-    def _solve_antipode(self) -> np.ndarray:
+    def _antipode_system(self) -> list[dict]:
+        """Rows of the antipode axioms, unknown S[a, j] in column a * n + j
+        and the right-hand side eps_i unit_m in column n * n."""
+        f, n = self.field, self.dim
+        rows: dict = {}
+        for side, i, m, a, j, coef in self._antipode_terms():
+            row = rows.setdefault((side, i, m), {})
+            row[a * n + j] = row.get(a * n + j, 0) + coef
+        scale = self.mult.scale * self.comult.scale
+        units = list(xa._nonzeros(self.unit))
+        counits = list(xa._nonzeros(self.counit))
+        _check_budget(2 * len(units) * len(counits), "the antipode system")
+        for i, e in counits:
+            for m, u in units:
+                for side in (0, 1):
+                    rows.setdefault((side, i, m), {})[n * n] = e * u * scale
+        return [xa._clean(f.p, row) for row in rows.values()]
+
+    def _solve_antipode(self) -> xa.SparseCoaction:
         """The unique S solving the antipode axiom, from one elimination of
-        [lhs | rhs]: a pivot in the rhs column means no solution, a column
-        of lhs without a pivot means more than one."""
-        n = self.dim
-        lhs, rhs = self._antipode_system()
-        r, pivots = xa.rref(self.field, np.concatenate([lhs, rhs[:, None]], axis=1))
-        if pivots and pivots[-1] == n * n:
+        the system's rows: a pivot in the rhs column means no solution, a
+        column without a pivot means more than one."""
+        f, n = self.field, self.dim
+        piv = xa._echelon(f, self._antipode_system())
+        if n * n in piv:
             raise InputError("bialgebra admits no antipode")
-        if len(pivots) != n * n:
+        if len(piv) != n * n:
             raise InconsistencyError("antipode not unique; data is not a bialgebra")
-        return r[: n * n, -1].reshape(n, n)
+        xa._back_substitute(f, piv)
+        return xa.SparseCoaction.from_entries(
+            ((c // n, c % n, 0, row.get(n * n, 0)) for c, row in piv.items()), n, 1)
 
     # -- integrals and unimodularity -------------------------------------
 
@@ -228,16 +336,54 @@ class HopfAlgebraData:
         return self._integral_space(side)
 
     def _integral_space(self, side: str) -> np.ndarray:
-        # left integrals: b_i x = eps(b_i) x for every i, so x is a fixed vector
-        # of coact[k, j, i] = mult[i, j, k] against the counit; right: x b_i
-        if side == "left":
-            coact = self.mult.transpose(2, 1, 0)
-        elif side == "right":
-            coact = self.mult.transpose(2, 0, 1)
-        else:
+        """Left integrals: b_i x = eps(b_i) x for every i, the fixed vectors
+        of coact[k, j, i] = mult[i, j, k] against the counit; right ones:
+        x b_i, coact[k, j, i] = mult[j, i, k].
+
+        The rows of one b_i at a time join one elimination, the least i that
+        a current solution violates next, until none is violated: then the
+        solutions are the fixed space of the whole coaction.  A few b_i
+        suffice (for kG, a generating set), where the n^2 rows of all of
+        them would each be reduced along long chains of pivots.
+        """
+        if side not in ("left", "right"):
             raise InputError(f"side must be 'left' or 'right', got {side!r}")
-        return xa.fixed_space(self.field, xa.SparseCoaction.from_dense(coact),
-                              self.counit)
+        if side not in self._integrals:
+            f, n, sc = self.field, self.dim, self.mult.scale
+            # conds[i]: (j, k, coefficient of x_j at b_k in b_i x or x b_i)
+            conds = xa._by(self.mult.entries(), 0 if side == "left" else 1)
+            counit, cs = xa._nonzero_dict(f, self.counit)
+
+            def rows(i):
+                # b_i x - eps(b_i) x by b_k, times mult.scale * counit scale
+                out: dict = {}
+                for j, k, v in conds.get(i, ()):
+                    row = out.setdefault(k, {})
+                    row[j] = row.get(j, 0) + v * cs
+                if i in counit:
+                    for k in range(n):
+                        row = out.setdefault(k, {})
+                        row[k] = row.get(k, 0) - counit[i] * sc
+                return [xa._clean(f.p, row) for row in out.values()]
+
+            def violates(i, x):
+                # b_i x - eps(b_i) x for x given by its numerators
+                res = xa._acc(chain(
+                    ((k, v * x[j] * cs) for j, k, v in conds.get(i, ()) if j in x),
+                    ((k, -counit[i] * v * sc) for k, v in x.items() if i in counit)))
+                return any(xa._nonzero(f.p, v) for v in res.values())
+
+            piv: dict = {}
+            i, chosen = 0, set()
+            while i is not None:
+                chosen.add(i)
+                xa._echelon(f, rows(i), piv)
+                space = xa._null_basis(f, xa._back_substitute(f, piv), n)
+                found = [xa._nonzero_dict(f, x)[0] for x in space]
+                i = next((i for i in range(n) if i not in chosen
+                          and any(violates(i, x) for x in found)), None)
+            self._integrals[side] = space
+        return self._integrals[side].copy()
 
     def is_unimodular(self) -> bool:
         """Left integral space equals right integral space (exact spans)."""
@@ -267,17 +413,22 @@ class HopfAlgebraData:
         Lambda is the left integral; the returned vector lists alpha(b_i).
         """
         lam = self.left_integral()
-        f = self.field
-        # row i of w is lam * b_i; lam has a 1 at its first nonzero entry
-        w = xa.tensordot(f, lam, self.mult, ([0], [0]))
-        alpha = w[:, xa._first_nonzero(lam)]
-        expected = xa.outer(f, alpha, lam)
-        for i in range(self.dim):
-            if not xa.arrays_equal(expected[i], w[i]):
+        f, n = self.field, self.dim
+        nums, s = xa._nonzero_dict(f, lam)
+        # lam has a 1 at its first nonzero entry, so nums[first] == s
+        first = xa._first_nonzero(lam)
+        alpha = {}
+        for i, col in enumerate(self.mult.cols):
+            # w = lam * b_i over s * mult.scale; it must be alpha(b_i) lam
+            w = xa._acc((key % n, nums[key // n] * v) for key, v in col.items()
+                     if key // n in nums)
+            alpha[i] = w.get(first, 0)
+            line = {k: alpha[i] * x for k, x in nums.items()}
+            if xa._mismatches(f.p, w, line, 1, s):
                 raise InconsistencyError(
                     f"right multiplication by b_{i} does not preserve the integral line"
                 )
-        return alpha
+        return xa._from_numerators(f, alpha, n, s * self.mult.scale)
 
     # -- dual ------------------------------------------------------------
 
@@ -289,10 +440,10 @@ class HopfAlgebraData:
             self.field,
             labels,
             unit=self.counit,
-            mult=self.comult.transpose(1, 2, 0),
+            mult=self.comult.transpose((1, 2, 0)),
             counit=self.unit,
-            comult=self.mult.transpose(2, 0, 1),
-            antipode=self.antipode.T,
+            comult=self.mult.transpose((2, 0, 1)),
+            antipode=self.antipode.transpose((1, 0, 2)),
         )
 
     # -- Frobenius / symmetric forms -------------------------------------
@@ -312,8 +463,24 @@ class HopfAlgebraData:
                 pass
         return cands
 
+    @cached_property
+    def _mult_by_last(self) -> dict:
+        return xa._by(self.mult.entries(), 2)
+
     def _form_matrix(self, phi: np.ndarray) -> np.ndarray:
-        return xa.tensordot(self.field, self.mult, phi, ([2], [0]))
+        """beta[i, j] = phi(b_i b_j)."""
+        acc = xa._acc(((i, j), v * x) for k, x in xa._nonzeros(phi)
+                      for i, j, v in self._mult_by_last.get(k, ()))
+        return xa._from_numerators(self.field, acc, (self.dim, self.dim), self.mult.scale)
+
+    def _commutator_rows(self) -> list[dict]:
+        """Per pair (i, j), the coefficients of b_i b_j - b_j b_i."""
+        rows: dict = {}
+        for i, j, k, v in self.mult.entries():
+            for pair, x in (((i, j), v), ((j, i), -v)):
+                row = rows.setdefault(pair, {})
+                row[k] = row.get(k, 0) + x
+        return [xa._clean(self.field.p, row) for row in rows.values()]
 
     def _find_nondegenerate(self, symmetric: bool) -> np.ndarray | None:
         """A functional with nondegenerate form, or None if provably none exists.
@@ -326,14 +493,15 @@ class HopfAlgebraData:
         Every phi gives an associative form beta(a,b) = phi(ab); a symmetric
         one needs phi to kill each commutator b_i b_j - b_j b_i (row i*n+j).
         """
-        f, c, n = self.field, self.mult, self.dim
-        comm = f.reduce(c - c.transpose(1, 0, 2)).reshape(n * n, n) if symmetric else None
-        space = xa.kernel_basis(f, comm) if symmetric else f.eye(n)
+        f, n = self.field, self.dim
+        comm = self._commutator_rows() if symmetric else []
+        space = xa._kernel(f, [dict(row) for row in comm], n) if symmetric else f.eye(n)
         r = len(space)
         if r == 0:
             return None
         for phi in self._form_candidates(space):
-            if symmetric and not xa.is_zero(xa.matmul(f, comm, phi)):
+            ph = phi.tolist()
+            if any(xa._nonzero(f.p, sum(v * ph[k] for k, v in row.items())) for row in comm):
                 continue
             if xa.rank(f, self._form_matrix(phi)) == n:
                 return phi
@@ -391,25 +559,23 @@ def _check_group_table(table: list[list[int]]) -> tuple[int, list[int]]:
         for v in row:
             if not isinstance(v, int) or not 0 <= v < m:
                 raise InputError("group table entries must be indices")
-    ident = None
-    for e in range(m):
-        if all(table[e][j] == j and table[j][e] == j for j in range(m)):
-            ident = e
-            break
-    if ident is None:
+    t = np.array(table, dtype=np.int64).reshape(m, m)
+    idx = np.arange(m)
+    units = np.flatnonzero((t == idx).all(axis=1) & (t.T == idx).all(axis=1))
+    if not units.size:
         raise InputError("group table has no identity element")
-    for i, j, k in iproduct(range(m), repeat=3):
-        if table[table[i][j]][k] != table[i][table[j][k]]:
+    ident = int(units[0])
+    for i in range(m):
+        # [j, k] holds (ij)k and i(jk)
+        lhs, rhs = t[t[i]], t[i][t]
+        if not np.array_equal(lhs, rhs):
+            j, k = np.argwhere(lhs != rhs)[0].tolist()
             raise InputError(f"group table not associative at ({i},{j},{k})")
-    inv = [None] * m
-    for g in range(m):
-        for h in range(m):
-            if table[g][h] == ident and table[h][g] == ident:
-                inv[g] = h
-                break
-        if inv[g] is None:
-            raise InputError(f"group element {g} has no inverse")
-    return ident, inv
+    both = (t == ident) & (t.T == ident)
+    missing = np.flatnonzero(~both.any(axis=1))
+    if missing.size:
+        raise InputError(f"group element {missing[0]} has no inverse")
+    return ident, both.argmax(axis=1).tolist()
 
 
 def group_algebra(field: FieldSpec, table: list[list[int]], labels=None) -> HopfAlgebraData:
@@ -417,19 +583,15 @@ def group_algebra(field: FieldSpec, table: list[list[int]], labels=None) -> Hopf
     m = len(table)
     ident, inv = _check_group_table(table)
     labels = labels or [f"g{i}" for i in range(m)]
-    c = field.zeros((m, m, m))
-    d = field.zeros((m, m, m))
-    s = field.zeros((m, m))
-    one = field.one
-    for i in range(m):
-        d[i, i, i] = one
-        s[inv[i], i] = one
-        for j in range(m):
-            c[i, j, table[i][j]] = one
+    # g_i g_j = g_{table[i][j]}, Delta g = g (x) g and S(g) = g^-1
+    mult = xa.SparseCoaction([{i * m + table[i][j]: 1 for i in range(m)}
+                              for j in range(m)], m)
+    comult = xa.SparseCoaction([{j * m + j: 1} for j in range(m)], m)
+    antipode = xa.SparseCoaction([{inv[j]: 1} for j in range(m)], 1)
     unit = field.zeros(m)
-    unit[ident] = one
+    unit[ident] = field.one
     counit = field.asarray([1] * m)
-    return HopfAlgebraData(field, labels, unit, c, counit, d, s)
+    return HopfAlgebraData(field, labels, unit, mult, counit, comult, antipode)
 
 
 def function_algebra(field: FieldSpec, table: list[list[int]], labels=None) -> HopfAlgebraData:
@@ -442,21 +604,25 @@ def tensor_hopf(h1: HopfAlgebraData, h2: HopfAlgebraData, sep: str = "|") -> Hop
     if h1.field != h2.field:
         raise InputError("tensor factors must share a field")
     f = h1.field
-    n1, n2 = h1.dim, h2.dim
-    n = n1 * n2
+    n = h1.dim * h2.dim
 
-    def mix3(a, b):
-        t = f.reduce(np.tensordot(a, b, axes=0))  # [i1,j1,k1,i2,j2,k2]
-        return t.transpose(0, 3, 1, 4, 2, 5).reshape(n, n, n)
+    def mix(a, b):
+        # [i1, j1, g1] (x) [i2, j2, g2] at [i1 n2 + i2, j1 n2 + j2, g1 o2 + g2]
+        right = list(b.entries())
+        return xa.SparseCoaction.from_entries(
+            ((i1 * b.dim + i2, j1 * b.dim + j2, g1 * b.order + g2,
+              xa._ratio(f, v1 * v2, a.scale * b.scale))
+             for i1, j1, g1, v1 in a.entries() for i2, j2, g2, v2 in right),
+            a.dim * b.dim, a.order * b.order)
 
     labels = [f"{x}{sep}{y}" for x in h1.basis for y in h2.basis]
     unit = xa.outer(f, h1.unit, h2.unit).reshape(n)
     counit = xa.outer(f, h1.counit, h2.counit).reshape(n)
     anti = None
     if h1.antipode is not None and h2.antipode is not None:
-        anti = xa.kron(f, h1.antipode, h2.antipode)
+        anti = mix(h1.antipode, h2.antipode)
     return HopfAlgebraData(
-        f, labels, unit, mix3(h1.mult, h2.mult), counit, mix3(h1.comult, h2.comult), anti
+        f, labels, unit, mix(h1.mult, h2.mult), counit, mix(h1.comult, h2.comult), anti
     )
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import action as act
 from .errors import InputError
-from .exactalg import FieldSpec
+from .exactalg import FieldSpec, SparseCoaction, _ratio
 from .gscheme import FiniteGroupScheme
 from .hopf import HopfAlgebraData
 
@@ -114,15 +114,17 @@ def _labels(obj: dict, key: str, n: int):
     return labels
 
 
-def _dense3(field: FieldSpec, triples, n: int, what: str):
-    out = field.zeros((n, n, n))
+def _triples(field: FieldSpec, triples, n: int, what: str) -> SparseCoaction:
+    """The (n, n, n) array of [i, j, k, coeff] entries, a later entry at an
+    index replacing an earlier one."""
+    entries = []
     for entry in _list(triples, what):
         if not isinstance(entry, list) or len(entry) != 4:
             raise InputError(f"{what}: entries must be [i, j, k, coeff]")
         i, j, k, c = entry
         _check_indices((i, j, k), n, what)
-        out[i, j, k] = _scalar(field, c)
-    return out
+        entries.append((i, j, k, _scalar(field, c)))
+    return SparseCoaction.from_entries(entries, n, n)
 
 
 def hopf_from_json(obj: dict, field_override: FieldSpec | None = None) -> HopfAlgebraData:
@@ -133,8 +135,8 @@ def hopf_from_json(obj: dict, field_override: FieldSpec | None = None) -> HopfAl
     basis = _list(_require(obj, "basis", "hopf algebra"), "hopf algebra basis", n)
     unit = _vector(field, _require(obj, "unit", "hopf algebra"), n, "unit")
     counit = _vector(field, _require(obj, "counit", "hopf algebra"), n, "counit")
-    mult = _dense3(field, _require(obj, "mult", "hopf algebra"), n, "mult")
-    comult = _dense3(field, _require(obj, "comult", "hopf algebra"), n, "comult")
+    mult = _triples(field, _require(obj, "mult", "hopf algebra"), n, "mult")
+    comult = _triples(field, _require(obj, "comult", "hopf algebra"), n, "comult")
     antipode = None
     if obj.get("antipode") is not None:
         antipode = _matrix(field, obj["antipode"], n, "antipode")
@@ -142,9 +144,10 @@ def hopf_from_json(obj: dict, field_override: FieldSpec | None = None) -> HopfAl
                            counit=counit, comult=comult, antipode=antipode)
 
 
-def _sparse3(field: FieldSpec, arr):
-    return [[int(i), int(j), int(k), field.fmt(arr[i, j, k])]
-            for i, j, k in np.argwhere(arr)]
+def _sparse3(field: FieldSpec, t: SparseCoaction):
+    """[i, j, k, coeff] of the nonzeros in C order (np.argwhere order)."""
+    return [[i, j, k, field.fmt(_ratio(field, v, t.scale))]
+            for i, j, k, v in sorted(t.entries())]
 
 
 def hopf_to_json(h: HopfAlgebraData) -> dict:
@@ -159,9 +162,10 @@ def hopf_to_json(h: HopfAlgebraData) -> dict:
         "comult": _sparse3(f, h.comult),
     }
     if h.antipode is not None:
-        out["antipode"] = [
-            [f.fmt(v) for v in row] for row in h.antipode
-        ]
+        rows = [[f.fmt(f.zero)] * h.dim for _ in range(h.dim)]
+        for a, j, _, v in h.antipode.entries():
+            rows[a][j] = f.fmt(_ratio(f, v, h.antipode.scale))
+        out["antipode"] = rows
     return out
 
 

@@ -2,6 +2,8 @@
 
 import copy
 import itertools
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from knopf import gscheme as gs
 from knopf.catalog import standard_module
 from knopf.errors import InputError, UnsupportedCaseError
 from knopf.exactalg import FieldSpec
+from knopf.ratfunc import Poly, RatFunc, det_poly_matrix
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
@@ -61,6 +64,12 @@ def test_det_characters():
     assert g.grouplike_equal(act.det_character(v), g.unit_grouplike())
 
 
+def _perm_sign(perm) -> int:
+    inversions = sum(perm[a] > perm[b] for a in range(len(perm))
+                     for b in range(a + 1, len(perm)))
+    return -1 if inversions % 2 else 1
+
+
 def _loop_det_character(v):
     """The per-permutation mult_vec loop that det_character replaced."""
     f = v.field
@@ -71,7 +80,7 @@ def _loop_det_character(v):
         term = gamma.unit
         for i in range(n):
             term = gamma.mult_vec(term, v.coaction[i, perm[i]])
-        s = act._perm_sign(perm)
+        s = _perm_sign(perm)
         acc = f.reduce(acc + term if s > 0 else acc - term)
     return acc
 
@@ -276,3 +285,76 @@ def test_one_dimensional_group_algebra_integrals(field):
     assert len(h.integrals("left")) == 1
     assert len(h.integrals("right")) == 1
     assert h.is_unimodular()
+
+
+# -- constant groups: the batched closure and the grouped Molien sum -----------
+
+
+def _pairwise_close(field, matrices):
+    """The closure as it was: one exact product per pair, keyed by strings."""
+    key = lambda m: tuple(field.fmt(x) for x in m.reshape(-1))
+    keys = {key(m): g for g, m in enumerate(matrices)}
+    eye = field.eye(matrices[0].shape[0])
+    ident = next(a for a, m in enumerate(matrices) if xa.arrays_equal(m, eye))
+    table = [[keys[key(xa.matmul(field, ma, mb))] for mb in matrices] for ma in matrices]
+    return table, ident
+
+
+CUBE = [
+    [[signs[r] * int(perm[r] == c) for c in range(3)] for r in range(3)]
+    for perm in itertools.permutations(range(3))
+    for signs in itertools.product((1, -1), repeat=3)
+    if _perm_sign(perm) * signs[0] * signs[1] * signs[2] == 1
+]
+S3 = [[[int(p[r] == c) for c in range(3)] for r in range(3)]
+      for p in itertools.permutations(range(3))]
+
+
+def _conjugated_s3():
+    # S3 in a rational basis: entries with denominators
+    p = Q.asarray([[1, 1, 0], [0, 1, 0], [-1, 0, 2]])
+    p_inv = xa.invert(Q, p)
+    return [xa.matmul(Q, xa.matmul(Q, p, Q.asarray(m)), p_inv).tolist() for m in S3]
+
+
+def _shuffled(mats, seed):
+    mats = list(mats)
+    if seed:
+        random.Random(seed).shuffle(mats)
+    return mats
+
+
+@pytest.mark.parametrize("field, mats", [
+    (Q, _shuffled(CUBE, 0)), (Q, _shuffled(CUBE, 1)), (Q, _conjugated_s3()),
+    (FieldSpec.prime(7), _shuffled(CUBE, 1)), (F5, _shuffled(S3, 2)),
+], ids=["cube-seed0", "cube-seed1", "Q-fractional-S3", "F7-cube", "F5-S3"])
+def test_close_group_matches_the_pairwise_loop(field, mats):
+    mats = [field.asarray(m) for m in mats]
+    table, ident = act._close_group(field, mats)
+    assert (table, ident) == _pairwise_close(field, mats)
+    # identity moved first: the table is permuted rather than closed again
+    order = [ident] + [g for g in range(len(mats)) if g != ident]
+    ring = act.constant_group_action(field, mats)
+    want = gs.constant_scheme(field, _pairwise_close(field, [mats[g] for g in order])[0],
+                              labels=[f"g{i}" for i in range(len(mats))])
+    assert ring.scheme.gamma == want.gamma
+
+
+def _molien_per_element(matrices):
+    """(1/|G|) sum_g 1/det(I - t g), one summand per element."""
+    mats = [Q.asarray(m) for m in matrices]
+    n = mats[0].shape[0]
+    total = RatFunc.from_poly(Poly.zero())
+    for g in mats:
+        det = det_poly_matrix([[Poly((Fraction(int(i == j)), -g[i, j])) for j in range(n)]
+                               for i in range(n)])
+        total = total + RatFunc(Poly.one(), det)
+    return total.scale(Fraction(1, len(mats)))
+
+
+@pytest.mark.parametrize("mats", [MINUS_ID, REFLECTION, CUBE, S3, _conjugated_s3()],
+                         ids=["minus-id", "reflection", "cube", "S3", "Q-fractional-S3"])
+def test_molien_sums_each_characteristic_polynomial_once(mats):
+    got = act.molien_series(mats, Q)
+    want = _molien_per_element(mats)
+    assert got == want and repr(got) == repr(want)

@@ -6,6 +6,7 @@ import json
 import os
 import shutil
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -406,3 +407,52 @@ def test_mutated_fixtures_exit_cleanly(case):
             code = main(_FUZZ_COMMANDS[name](path))
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def _one_triple_hopf(n, counit_index):
+    e = lambda k: [int(i == k) for i in range(n)]
+    return {"field": {"Fp": 5}, "dim": n, "basis": [f"b{i}" for i in range(n)],
+            "unit": e(0), "counit": e(counit_index),
+            "mult": [[0, 0, 0, 1]], "comult": [[0, 0, 0, 1]]}
+
+
+@pytest.mark.parametrize("counit_index, code, message", [
+    (0, 1, "check failed: antipode not unique; data is not a bialgebra"),
+    (1, 2, "error: bialgebra admits no antipode"),
+], ids=["non-unique", "no-antipode"])
+def test_verify_of_a_dimension_3000_hopf_object_stays_sparse(
+        counit_index, code, message, tmp_path, capsys):
+    # the structure constants are loaded by their one nonzero each: the
+    # verdict of dimension 3000 is the one of dimension 2, in a few MB where
+    # a dense (n, n, n) array would take 201 GiB
+    for n in (2, 3000):
+        p = tmp_path / f"one-triple-{n}.json"
+        p.write_text(json.dumps(_one_triple_hopf(n, counit_index)))
+        tracemalloc.start()
+        try:
+            assert main(["verify", str(p)]) == code
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err.strip() == message and "Traceback" not in err
+        assert peak < 20 * 2**20
+
+
+def test_verify_refuses_an_antipode_system_over_the_term_budget(tmp_path, capsys):
+    # dense unit and counit with one product: 2 * 3000^2 right-hand-side
+    # rows would be held, so the input is refused by name before any is built
+    obj = _one_triple_hopf(3000, 0)
+    obj["unit"] = obj["counit"] = [1] * 3000
+    p = tmp_path / "dense-unit.json"
+    p.write_text(json.dumps(obj))
+    tracemalloc.start()
+    try:
+        assert main(["verify", str(p)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("error: the antipode system needs 18000000 sparse terms")
+    assert "TERM_BUDGET" in err and "Traceback" not in err
+    assert peak < 20 * 2**20

@@ -5,7 +5,7 @@ import pytest
 
 from knopf import exactalg as xa
 from knopf.catalog import cyclic_table, dihedral_table, u_l_hopf
-from knopf.errors import InconsistencyError, InputError
+from knopf.errors import InconsistencyError, InputError, UndecidedError
 from knopf.exactalg import FieldSpec
 from knopf.hopf import HopfAlgebraData, group_algebra, restricted_enveloping
 
@@ -14,11 +14,11 @@ Q = FieldSpec.rationals()
 
 def _same_hopf(a: HopfAlgebraData, b: HopfAlgebraData) -> bool:
     return (
-        xa.arrays_equal(a.mult, b.mult)
-        and xa.arrays_equal(a.comult, b.comult)
+        a.mult == b.mult
+        and a.comult == b.comult
         and xa.arrays_equal(a.unit, b.unit)
         and xa.arrays_equal(a.counit, b.counit)
-        and xa.arrays_equal(a.antipode, b.antipode)
+        and a.antipode == b.antipode
     )
 
 
@@ -42,7 +42,7 @@ def test_trivial_group_gives_one_dimensional_hopf():
 
 def test_corrupted_product_fails_associativity_with_witness():
     h = group_algebra(Q, dihedral_table(3))
-    bad_mult = h.mult.copy()
+    bad_mult = h.mult.to_dense(Q)
     k_true = int(np.argwhere(bad_mult[1, 2] != 0)[0][0])
     bad_mult[1, 2, k_true] = Q.zero
     bad_mult[1, 2, 1 if k_true != 1 else 2] = Q.one
@@ -95,9 +95,9 @@ def test_antipode_solver_matches_group_inverse():
     table = cyclic_table(3)
     h = group_algebra(Q, table)
     solved = HopfAlgebraData(Q, h.basis, h.unit, h.mult, h.counit, h.comult)
-    assert xa.arrays_equal(solved.antipode, h.antipode)
+    assert solved.antipode == h.antipode
     # S(g) = g^{-1}: column 1 (generator) maps to index 2 (its inverse)
-    assert solved.antipode[2, 1] == 1
+    assert solved.antipode.cols[1] == {2: 1}
 
 
 def _monoid_z2_eq_z():
@@ -208,3 +208,28 @@ def test_direct_sum_with_field_is_frobenius():
     h = HopfAlgebraData(Q, ["1a", "x", "1b"], Q.asarray([1, 0, 1]), mult)
     assert h.is_frobenius()
     assert h.is_symmetric()
+
+
+def test_group_table_associativity_witness():
+    # D_4 with one product changed: the first failing (i, j, k) in C order,
+    # as the triple loop over all of them finds it
+    table = [row[:] for row in dihedral_table(4)]
+    table[3][5] = table[3][6]
+    m = len(table)
+    want = next((i, j, k) for i in range(m) for j in range(m) for k in range(m)
+                if table[table[i][j]][k] != table[i][table[j][k]])
+    assert want == (1, 2, 5)
+    with pytest.raises(InputError) as exc:
+        group_algebra(Q, table)
+    assert str(exc.value) == "group table not associative at ({},{},{})".format(*want)
+
+
+def test_axiom_checks_refuse_outer_products_over_the_term_budget():
+    # one product and one coproduct term, but a dense unit and counit: the
+    # counit and unit checks would compare against 3000^2 products
+    f5, n = FieldSpec.prime(5), 3000
+    one = xa.SparseCoaction.from_entries([(0, 0, 0, 1)], n, n)
+    antipode = xa.SparseCoaction.from_entries([(0, 0, 0, 1)], n, 1)
+    h = HopfAlgebraData(f5, [f"b{i}" for i in range(n)], [1] * n, one, [1] * n, one, antipode)
+    with pytest.raises(UndecidedError, match="TERM_BUDGET"):
+        h.verify_axioms()

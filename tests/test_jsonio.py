@@ -35,9 +35,9 @@ def test_hopf_round_trip():
     h = u_l_hopf(3)
     back = jsonio.hopf_from_json(jsonio.hopf_to_json(h))
     assert back.basis == h.basis
-    assert xa.arrays_equal(back.mult, h.mult)
-    assert xa.arrays_equal(back.comult, h.comult)
-    assert xa.arrays_equal(back.antipode, h.antipode)
+    assert back.mult == h.mult
+    assert back.comult == h.comult
+    assert back.antipode == h.antipode
     assert back.field == h.field
 
 
@@ -47,8 +47,8 @@ def test_hopf_round_trip_rational_coefficients():
 
     h = group_algebra(FieldSpec.rationals(), cyclic_table(3)).dual()
     back = jsonio.hopf_from_json(jsonio.hopf_to_json(h))
-    assert xa.arrays_equal(back.mult, h.mult)
-    assert xa.arrays_equal(back.comult, h.comult)
+    assert back.mult == h.mult
+    assert back.comult == h.comult
 
 
 def test_hopf_from_json_solves_missing_antipode():
@@ -56,7 +56,7 @@ def test_hopf_from_json_solves_missing_antipode():
     obj = jsonio.hopf_to_json(h)
     del obj["antipode"]
     back = jsonio.hopf_from_json(obj)
-    assert xa.arrays_equal(back.antipode, h.antipode)
+    assert back.antipode == h.antipode
 
 
 def test_scheme_round_trip_keeps_label():
@@ -64,7 +64,7 @@ def test_scheme_round_trip_keeps_label():
     back = jsonio.scheme_from_json(jsonio.scheme_to_json(g))
     assert back.label == g.label
     assert back.order == g.order
-    assert xa.arrays_equal(back.gamma.comult, g.gamma.comult)
+    assert back.gamma.comult == g.gamma.comult
 
 
 def test_comodule_round_trip_inline_scheme():

@@ -28,6 +28,13 @@ from knopf.exactalg import FieldSpec
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
 
+
+def _perm_sign(perm) -> int:
+    inversions = sum(perm[a] > perm[b] for a in range(len(perm))
+                     for b in range(a + 1, len(perm)))
+    return -1 if inversions % 2 else 1
+
+
 MINUS_ID = [[[1, 0], [0, 1]], [[-1, 0], [0, -1]]]
 REFLECTION = [[[1, 0], [0, 1]], [[1, 0], [0, -1]]]
 ROTATION4 = [[[1, 0], [0, 1]], [[0, -1], [1, 0]], [[-1, 0], [0, -1]], [[0, 1], [-1, 0]]]
@@ -40,7 +47,7 @@ CUBE = [
     [[signs[r] * int(perm[r] == c) for c in range(3)] for r in range(3)]
     for perm in itertools.permutations(range(3))
     for signs in itertools.product((1, -1), repeat=3)
-    if act._perm_sign(perm) * signs[0] * signs[1] * signs[2] == 1
+    if _perm_sign(perm) * signs[0] * signs[1] * signs[2] == 1
 ]
 
 
@@ -59,7 +66,8 @@ class _SeedTower:
         gamma = variables.scheme.gamma
         f = self.field
         # rm[i,j] is the right-multiplication matrix of gamma_ij on Gamma
-        self._rm = xa.tensordot(f, variables.coaction, gamma.mult, ([2], [1]))
+        self._rm = xa.tensordot(f, variables.coaction, gamma.mult.to_dense(f),
+                               ([2], [1]))
         self._nz = [
             [not xa.is_zero(variables.coaction[i, j]) for j in range(variables.dim)]
             for i in range(variables.dim)
@@ -216,7 +224,8 @@ def test_fp_tower_matches_seed_on_mu3_alpha5():
 def _twisted_coaction(ring, d, chi):
     """R_d * chi: right multiplication of every coefficient by chi in Gamma."""
     f = ring.field
-    twmat = xa.tensordot(f, ring.scheme.gamma.mult, f.asarray(chi), ([1], [0]))
+    twmat = xa.tensordot(f, ring.scheme.gamma.mult.to_dense(f), f.asarray(chi),
+                         ([1], [0]))
     return xa.tensordot(f, _dense(ring, d), twmat, ([2], [0]))
 
 
@@ -267,7 +276,7 @@ def test_twisted_kernels_match_explicit_twist_on_sign_characters(field):
     ring = act.constant_group_action(field, REFLECTION)
     _assert_twisted_kernels(ring, [field.asarray([1, 1]), field.asarray([1, -1])], 6)
     s3 = act.constant_group_action(field, S3)
-    sign = field.asarray([act._perm_sign(p) for p in itertools.permutations(range(3))])
+    sign = field.asarray([_perm_sign(p) for p in itertools.permutations(range(3))])
     _assert_twisted_kernels(s3, [sign], 4)
 
 
