@@ -8,7 +8,8 @@ here.  Everything is degree-truncated and exact.  The Sym^d tower is sparse:
 each degree holds only the nonzero entries of its coaction, as Python ints
 over one scale, and its invariants are exactalg's sparse fixed-space kernel
 of that form; a twist by a grouplike chi is the untwisted kernel for the
-unit chi^-1.
+unit chi^-1.  The kernel starts from the rows of the algebra generators of
+k[G]*, and `exactalg.fixed_space` certifies the result against the rest.
 """
 
 from __future__ import annotations
@@ -296,7 +297,8 @@ class GradedInvariantRing:
         unit = self._kernel_unit(twist)
         key = (d, tuple(unit.tolist()))
         if key not in self._inv:
-            self._inv[key] = xa.fixed_space(self.field, self.tower.coaction(d), unit)
+            self._inv[key] = xa.fixed_space(self.field, self.tower.coaction(d), unit,
+                                            self.scheme.dual_algebra.algebra_generators)
         return self._inv[key]
 
     def invariant_dim(self, d: int, twist=None) -> int:
@@ -305,7 +307,8 @@ class GradedInvariantRing:
         if key in self._inv:
             return len(self._inv[key])
         if key not in self._dims:
-            self._dims[key] = xa.fixed_dim(self.field, self.tower.coaction(d), unit)
+            self._dims[key] = xa.fixed_dim(self.field, self.tower.coaction(d), unit,
+                                           self.scheme.dual_algebra.algebra_generators)
         return self._dims[key]
 
     def hilbert_function(self, max_degree: int, twist=None) -> list[int]:
@@ -464,20 +467,22 @@ def molien_series(matrices: list, field: FieldSpec | None = None) -> RatFunc:
             "use degreewise invariants in characteristic p"
         )
     mats = [f.asarray(m) for m in matrices]
-    _close_group(f, mats)
+    table, ident = _close_group(f, mats)
+    inverse = [row.index(ident) for row in table]
     n = mats[0].shape[0]
-    # elements with one characteristic polynomial share one summand
+    # det(I - t g) is a class function: one determinant per conjugacy class,
+    # at its first member, weighted by the class size; elements with one
+    # characteristic polynomial share one summand
     counts: dict[Poly, int] = {}
-    for g in mats:
-        entries = [
-            [
-                Poly((Fraction(1 if i == j else 0), Fraction(-g[i, j])))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        det = det_poly_matrix(entries)
-        counts[det] = counts.get(det, 0) + 1
+    seen: set[int] = set()
+    for g, m in enumerate(mats):
+        if g in seen:
+            continue
+        cls = {table[table[h][g]][inverse[h]] for h in range(len(mats))}
+        seen |= cls
+        det = det_poly_matrix([[Poly((Fraction(int(i == j)), -m[i, j])) for j in range(n)]
+                               for i in range(n)])
+        counts[det] = counts.get(det, 0) + len(cls)
     total = RatFunc.from_poly(Poly.zero())
     for det, k in counts.items():
         total = total + RatFunc(Poly([k]), det)

@@ -15,8 +15,12 @@ mod p or divided back into Fractions.
 Elimination is sparse and also written once: rows are dicts {column: nonzero
 scalar}, reduced shortest row first and back-substituted to the unique RREF.
 `fixed_space` and `fixed_dim` take a `SparseCoaction` and never build a
-dense system; `rref`, `rank`, `kernel_basis` and `invert` keep dense arrays
-as their boundary.  There are no tolerances anywhere.
+dense system.  They eliminate the rows of the coordinates they are given
+(algebra generators, whose rows already cut out the fixed space when the
+axioms hold), then certify every null vector against every coordinate and
+add the rows of a violated one until none is: the answer is the kernel of
+all the rows for any input.  `rref`, `rank`, `kernel_basis` and `invert` keep
+dense arrays as their boundary.  There are no tolerances anywhere.
 
 `SparseCoaction` is the one sparse array type: an (n, n, order) array by its
 nonzeros, as Python ints over one scale.  It holds the Sym^d coactions and
@@ -466,17 +470,24 @@ def _kernel(field: FieldSpec, rows, n: int) -> np.ndarray:
     return _null_basis(field, _back_substitute(field, _echelon(field, rows)), n)
 
 
-def _null_basis(field: FieldSpec, piv: dict[int, dict], n: int) -> np.ndarray:
-    """Echelon-normal basis (k, n) of the null space of the RREF rows `piv`."""
-    free = [c for c in range(n) if c not in piv]
-    basis = field.zeros((len(free), n))
-    at = {f: k for k, f in enumerate(free)}
-    for k, f in enumerate(free):
-        basis[k, f] = field.one
+def _null_vectors(piv: dict[int, dict], n: int) -> dict[int, dict]:
+    """The echelon-normal null vectors of the RREF rows `piv`, sparse and by
+    ascending free column: {free column f: {i: x_i}}, x_f = 1."""
+    vectors = {f: {f: 1} for f in range(n) if f not in piv}
     for c, row in piv.items():
         for f, v in row.items():
             if f != c:
-                basis[at[f], c] = field.neg(v)
+                vectors[f][c] = -v
+    return vectors
+
+
+def _null_basis(field: FieldSpec, piv: dict[int, dict], n: int) -> np.ndarray:
+    """Echelon-normal basis (k, n) of the null space of the RREF rows `piv`."""
+    vectors = _null_vectors(piv, n)
+    basis = field.zeros((len(vectors), n))
+    for k, x in enumerate(vectors.values()):
+        for i, v in x.items():
+            basis[k, i] = field.coerce(v)
     return basis
 
 
@@ -511,37 +522,91 @@ def kernel_basis(field: FieldSpec, mat: np.ndarray) -> np.ndarray:
     return _kernel(field, _dense_rows(mat), mat.shape[1])
 
 
-def _fixed_rows(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray) -> list[dict]:
-    """Rows (i, g) of the system sum_j coact[i, j, g] x_j - x_i unit[g] = 0,
-    times the coaction's scale."""
-    if np.shape(unit) != (coact.order,):
-        raise InputError(
-            f"the unit must have shape ({coact.order},), got {np.shape(unit)}"
-        )
-    unit_nz = list(_nonzeros(unit))
+def _fixed_rows(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray, coords) -> list[dict]:
+    """Rows (i, g), g in coords, of the system sum_j coact[i, j, g] x_j -
+    x_i unit[g] = 0, times the coaction's scale."""
+    order, coords = coact.order, set(coords)
+    unit_nz = [(g, u) for g, u in _nonzeros(unit) if g in coords]
     rows: dict[int, dict] = {}
     for j, col in enumerate(coact.cols):
-        col = dict(col)
-        _axpy(field.p, col, -coact.scale, {j * coact.order + g: u for g, u in unit_nz})
+        # the other coordinates are skipped before anything is copied
+        col = {key: v for key, v in col.items() if key % order in coords}
+        _axpy(field.p, col, -coact.scale, {j * order + g: u for g, u in unit_nz})
         for key, v in col.items():
             rows.setdefault(key, {})[j] = v
     return list(rows.values())
 
 
-def fixed_space(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray) -> np.ndarray:
+def _violated(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray,
+              piv: dict[int, dict]) -> set[int]:
+    """The coordinates g at which some null vector x of the RREF rows `piv`
+    has sum_j coact[:, j, g] x_j != x unit[g]: one pass over the coaction's
+    columns on the supports of the vectors."""
+    p, order = field.p, coact.order
+    u, su = _nonzero_dict(field, unit)
+    bad: set[int] = set()
+    for x in _null_vectors(piv, coact.dim).values():
+        if p is None:
+            # both sides are linear in x: its numerators will do
+            s = math.lcm(*(v.denominator for v in x.values()))
+            x = {k: v.numerator * (s // v.denominator) for k, v in x.items()}
+        lhs: dict = {}
+        for j, xj in x.items():
+            for key, v in coact.cols[j].items():
+                lhs[key] = lhs.get(key, 0) + v * xj
+        rhs = {i * order + g: xi * ug for i, xi in x.items() for g, ug in u.items()}
+        bad.update(key % order for key in _mismatches(p, lhs, rhs, coact.scale, su))
+    return bad
+
+
+def _fixed_rref(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray,
+                first) -> dict[int, dict]:
+    """The RREF rows of the fixed-space system, from the rows of the
+    coordinates in `first`, certified against every coordinate.
+
+    While a null vector of the rows so far violates some coordinate, the
+    rows of the least violated one join the elimination.  A coordinate whose
+    rows are in can no longer be violated, so there are at most `order`
+    passes, and the last has the null space of all the rows, whose RREF is
+    unique, whatever `first` was: a good seed only makes it end at once.
+    """
+    if np.shape(unit) != (coact.order,):
+        raise InputError(
+            f"the unit must have shape ({coact.order},), got {np.shape(unit)}"
+        )
+    piv = _echelon(field, _fixed_rows(field, coact, unit, first))
+    while True:
+        _back_substitute(field, piv)
+        bad = _violated(field, coact, unit, piv)
+        if not bad:
+            return piv
+        _echelon(field, _fixed_rows(field, coact, unit, (min(bad),)), piv)
+
+
+def fixed_space(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray,
+                first=()) -> np.ndarray:
     """Echelon basis of {x : sum_j coact[:, j, :] x_j = x (x) unit}, shape (k, n).
 
     coact[i, j, :] is the coefficient vector of the i-th basis vector in the
     coaction of the j-th one; the fixed vectors are the x with rho(x) = x (x)
     unit.  Invariants (unit = 1 of k[G]), twisted invariants and integrals
     (unit = the counit) are all this kernel.
+
+    The rows of coordinate g say phi_g . x = phi_g(unit) x for the g-th dual
+    basis element phi_g.  For a comodule and a grouplike unit, the phi with
+    phi . x = phi(unit) x form a subalgebra of k[G]*, so the rows of a set
+    of algebra generators (`first`) already cut out the fixed space; the
+    same holds for integrals of an associative algebra with multiplicative
+    counit.  Every result is certified against all coordinates anyway
+    (`_fixed_rref`), so inputs that break those axioms get the same answer
+    as the full system, only later.
     """
-    return _kernel(field, _fixed_rows(field, coact, unit), coact.dim)
+    return _null_basis(field, _fixed_rref(field, coact, unit, first), coact.dim)
 
 
-def fixed_dim(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray) -> int:
-    """len(fixed_space(field, coact, unit)), without back-substitution."""
-    return coact.dim - len(_echelon(field, _fixed_rows(field, coact, unit)))
+def fixed_dim(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray, first=()) -> int:
+    """len(fixed_space(field, coact, unit, first)), without the dense basis."""
+    return coact.dim - len(_fixed_rref(field, coact, unit, first))
 
 
 def invert(field: FieldSpec, mat: np.ndarray) -> np.ndarray | None:

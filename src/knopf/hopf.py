@@ -12,6 +12,10 @@ mult, comult and antipode are held by their nonzeros only, as
 every operation contracts on the nonzeros: k^G has |G| nonzero products and
 |G|^2 coproduct terms where the dense arrays held |G|^3 each.
 
+Integrals are `exactalg.fixed_space` of the transposed mult against the
+counit, from the rows of `algebra_generators` (a least-index greedy set of
+basis elements generating the algebra) and certified against every b_i.
+
 The antipode may be omitted; it is then solved from the antipode axiom (a
 linear system in the matrix entries) and uniqueness is asserted.  A coalgebra
 part may also be absent entirely ("plain algebra" inputs used by the Frobenius
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product as iproduct
+from itertools import product as iproduct
 
 import numpy as np
 
@@ -340,50 +344,65 @@ class HopfAlgebraData:
         of coact[k, j, i] = mult[i, j, k] against the counit; right ones:
         x b_i, coact[k, j, i] = mult[j, i, k].
 
-        The rows of one b_i at a time join one elimination, the least i that
-        a current solution violates next, until none is violated: then the
-        solutions are the fixed space of the whole coaction.  A few b_i
-        suffice (for kG, a generating set), where the n^2 rows of all of
-        them would each be reduced along long chains of pivots.
+        If b x = eps(b) x and b' x = eps(b') x then (b b') x = eps(b b') x
+        (associativity, multiplicative eps), so the rows of the algebra
+        generators suffice; `exactalg.fixed_space` certifies that against
+        every b_i.
         """
         if side not in ("left", "right"):
             raise InputError(f"side must be 'left' or 'right', got {side!r}")
         if side not in self._integrals:
-            f, n, sc = self.field, self.dim, self.mult.scale
-            # conds[i]: (j, k, coefficient of x_j at b_k in b_i x or x b_i)
-            conds = xa._by(self.mult.entries(), 0 if side == "left" else 1)
-            counit, cs = xa._nonzero_dict(f, self.counit)
-
-            def rows(i):
-                # b_i x - eps(b_i) x by b_k, times mult.scale * counit scale
-                out: dict = {}
-                for j, k, v in conds.get(i, ()):
-                    row = out.setdefault(k, {})
-                    row[j] = row.get(j, 0) + v * cs
-                if i in counit:
-                    for k in range(n):
-                        row = out.setdefault(k, {})
-                        row[k] = row.get(k, 0) - counit[i] * sc
-                return [xa._clean(f.p, row) for row in out.values()]
-
-            def violates(i, x):
-                # b_i x - eps(b_i) x for x given by its numerators
-                res = xa._acc(chain(
-                    ((k, v * x[j] * cs) for j, k, v in conds.get(i, ()) if j in x),
-                    ((k, -counit[i] * v * sc) for k, v in x.items() if i in counit)))
-                return any(xa._nonzero(f.p, v) for v in res.values())
-
-            piv: dict = {}
-            i, chosen = 0, set()
-            while i is not None:
-                chosen.add(i)
-                xa._echelon(f, rows(i), piv)
-                space = xa._null_basis(f, xa._back_substitute(f, piv), n)
-                found = [xa._nonzero_dict(f, x)[0] for x in space]
-                i = next((i for i in range(n) if i not in chosen
-                          and any(violates(i, x) for x in found)), None)
-            self._integrals[side] = space
+            coact = self.mult.transpose((2, 1, 0) if side == "left" else (2, 0, 1))
+            self._integrals[side] = xa.fixed_space(
+                self.field, coact, self.counit, self.algebra_generators)
         return self._integrals[side].copy()
+
+    @cached_property
+    def algebra_generators(self) -> tuple[int, ...]:
+        """The least-index greedy basis elements that generate the algebra
+        with its unit: b_i joins when it lies outside the subalgebra the
+        earlier ones generate.
+
+        That subalgebra's span is one `_echelon` basis, started from the
+        unit and closed by right-multiplying its rows by the generators, a
+        level of new rows at a time; every vector stays sparse.  For kG the
+        generators generate G, and k^G needs |G| - 1 of its idempotents.
+        """
+        f, n = self.field, self.dim
+        # right[g][i]: the (k, v) with b_i b_g = sum v b_k, v over mult.scale
+        right: dict[int, dict] = {}
+
+        def times(x, g):
+            # x b_g by its numerators
+            acc: dict = {}
+            for i, xi in x.items():
+                for k, v in right[g].get(i, ()):
+                    acc[k] = acc.get(k, 0) + xi * v
+            return xa._clean(f.p, acc)
+
+        piv = xa._echelon(f, [xa._nonzero_dict(f, self.unit)[0]])
+        gens: list[int] = []
+        for i in range(n):
+            if len(piv) == n:
+                break
+            size = len(piv)
+            xa._echelon(f, [{i: 1}], piv)
+            if len(piv) == size:
+                continue
+            gens.append(i)
+            right[i] = {}
+            for key, v in self.mult.cols[i].items():
+                right[i].setdefault(key // n, []).append((key % n, v))
+            rows = list(piv.values())
+            # the earlier rows are closed under the earlier generators
+            products = [times(x, i) for x in rows[:size]]
+            new = rows[size:]
+            while new and len(piv) < n:
+                products += [times(x, g) for x in new for g in gens]
+                size = len(piv)
+                xa._echelon(f, products, piv)
+                new, products = list(piv.values())[size:], []
+        return tuple(gens)
 
     def is_unimodular(self) -> bool:
         """Left integral space equals right integral space (exact spans)."""

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from knopf import action as act
+from knopf import catalog
 from knopf import exactalg as xa
 from knopf import gscheme as gs
 from knopf.catalog import standard_module
@@ -352,9 +353,42 @@ def _molien_per_element(matrices):
     return total.scale(Fraction(1, len(mats)))
 
 
-@pytest.mark.parametrize("mats", [MINUS_ID, REFLECTION, CUBE, S3, _conjugated_s3()],
-                         ids=["minus-id", "reflection", "cube", "S3", "Q-fractional-S3"])
+def _catalog_groups():
+    """(name, matrices) of every default catalog run on a constant group."""
+    out = []
+    for name, params in catalog.default_runs():
+        bundle = catalog.ENTRIES[name].builder(params)
+        if "matrices" in bundle:
+            out.append((name, bundle["matrices"]))
+    return out
+
+
+CATALOG_GROUPS = _catalog_groups()
+
+
+@pytest.mark.parametrize(
+    "mats",
+    [MINUS_ID, REFLECTION, CUBE, S3, _conjugated_s3(), _shuffled(CUBE, 1),
+     _shuffled(_conjugated_s3(), 3)] + [mats for _, mats in CATALOG_GROUPS],
+    ids=["minus-id", "reflection", "cube", "S3", "Q-fractional-S3", "cube-seed1",
+         "Q-fractional-S3-seed3"] + [f"catalog-{name}" for name, _ in CATALOG_GROUPS])
 def test_molien_sums_each_characteristic_polynomial_once(mats):
+    # one determinant per conjugacy class, weighted by its size: the same sum,
+    # summands in the same order, as one determinant per element
     got = act.molien_series(mats, Q)
     want = _molien_per_element(mats)
     assert got == want and repr(got) == repr(want)
+
+
+def test_molien_takes_one_determinant_per_conjugacy_class(monkeypatch):
+    calls = []
+    real = act.det_poly_matrix
+
+    def counting(entries):
+        calls.append(entries)
+        return real(entries)
+
+    monkeypatch.setattr(act, "det_poly_matrix", counting)
+    act.molien_series(CUBE, Q)
+    # the rotation group of the cube (S_4) has five conjugacy classes
+    assert len(calls) == 5

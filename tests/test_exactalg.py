@@ -312,7 +312,7 @@ def test_fixed_space_matches_seed_kernel(case, rng):
     assert got.dtype == want.dtype and xa.arrays_equal(got, want)
     assert xa.fixed_dim(field, sparse, unit) == len(want)
     # rows in another order are eliminated in another pivot order
-    rows = xa._fixed_rows(field, sparse, unit)
+    rows = xa._fixed_rows(field, sparse, unit, range(order))
     rng.shuffle(rows)
     assert xa.arrays_equal(xa._kernel(field, rows, n), want)
 

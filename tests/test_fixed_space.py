@@ -1,0 +1,340 @@
+"""Fixed spaces from algebra generators, certified against every coordinate.
+
+`exactalg.fixed_space` eliminates the rows of the coordinates it is given
+(the algebra generators of k[G]* for invariants, of H for integrals), then
+checks every null vector against every coordinate and adds the rows of a
+violated one until none is.  The reference here is the all-rows kernel: one
+dense system with a row per (basis vector, coordinate).  The certified route
+must equal it on comodules, grouplike twists and Hopf algebras, and also on
+coactions and structure constants perturbed off their axioms, where the
+generators' rows alone no longer suffice.
+"""
+
+import functools
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from knopf import action as act
+from knopf import exactalg as xa
+from knopf import gscheme as gs
+from knopf.catalog import cyclic_table, dihedral_table, radford_battery, standard_module
+from knopf.exactalg import FieldSpec
+from knopf.hopf import HopfAlgebraData, function_algebra, group_algebra, tensor_hopf
+
+Q = FieldSpec.rationals()
+FIELDS = [Q, FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(5),
+          FieldSpec.prime(7)]
+
+
+def _product_table(t1, t2):
+    m2 = len(t2)
+    return [[t1[a // m2][b // m2] * m2 + t2[a % m2][b % m2]
+             for b in range(len(t1) * m2)] for a in range(len(t1) * m2)]
+
+
+TABLES = [cyclic_table(1), cyclic_table(2), cyclic_table(3), cyclic_table(4),
+          dihedral_table(3), dihedral_table(4),
+          _product_table(cyclic_table(2), cyclic_table(2))]
+
+
+def _relabelled(table, perm):
+    out = [[0] * len(table) for _ in table]
+    for a, b in itertools.product(range(len(table)), repeat=2):
+        out[perm[a]][perm[b]] = perm[table[a][b]]
+    return out
+
+
+def _perm_sign(perm):
+    return (-1) ** sum(perm[a] > perm[b] for a in range(len(perm))
+                       for b in range(a + 1, len(perm)))
+
+
+CUBE = [
+    [[signs[r] * int(perm[r] == c) for c in range(3)] for r in range(3)]
+    for perm in itertools.permutations(range(3))
+    for signs in itertools.product((1, -1), repeat=3)
+    if _perm_sign(perm) * signs[0] * signs[1] * signs[2] == 1
+]
+
+
+# -- the all-rows reference ---------------------------------------------------
+
+
+def _all_rows_kernel(field, coact, unit):
+    """The fixed space from every row (i, g) at once, on the dense system."""
+    dense = coact.to_dense(field)
+    n, _, order = dense.shape
+    # row (i, g), column j: coact[i, j, g] - [i == j] unit[g]
+    a = dense.transpose(0, 2, 1).copy()
+    for i in range(n):
+        a[i, :, i] = field.reduce(a[i, :, i] - unit)
+    return xa.kernel_basis(field, a.reshape(n * order, n))
+
+
+def _assert_same(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.reshape(-1).tolist() == want.reshape(-1).tolist()
+
+
+def _perturbed(field, coact, changes):
+    """coact with delta added at [i, j, g] (indices reduced into range)."""
+    dense = coact.to_dense(field)
+    for *index, delta in changes:
+        index = tuple(k % s for k, s in zip(index, dense.shape))
+        dense[index] = field.reduce(dense[index] + field.coerce(delta))
+    return xa.SparseCoaction.from_dense(dense)
+
+
+# -- comodules ----------------------------------------------------------------
+
+
+def _regular_coaction(field, table):
+    """The left regular representation of a group as a k^G-coaction:
+    [g h, h, g] = 1."""
+    m = len(table)
+    c = field.zeros((m, m, m))
+    for g, h in itertools.product(range(m), repeat=2):
+        c[table[g][h], h, g] = field.one
+    return c
+
+
+@st.composite
+def comodule_cases(draw):
+    """(field, coaction of Sym^d, unit, generators of k[G]*)."""
+    kind = draw(st.sampled_from(["constant", "mu_alpha", "mu"]))
+    if kind == "constant":
+        field = draw(st.sampled_from(FIELDS))
+        table = draw(st.sampled_from(TABLES[:5]))
+        table = _relabelled(table, draw(st.permutations(range(len(table)))))
+        scheme = gs.constant_scheme(field, table)
+        coact = _regular_coaction(field, table)
+        if draw(st.booleans()) and len(table) <= 3:
+            # in another basis: conjugated by an invertible matrix
+            size = len(table)
+            values = st.integers(-3, 3)
+            p = field.asarray([[draw(values) for _ in range(size)] for _ in range(size)])
+            p = field.reduce(p + field.eye(size) * field.coerce(7))
+            p_inv = xa.invert(field, p)
+            if p_inv is not None:
+                coact = np.stack([xa.matmul(field, xa.matmul(field, p, coact[:, :, g]), p_inv)
+                                  for g in range(size)], axis=2)
+        module = act.Comodule(scheme, coact)
+    elif kind == "mu_alpha":
+        p, ell = draw(st.sampled_from([(2, 3), (5, 3), (3, 5)]))
+        field = FieldSpec.prime(p)
+        scheme = gs.mu_semidirect_alpha_scheme(field, ell)
+        w = standard_module(scheme, ell, p)
+        module = draw(st.sampled_from([w, w.dual(), act.direct_sum(w, w.dual())]))
+    else:
+        field = draw(st.sampled_from(FIELDS))
+        m = draw(st.integers(1, 4))
+        weights = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))
+        module = act.DiagonalizableAction(weights, m).to_kernel_route(field).module
+        scheme = module.scheme
+    assert module.verify().ok
+    ring = act.GradedInvariantRing(module)
+    coact = ring.tower.coaction(draw(st.integers(0, 3 if module.dim <= 3 else 2)))
+    gamma = scheme.gamma
+    basis = [field.zeros(gamma.dim) for _ in range(gamma.dim)]
+    for g, v in enumerate(basis):
+        v[g] = field.one
+    grouplikes = [v for v in [gamma.unit, act.det_character(module)] + basis
+                  if scheme.is_grouplike(v)]
+    unit = draw(st.sampled_from(grouplikes))
+    unit = draw(st.sampled_from([unit, scheme.grouplike_inverse(unit)]))
+    gens = scheme.dual_algebra.algebra_generators
+    if draw(st.booleans()):
+        # off the axioms: a few coaction entries or unit values moved, mostly
+        # at coordinates whose rows the generators' rows no longer imply
+        others = [g for g in range(gamma.dim) if g not in gens]
+        coords = st.sampled_from(others) if others else st.integers(0, gamma.dim - 1)
+        changes = draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99), coords,
+                                          st.integers(1, 3)), min_size=1, max_size=3))
+        if draw(st.booleans()):
+            coact = _perturbed(field, coact, changes)
+        else:
+            unit = unit.copy()
+            for _, _, g, delta in changes:
+                unit[g] = field.reduce(unit[g] + field.coerce(delta))
+    return field, coact, unit, gens
+
+
+@given(comodule_cases())
+@settings(max_examples=120, deadline=None)
+def test_certified_generator_route_equals_the_all_rows_kernel(case):
+    field, coact, unit, gens = case
+    want = _all_rows_kernel(field, coact, unit)
+    _assert_same(xa.fixed_space(field, coact, unit, gens), want)
+    assert xa.fixed_dim(field, coact, unit, gens) == len(want)
+    # any seed gives the same space: none, or every coordinate
+    _assert_same(xa.fixed_space(field, coact, unit), want)
+    _assert_same(xa.fixed_space(field, coact, unit, range(coact.order)), want)
+
+
+def test_certificate_repairs_a_seed_that_is_not_enough():
+    # a coaction moved off coassociativity: the generators' rows alone cut
+    # out a larger space, and the certificate adds rows until it is exact
+    ring = act.constant_group_action(Q, CUBE)
+    gens = ring.scheme.dual_algebra.algebra_generators
+    unit = ring.scheme.gamma.unit
+    coact = ring.tower.coaction(2)
+    free = next(g for g in range(24) if g not in gens)
+    dense = coact.to_dense(Q)
+    dense[0, 0, free] += 1
+    bad = xa.SparseCoaction.from_dense(dense)
+    seed_only = xa._kernel(Q, xa._fixed_rows(Q, bad, unit, gens), bad.dim)
+    want = _all_rows_kernel(Q, bad, unit)
+    assert len(seed_only) > len(want)
+    _assert_same(xa.fixed_space(Q, bad, unit, gens), want)
+    assert xa.fixed_dim(Q, bad, unit, gens) == len(want)
+
+
+# -- integrals ----------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _battery():
+    return tuple(h for _, h in radford_battery())
+
+
+@st.composite
+def hopf_cases(draw):
+    kind = draw(st.sampled_from(["battery", "group", "function", "tensor"]))
+    if kind == "battery":
+        h = draw(st.sampled_from(_battery()))
+    elif kind in ("group", "function"):
+        field = draw(st.sampled_from(FIELDS))
+        table = draw(st.sampled_from(TABLES))
+        table = _relabelled(table, draw(st.permutations(range(len(table)))))
+        h = (group_algebra if kind == "group" else function_algebra)(field, table)
+    else:
+        field = draw(st.sampled_from(FIELDS[:3]))
+        left = group_algebra(field, draw(st.sampled_from(TABLES[:4])))
+        right = function_algebra(field, cyclic_table(draw(st.integers(2, 3))))
+        h = tensor_hopf(left, right) if draw(st.booleans()) else tensor_hopf(right, left)
+    f = h.field
+    if draw(st.booleans()):
+        # off associativity or a multiplicative counit: mult or counit moved
+        changes = draw(st.lists(st.tuples(*[st.integers(0, 999)] * 3, st.integers(1, 3)),
+                                min_size=1, max_size=3))
+        mult, counit = h.mult, h.counit
+        if draw(st.booleans()):
+            mult = _perturbed(f, mult, changes)
+        else:
+            counit = counit.copy()
+            for k, _, _, delta in changes:
+                counit[k % h.dim] = f.reduce(counit[k % h.dim] + f.coerce(delta))
+        h = HopfAlgebraData(f, h.basis, h.unit, mult, counit, h.comult, h.antipode)
+    return h
+
+
+@given(hopf_cases())
+@settings(max_examples=120, deadline=None)
+def test_certified_integrals_equal_the_all_rows_kernel(h):
+    for side, axes in (("left", (2, 1, 0)), ("right", (2, 0, 1))):
+        want = _all_rows_kernel(h.field, h.mult.transpose(axes), h.counit)
+        _assert_same(h.integrals(side), want)
+
+
+# -- algebra generators -------------------------------------------------------
+
+
+def _subalgebra_dim(h, gens):
+    """dim of the subalgebra generated by 1 and the b_g, g in gens: the span
+    of the unit closed under right multiplication by each b_g, densely."""
+    f = h.field
+    c = h.mult.to_dense(f)
+    span = h.unit.reshape(1, -1)
+    while True:
+        grown = np.concatenate([span] + [xa.matmul(f, span, c[:, g, :]) for g in gens])
+        r, pivots = xa.rref(f, grown)
+        if len(pivots) == len(span):
+            return len(span)
+        span = r[:len(pivots)]
+
+
+def _algebras():
+    out = [(name, h) for name, h in radford_battery()]
+    for field in (Q, FieldSpec.prime(3)):
+        for k, table in enumerate(TABLES):
+            out.append((f"kG{k}/{field}", group_algebra(field, table)))
+            out.append((f"k^G{k}/{field}", function_algebra(field, table)))
+    out.append(("kC2 x k^C3", tensor_hopf(group_algebra(Q, cyclic_table(2)),
+                                          function_algebra(Q, cyclic_table(3)))))
+    return out
+
+
+ALGEBRAS = _algebras()
+
+
+@pytest.mark.parametrize("h", [h for _, h in ALGEBRAS], ids=[n for n, _ in ALGEBRAS])
+def test_algebra_generators_are_the_least_index_greedy_set(h):
+    gens = h.algebra_generators
+    assert list(gens) == sorted(set(gens))
+    assert _subalgebra_dim(h, gens) == h.dim
+    # b_i is a generator exactly when the earlier generators miss it
+    for i in range(h.dim):
+        earlier = [g for g in gens if g < i]
+        with_i = _subalgebra_dim(h, earlier + [i])
+        assert (with_i > _subalgebra_dim(h, earlier)) == (i in gens)
+
+
+@pytest.mark.parametrize("table", TABLES, ids=[f"G{k}" for k in range(len(TABLES))])
+def test_group_algebra_generators_generate_the_group(table):
+    gens = group_algebra(Q, table).algebra_generators
+    reached = {0} | set(gens)
+    while True:
+        more = reached | {table[a][g] for a in reached for g in gens}
+        if more == reached:
+            break
+        reached = more
+    assert reached == set(range(len(table)))
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec.prime(2), FieldSpec.prime(5)])
+@pytest.mark.parametrize("table", TABLES[1:], ids=[f"G{k}" for k in range(1, len(TABLES))])
+def test_function_algebra_needs_all_but_one_idempotent(field, table):
+    # k^G is a product of |G| copies of k: its subalgebras containing 1 are
+    # spanned by the sums over blocks of a partition of G
+    assert len(function_algebra(field, table).algebra_generators) == len(table) - 1
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec.prime(3)])
+def test_one_dimensional_algebra_needs_no_generator(field):
+    h = group_algebra(field, cyclic_table(1))
+    assert h.algebra_generators == ()
+    assert function_algebra(field, cyclic_table(1)).algebra_generators == ()
+    assert len(h.integrals("left")) == 1
+
+
+# -- the mechanism ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["invariants", "twisted"])
+def test_cube_kernel_eliminates_only_the_generator_rows(monkeypatch, twisted):
+    # the rows handed to the elimination at d = 20: those of the generators
+    # of k[G]* (4 of the 24 coordinates at most), not one per coordinate
+    ring = act.constant_group_action(Q, CUBE)
+    gens = ring.scheme.dual_algebra.algebra_generators
+    assert len(gens) <= 4
+    coact = ring.tower.coaction(20)
+    # the sign of the underlying permutation: a character of the group
+    sign = Q.asarray([_perm_sign([next(c for c, v in enumerate(row) if v) for row in g])
+                      for g in CUBE])
+    twist = sign if twisted else ring.scheme.gamma.unit
+    want = len(_all_rows_kernel(Q, coact, ring._kernel_unit(twist)))
+    received = []
+    real = xa._echelon
+
+    def counting(field, rows, piv=None):
+        rows = list(rows)
+        received.append(len(rows))
+        return real(field, rows, piv)
+
+    monkeypatch.setattr(xa, "_echelon", counting)
+    assert ring.invariant_dim(20, twist=twist) == want
+    assert sum(received) <= len(gens) * coact.dim
