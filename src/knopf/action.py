@@ -5,11 +5,11 @@ gamma_ij.  The polynomial ring S = Sym(V*) carries the dual coaction on its
 variables; invariants, twisted invariants, Hilbert functions, Molien series,
 pseudo-reflection detection and the integral trace map Tr: S -> S^G all live
 here.  Everything is degree-truncated and exact.  The Sym^d tower is sparse:
-each degree holds only the nonzero entries of its coaction, as Python ints
-over one scale, and its invariants are exactalg's sparse fixed-space kernel
-of that form; a twist by a grouplike chi is the untwisted kernel for the
-unit chi^-1.  The kernel starts from the rows of the algebra generators of
-k[G]*, and `exactalg.fixed_space` certifies the result against the rest.
+each degree holds only the nonzero entries of its coaction, as field
+scalars, and its invariants are exactalg's sparse fixed-space kernel of that
+form; a twist by a grouplike chi is the untwisted kernel for the unit
+chi^-1.  The kernel starts from the rows of the algebra generators of k[G]*,
+and `exactalg.fixed_space` certifies the result against the rest.
 """
 
 from __future__ import annotations
@@ -54,15 +54,13 @@ class Comodule:
         Coassociativity, sum_k gamma_ik (x) gamma_kj = Delta(gamma_ij), is
         contracted on the nonzeros and compared one (i, j) at a time.
         """
-        f, n, p = self.field, self.dim, self.field.p
+        n, p = self.dim, self.field.p
         gamma = self.scheme.gamma
-        nums, s, _ = xa._integral(f, self.coaction)
-        ent = [[dict(xa._nonzeros(nums[i, j])) for j in range(n)] for i in range(n)]
-        e, se = xa._nonzero_dict(f, gamma.counit)
+        ent = [[dict(xa._nonzeros(self.coaction[i, j])) for j in range(n)] for i in range(n)]
+        e = dict(xa._nonzeros(gamma.counit))
         eps = {(i, j): sum(v * e[g] for g, v in ent[i][j].items() if g in e)
                for i in range(n) for j in range(n)}
-        eye = {(i, i): 1 for i in range(n)}
-        w = xa._first_mismatch(p, eps, eye, s * se)
+        w = xa._first_mismatch(p, eps, {(i, i): 1 for i in range(n)})
         checks = [AxiomCheck("comodule_counit", w is None, w)]
         d_first = xa._by(list(gamma.comult.entries()), 0)
         w = None
@@ -71,7 +69,7 @@ class Comodule:
                           for h, x in ent[k][j].items())
             rhs = xa._acc(((g, h), v * x) for y, v in ent[i][j].items()
                           for g, h, x in d_first.get(y, ()))
-            w = xa._first_mismatch(p, lhs, rhs, s * s, s * gamma.comult.scale, (i, j))
+            w = xa._first_mismatch(p, lhs, rhs, (i, j))
             if w is not None:
                 break
         checks.append(AxiomCheck("comodule_coassociativity", w is None, w))
@@ -166,10 +164,10 @@ class _SymTower:
     monomial (rho is an algebra map, Gamma is commutative).
 
     Every degree is kept as an `exactalg.SparseCoaction`: per monomial, its
-    nonzero (m', gamma) entries as Python ints over one scale (residues over
-    F_p, numerators over Q with the common gcd divided out).  Column m of R_d
-    is its source column in degree d-1 times the nonzero rows of the
-    right-multiplication table of the last variable's coaction.
+    nonzero (m', gamma) entries as field scalars (ints throughout when the
+    comodule and Gamma are integral).  Column m of R_d is its source column
+    in degree d-1 times the nonzero rows of the right-multiplication table of
+    the last variable's coaction.
     """
 
     def __init__(self, variables: Comodule):
@@ -177,12 +175,9 @@ class _SymTower:
         self.field = f = variables.field
         gamma = variables.scheme.gamma
         n, order = variables.dim, variables.scheme.order
-        # e_a * gamma_ij = sum_g gamma_ij[g] e_a e_g = sum_c rm[i, j, a, c] e_c,
-        # as integers over rm_scale
-        nums, scale, _ = xa._integral(f, variables.coaction)
-        self._rm_scale = scale * gamma.mult.scale
+        # e_a * gamma_ij = sum_g gamma_ij[g] e_a e_g = sum_c rm[i, j, a, c] e_c
         rm: dict = {}
-        for i, j, g, v in xa._nonzeros(nums):
+        for i, j, g, v in xa._nonzeros(variables.coaction):
             for key, w in gamma.mult.cols[g].items():
                 a, c = divmod(key, order)
                 rm[j, a, i, c] = rm.get((j, a, i, c), 0) + v * w
@@ -190,11 +185,10 @@ class _SymTower:
         self._times = [[[] for _ in range(order)] for _ in range(n)]
         for (j, a, i, c), v in xa._clean(f.p, rm).items():
             self._times[j][a].append((i, c, v))
-        unit, scale, _ = xa._integral(f, gamma.unit)
         zero_exp = (0,) * n
         self._exps: dict[int, list[tuple[int, ...]]] = {0: [zero_exp]}
         self._top_index = {zero_exp: 0}
-        self._coact = {0: xa.SparseCoaction([dict(xa._nonzeros(unit))], order, scale)}
+        self._coact = {0: xa.SparseCoaction([dict(xa._nonzeros(gamma.unit))], order)}
 
     def exponents(self, d: int) -> list[tuple[int, ...]]:
         self._build_to(d)
@@ -223,7 +217,7 @@ class _SymTower:
                 j = max(k for k in range(n) if e[k])
                 src = prev.cols[self._top_index[e[:j] + (e[j] - 1,) + e[j + 1 :]]]
                 times = self._times[j]
-                acc: dict[int, int] = {}
+                acc: dict = {}
                 for key, v in src.items():
                     mp, a = divmod(key, order)
                     ups = up[mp]
@@ -234,15 +228,9 @@ class _SymTower:
                     cols.append({k: x for k, x in acc.items() if x})
                 else:
                     cols.append({k: y for k, x in acc.items() if (y := x % p)})
-            scale = prev.scale * self._rm_scale
-            if p is None and scale > 1:
-                g = math.gcd(scale, *(x for col in cols for x in col.values()))
-                if g > 1:
-                    cols = [{k: x // g for k, x in col.items()} for col in cols]
-                    scale //= g
             self._exps[cur] = exps
             self._top_index = index
-            self._coact[cur] = xa.SparseCoaction(cols, order, scale)
+            self._coact[cur] = xa.SparseCoaction(cols, order)
 
 
 class GradedInvariantRing:
@@ -337,11 +325,7 @@ class GradedInvariantRing:
             for key, v in col.items():
                 i, g = divmod(key, r.order)
                 t[i, j] += v * delta[g]
-        return self.field.asarray(t * Fraction(1, r.scale))
-
-    def trace_map(self, d: int, coeffs) -> np.ndarray:
-        v = self.field.asarray(coeffs)
-        return xa.matmul(self.field, self.trace_matrix(d), v)
+        return self.field.asarray(t)
 
 
 # -- constant matrix groups -------------------------------------------------
@@ -637,8 +621,7 @@ def _span_contains(field, basis: np.ndarray, vectors: np.ndarray) -> bool:
 def _equivariant(field, r: xa.SparseCoaction, t: np.ndarray) -> bool:
     """rho(Tr x^j) = (Tr (x) id)(rho x^j) for every monomial x^j of R_d.
 
-    Column j of t is Tr(x^j).  Both sides carry one factor of R_d, so they
-    are compared as numerators over its scale.
+    Column j of t is Tr(x^j).
     """
     tcols = [dict(xa._nonzeros(col)) for col in t.T]
     for j, col in enumerate(r.cols):

@@ -23,12 +23,12 @@ all the rows for any input.  `rref`, `rank`, `kernel_basis` and `invert` keep
 dense arrays as their boundary.  There are no tolerances anywhere.
 
 `SparseCoaction` is the one sparse array type: an (n, n, order) array by its
-nonzeros, as Python ints over one scale.  It holds the Sym^d coactions and
-the Hopf structure constants alike; `transpose` permutes its indices and
-`to_dense` is the on-demand dense boundary.  Sparse contractions accumulate
-numerators in dicts keyed by index tuples (`_acc`, `_by`) and compare two
-sides over their scales (`_mismatches`, `_first_mismatch`, which returns the
-C-order-first differing index as a dense comparison would).
+nonzeros, as field scalars.  It holds the Sym^d coactions and the Hopf
+structure constants alike; `transpose` permutes its indices and `to_dense`
+is the on-demand dense boundary.  Sparse contractions accumulate scalars in
+dicts keyed by index tuples (`_acc`, `_by`) and compare two sides with
+`_mismatches` and `_first_mismatch`, which returns the C-order-first
+differing index as a dense comparison would.
 """
 
 from __future__ import annotations
@@ -104,7 +104,10 @@ class FieldSpec:
         return 1 if self.p is not None else Fraction(1)
 
     def coerce(self, x):
-        """Coerce an int/str/Fraction into a canonical scalar of this field."""
+        """Coerce an int/str/Fraction into a canonical scalar of this field;
+        a bool is not a scalar."""
+        if isinstance(x, bool):
+            raise InputError(f"cannot coerce {x!r} into {self!r}")
         if self.p is not None:
             if isinstance(x, str):
                 x = int(x, 10)
@@ -278,41 +281,36 @@ def _nonzeros(arr: np.ndarray):
     return zip(*(x.tolist() for x in nz), values)
 
 
-def _ratio(field: FieldSpec, v, scale: int = 1):
-    """The field element v / scale of an int or Fraction numerator v."""
-    return field.coerce(v if scale == 1 else Fraction(v, scale))
-
-
-def _from_numerators(field: FieldSpec, acc: dict, shape, scale: int = 1) -> np.ndarray:
-    """The field array holding acc[index] / scale, and zero off acc's keys."""
+def _from_dict(field: FieldSpec, acc: dict, shape) -> np.ndarray:
+    """The field array holding acc[index] (reduced mod p over F_p), and zero
+    off acc's keys."""
     out = field.zeros(shape)
     for idx, v in acc.items():
-        out[idx] = _ratio(field, v, scale)
+        out[idx] = field.coerce(v)
     return out
 
 
 class SparseCoaction(NamedTuple):
     """An array (n, n, order) by its nonzero entries.
 
-    cols[j] maps i * order + g to the numerator of entry [i, j, g], which is
-    that numerator over `scale` (always 1 over F_p).  The numerators are
-    Python ints with no factor common to all of them and the scale, so equal
-    arrays are equal tuples.  For a coaction, order is |G| and the key is the
-    row of the fixed-space system, so a column of the coaction is a column of
-    it; Hopf structure constants are held the same way (order n, or 1 for the
-    antipode matrix).
+    cols[j] maps i * order + g to entry [i, j, g], a field scalar: a residue
+    over F_p, an int or a Fraction over Q.  `from_entries` and `from_dense`
+    store an integral rational as an int, so integral data computes on
+    Python ints.  For a coaction, order is |G| and
+    the key is the row of the fixed-space system, so a column of the coaction
+    is a column of it; Hopf structure constants are held the same way (order
+    n, or 1 for the antipode matrix).
     """
 
     cols: list[dict]
     order: int
-    scale: int = 1
 
     @property
     def dim(self) -> int:
         return len(self.cols)
 
     def entries(self):
-        """(i, j, g, numerator) of every nonzero entry, column by column."""
+        """(i, j, g, value) of every nonzero entry, column by column."""
         order = self.order
         for j, col in enumerate(self.cols):
             for key, v in col.items():
@@ -321,15 +319,15 @@ class SparseCoaction(NamedTuple):
 
     @classmethod
     def from_entries(cls, entries, dim: int, order: int) -> "SparseCoaction":
-        """From (i, j, g, value) with canonical field scalars as values (ints
-        or Fractions over Q, residues over F_p); a later entry at an index
-        replaces an earlier one, and zeros are dropped."""
+        """From (i, j, g, value) with field scalars as values (ints or
+        Fractions over Q, residues over F_p); a later entry at an index
+        replaces an earlier one, zeros are dropped and integral Fractions
+        become ints."""
         cols: list[dict] = [{} for _ in range(dim)]
         for i, j, g, v in entries:
             cols[j][i * order + g] = v
-        scale = math.lcm(*(v.denominator for col in cols for v in col.values()))
-        return cls([{k: int(v * scale) for k, v in col.items() if v} for col in cols],
-                   order, scale)
+        return cls([{k: v.numerator if v.denominator == 1 else v
+                     for k, v in col.items() if v} for col in cols], order)
 
     @classmethod
     def from_dense(cls, coact: np.ndarray) -> "SparseCoaction":
@@ -338,7 +336,7 @@ class SparseCoaction(NamedTuple):
     def to_dense(self, field: FieldSpec) -> np.ndarray:
         """The dense (n, n, order) field array: an on-demand boundary."""
         acc = {(i, j, g): v for i, j, g, v in self.entries()}
-        return _from_numerators(field, acc, (self.dim, self.dim, self.order), self.scale)
+        return _from_dict(field, acc, (self.dim, self.dim, self.order))
 
     def transpose(self, axes) -> "SparseCoaction":
         """The array with its axes permuted as `np.transpose(array, axes)`;
@@ -348,14 +346,14 @@ class SparseCoaction(NamedTuple):
         cols: list[dict] = [{} for _ in range(shape[axes[1]])]
         for idx in self.entries():
             cols[idx[axes[1]]][idx[axes[0]] * order + idx[axes[2]]] = idx[3]
-        return SparseCoaction(cols, order, self.scale)
+        return SparseCoaction(cols, order)
 
 
-# Sparse contractions work on dicts of numerators keyed by index tuples.
+# Sparse contractions work on dicts of scalars keyed by index tuples.
 
 
 def _acc(terms) -> dict:
-    """Sum (index, numerator) terms by index."""
+    """Sum (index, scalar) terms by index."""
     out: dict = {}
     for k, v in terms:
         out[k] = out.get(k, 0) + v
@@ -384,26 +382,18 @@ def _clean(p: int | None, row: dict) -> dict:
     return {k: v % p for k, v in row.items() if v % p}
 
 
-def _mismatches(p: int | None, lhs: dict, rhs: dict, ls=1, rs=1) -> list:
-    """The keys where lhs / ls and rhs / rs differ: dicts of numerators,
-    an absent key meaning 0."""
-    if ls == rs and _clean(p, lhs) == _clean(p, rhs):
+def _mismatches(p: int | None, lhs: dict, rhs: dict) -> list:
+    """The keys where lhs and rhs differ, an absent key meaning 0."""
+    if _clean(p, lhs) == _clean(p, rhs):
         return []
-    return [k for k in lhs.keys() | rhs.keys()
-            if _nonzero(p, lhs.get(k, 0) * rs - rhs.get(k, 0) * ls)]
+    return [k for k in lhs.keys() | rhs.keys() if _nonzero(p, lhs.get(k, 0) - rhs.get(k, 0))]
 
 
-def _first_mismatch(p: int | None, lhs: dict, rhs: dict, ls=1, rs=1, prefix=()) -> tuple | None:
-    """The least index (C order) where lhs / ls and rhs / rs differ, as
-    prefix + index, for dicts keyed by index tuples."""
-    bad = _mismatches(p, lhs, rhs, ls, rs)
+def _first_mismatch(p: int | None, lhs: dict, rhs: dict, prefix=()) -> tuple | None:
+    """The least index (C order) where lhs and rhs differ, as prefix + index,
+    for dicts keyed by index tuples."""
+    bad = _mismatches(p, lhs, rhs)
     return prefix + min(bad) if bad else None
-
-
-def _nonzero_dict(field: FieldSpec, vec: np.ndarray) -> tuple[dict, int]:
-    """({i: numerator}, scale) of the nonzero entries of a field vector."""
-    nums, s, _ = _integral(field, vec)
-    return dict(_nonzeros(nums)), s
 
 
 def _axpy(p: int | None, row: dict, f, other: dict) -> None:
@@ -524,14 +514,14 @@ def kernel_basis(field: FieldSpec, mat: np.ndarray) -> np.ndarray:
 
 def _fixed_rows(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray, coords) -> list[dict]:
     """Rows (i, g), g in coords, of the system sum_j coact[i, j, g] x_j -
-    x_i unit[g] = 0, times the coaction's scale."""
+    x_i unit[g] = 0."""
     order, coords = coact.order, set(coords)
     unit_nz = [(g, u) for g, u in _nonzeros(unit) if g in coords]
     rows: dict[int, dict] = {}
     for j, col in enumerate(coact.cols):
         # the other coordinates are skipped before anything is copied
         col = {key: v for key, v in col.items() if key % order in coords}
-        _axpy(field.p, col, -coact.scale, {j * order + g: u for g, u in unit_nz})
+        _axpy(field.p, col, -1, {j * order + g: u for g, u in unit_nz})
         for key, v in col.items():
             rows.setdefault(key, {})[j] = v
     return list(rows.values())
@@ -543,11 +533,12 @@ def _violated(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray,
     has sum_j coact[:, j, g] x_j != x unit[g]: one pass over the coaction's
     columns on the supports of the vectors."""
     p, order = field.p, coact.order
-    u, su = _nonzero_dict(field, unit)
+    u = dict(_nonzeros(unit))
     bad: set[int] = set()
     for x in _null_vectors(piv, coact.dim).values():
         if p is None:
-            # both sides are linear in x: its numerators will do
+            # both sides are linear in x: its numerators will do, which keeps
+            # integral coactions on ints
             s = math.lcm(*(v.denominator for v in x.values()))
             x = {k: v.numerator * (s // v.denominator) for k, v in x.items()}
         lhs: dict = {}
@@ -555,7 +546,7 @@ def _violated(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray,
             for key, v in coact.cols[j].items():
                 lhs[key] = lhs.get(key, 0) + v * xj
         rhs = {i * order + g: xi * ug for i, xi in x.items() for g, ug in u.items()}
-        bad.update(key % order for key in _mismatches(p, lhs, rhs, coact.scale, su))
+        bad.update(key % order for key in _mismatches(p, lhs, rhs))
     return bad
 
 

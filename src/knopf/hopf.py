@@ -9,8 +9,9 @@ Conventions (basis b_0..b_{n-1} over the field):
 
 mult, comult and antipode are held by their nonzeros only, as
 `exactalg.SparseCoaction`s of these arrays (the antipode with order 1), and
-every operation contracts on the nonzeros: k^G has |G| nonzero products and
-|G|^2 coproduct terms where the dense arrays held |G|^3 each.
+every operation contracts on the nonzeros, as field scalars: k^G has |G|
+nonzero products and |G|^2 coproduct terms where the dense arrays held
+|G|^3 each.
 
 Integrals are `exactalg.fixed_space` of the transposed mult against the
 counit, from the rows of `algebra_generators` (a least-index greedy set of
@@ -154,7 +155,7 @@ class HopfAlgebraData:
                     i, k = divmod(key, n)
                     if xs[i]:
                         acc[k] = acc.get(k, 0) + xs[i] * yj * v
-        return xa._from_numerators(self.field, acc, n, self.mult.scale)
+        return xa._from_dict(self.field, acc, n)
 
     def apply_antipode(self, x: np.ndarray) -> np.ndarray:
         acc: dict = {}
@@ -162,7 +163,7 @@ class HopfAlgebraData:
             if xj:
                 for a, v in self.antipode.cols[j].items():
                     acc[a] = acc.get(a, 0) + xj * v
-        return xa._from_numerators(self.field, acc, self.dim, self.antipode.scale)
+        return xa._from_dict(self.field, acc, self.dim)
 
     def is_commutative(self) -> bool:
         return self.mult == self.mult.transpose((1, 0, 2))
@@ -192,9 +193,9 @@ class HopfAlgebraData:
         Each side is contracted on the nonzeros; the four-index checks are
         compared one leading index at a time, so only one slice is held.
         """
-        f, n, p = self.field, self.dim, self.field.p
-        c, sc = list(self.mult.entries()), self.mult.scale
-        u, su = xa._nonzero_dict(f, self.unit)
+        n, p = self.dim, self.field.p
+        c = list(self.mult.entries())
+        u = dict(xa._nonzeros(self.unit))
         eye = {(i, i): 1 for i in range(n)}
         checks: list[AxiomCheck] = []
 
@@ -210,9 +211,9 @@ class HopfAlgebraData:
             return None
 
         add("unit_left", xa._first_mismatch(
-            p, xa._acc(((j, k), u[i] * v) for i, j, k, v in c if i in u), eye, su * sc))
+            p, xa._acc(((j, k), u[i] * v) for i, j, k, v in c if i in u), eye))
         add("unit_right", xa._first_mismatch(
-            p, xa._acc(((i, k), u[j] * v) for i, j, k, v in c if j in u), eye, su * sc))
+            p, xa._acc(((i, k), u[j] * v) for i, j, k, v in c if j in u), eye))
         c_first, c_last = xa._by(c, 0), xa._by(c, 2)
 
         def assoc(i):
@@ -226,12 +227,12 @@ class HopfAlgebraData:
         add("associativity", four(assoc))
 
         if self.comult is not None:
-            d, sd = list(self.comult.entries()), self.comult.scale
-            e, se = xa._nonzero_dict(f, self.counit)
+            d = list(self.comult.entries())
+            e = dict(xa._nonzeros(self.counit))
             add("counit_left", xa._first_mismatch(
-                p, xa._acc(((i, k), v * e[j]) for i, j, k, v in d if j in e), eye, sd * se))
+                p, xa._acc(((i, k), v * e[j]) for i, j, k, v in d if j in e), eye))
             add("counit_right", xa._first_mismatch(
-                p, xa._acc(((i, j), v * e[k]) for i, j, k, v in d if k in e), eye, sd * se))
+                p, xa._acc(((i, j), v * e[k]) for i, j, k, v in d if k in e), eye))
             d_first = xa._by(d, 0)
 
             def coassoc(i):
@@ -246,12 +247,10 @@ class HopfAlgebraData:
             _check_budget(max(len(e), len(u)) ** 2, "the counit and unit axioms")
             add("counit_algebra_map", xa._first_mismatch(
                 p, xa._acc(((i, j), v * e[k]) for i, j, k, v in c if k in e),
-                {(i, j): a * b for i, a in e.items() for j, b in e.items()},
-                sc * se, se * se))
+                {(i, j): a * b for i, a in e.items() for j, b in e.items()}))
             add("comult_unit", xa._first_mismatch(
                 p, xa._acc(((j, k), u[i] * v) for i, j, k, v in d if i in u),
-                {(i, j): a * b for i, a in u.items() for j, b in u.items()},
-                su * sd, su * su))
+                {(i, j): a * b for i, a in u.items() for j, b in u.items()}))
             c_pair, d_mid = xa._by(c, 0, 1), xa._by(d, 1)
 
             def comult_mult(i):
@@ -263,7 +262,7 @@ class HopfAlgebraData:
                            for y, m, cv in c_first.get(x, ())
                            for j, z, dw in d_mid.get(y, ())
                            for m2, cw in c_pair.get((k, z), ()))
-                return lhs, rhs, sc * sd, sd * sd * sc * sc
+                return lhs, rhs
 
             add("comult_algebra_map", four(comult_mult))
             if self.antipode is not None:
@@ -273,17 +272,15 @@ class HopfAlgebraData:
                     if s:
                         sides[side][i, m] = sides[side].get((i, m), 0) + coef * s
                 target = {(i, m): a * b for i, a in e.items() for m, b in u.items()}
-                ls, rs = sc * sd * self.antipode.scale, se * su
-                add("antipode_left", xa._first_mismatch(p, sides[0], target, ls, rs))
-                add("antipode_right", xa._first_mismatch(p, sides[1], target, ls, rs))
+                add("antipode_left", xa._first_mismatch(p, sides[0], target))
+                add("antipode_right", xa._first_mismatch(p, sides[1], target))
         return AxiomReport(checks)
 
     def _antipode_terms(self):
         """(side, i, m, a, j, coefficient) of the antipode axioms in the
         unknowns S[a, j]: sum S(b_j) b_k Delta[i, j, k] (side 0) and
         sum b_j S(b_k) Delta[i, j, k] (side 1) have coefficient
-        sum coefficient * S[a, j] at b_m, as numerators over the mult and
-        comult scales; both must equal eps(b_i) 1."""
+        sum coefficient * S[a, j] at b_m; both must equal eps(b_i) 1."""
         c = list(self.mult.entries())
         c_first, c_mid = xa._by(c, 0), xa._by(c, 1)
         d = list(self.comult.entries())
@@ -303,14 +300,13 @@ class HopfAlgebraData:
         for side, i, m, a, j, coef in self._antipode_terms():
             row = rows.setdefault((side, i, m), {})
             row[a * n + j] = row.get(a * n + j, 0) + coef
-        scale = self.mult.scale * self.comult.scale
         units = list(xa._nonzeros(self.unit))
         counits = list(xa._nonzeros(self.counit))
         _check_budget(2 * len(units) * len(counits), "the antipode system")
         for i, e in counits:
             for m, u in units:
                 for side in (0, 1):
-                    rows.setdefault((side, i, m), {})[n * n] = e * u * scale
+                    rows.setdefault((side, i, m), {})[n * n] = e * u
         return [xa._clean(f.p, row) for row in rows.values()]
 
     def _solve_antipode(self) -> xa.SparseCoaction:
@@ -369,18 +365,17 @@ class HopfAlgebraData:
         generators generate G, and k^G needs |G| - 1 of its idempotents.
         """
         f, n = self.field, self.dim
-        # right[g][i]: the (k, v) with b_i b_g = sum v b_k, v over mult.scale
+        # right[g][i]: the (k, v) with b_i b_g = sum v b_k
         right: dict[int, dict] = {}
 
         def times(x, g):
-            # x b_g by its numerators
             acc: dict = {}
             for i, xi in x.items():
                 for k, v in right[g].get(i, ()):
                     acc[k] = acc.get(k, 0) + xi * v
             return xa._clean(f.p, acc)
 
-        piv = xa._echelon(f, [xa._nonzero_dict(f, self.unit)[0]])
+        piv = xa._echelon(f, [dict(xa._nonzeros(self.unit))])
         gens: list[int] = []
         for i in range(n):
             if len(piv) == n:
@@ -433,21 +428,19 @@ class HopfAlgebraData:
         """
         lam = self.left_integral()
         f, n = self.field, self.dim
-        nums, s = xa._nonzero_dict(f, lam)
-        # lam has a 1 at its first nonzero entry, so nums[first] == s
+        x = dict(xa._nonzeros(lam))
+        # lam has a 1 at its first nonzero entry
         first = xa._first_nonzero(lam)
         alpha = {}
         for i, col in enumerate(self.mult.cols):
-            # w = lam * b_i over s * mult.scale; it must be alpha(b_i) lam
-            w = xa._acc((key % n, nums[key // n] * v) for key, v in col.items()
-                     if key // n in nums)
+            # w = lam * b_i; it must be alpha(b_i) lam
+            w = xa._acc((key % n, x[key // n] * v) for key, v in col.items() if key // n in x)
             alpha[i] = w.get(first, 0)
-            line = {k: alpha[i] * x for k, x in nums.items()}
-            if xa._mismatches(f.p, w, line, 1, s):
+            if xa._mismatches(f.p, w, {k: alpha[i] * xk for k, xk in x.items()}):
                 raise InconsistencyError(
                     f"right multiplication by b_{i} does not preserve the integral line"
                 )
-        return xa._from_numerators(f, alpha, n, s * self.mult.scale)
+        return xa._from_dict(f, alpha, n)
 
     # -- dual ------------------------------------------------------------
 
@@ -490,7 +483,7 @@ class HopfAlgebraData:
         """beta[i, j] = phi(b_i b_j)."""
         acc = xa._acc(((i, j), v * x) for k, x in xa._nonzeros(phi)
                       for i, j, v in self._mult_by_last.get(k, ()))
-        return xa._from_numerators(self.field, acc, (self.dim, self.dim), self.mult.scale)
+        return xa._from_dict(self.field, acc, (self.dim, self.dim))
 
     def _commutator_rows(self) -> list[dict]:
         """Per pair (i, j), the coefficients of b_i b_j - b_j b_i."""
@@ -629,8 +622,7 @@ def tensor_hopf(h1: HopfAlgebraData, h2: HopfAlgebraData, sep: str = "|") -> Hop
         # [i1, j1, g1] (x) [i2, j2, g2] at [i1 n2 + i2, j1 n2 + j2, g1 o2 + g2]
         right = list(b.entries())
         return xa.SparseCoaction.from_entries(
-            ((i1 * b.dim + i2, j1 * b.dim + j2, g1 * b.order + g2,
-              xa._ratio(f, v1 * v2, a.scale * b.scale))
+            ((i1 * b.dim + i2, j1 * b.dim + j2, g1 * b.order + g2, f.coerce(v1 * v2))
              for i1, j1, g1, v1 in a.entries() for i2, j2, g2, v2 in right),
             a.dim * b.dim, a.order * b.order)
 

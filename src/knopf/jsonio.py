@@ -25,7 +25,7 @@ import numpy as np
 
 from . import action as act
 from .errors import InputError
-from .exactalg import FieldSpec, SparseCoaction, _ratio
+from .exactalg import FieldSpec, SparseCoaction
 from .gscheme import FiniteGroupScheme
 from .hopf import HopfAlgebraData
 
@@ -41,7 +41,7 @@ def parse_field(spec) -> FieldSpec:
             return FieldSpec.prime(int(spec[3:]))
         except ValueError:
             raise InputError(f"bad field spec {spec!r}; use Q or Fp:<prime>")
-    if isinstance(spec, dict) and set(spec) == {"Fp"} and isinstance(spec["Fp"], int):
+    if isinstance(spec, dict) and set(spec) == {"Fp"} and _is_int(spec["Fp"]):
         return FieldSpec.prime(spec["Fp"])
     raise InputError(f"bad field spec {spec!r}; use \"Q\" or {{\"Fp\": p}}")
 
@@ -69,26 +69,33 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _scalar(field: FieldSpec, v):
+def _is_int(v) -> bool:
+    """A JSON integer; true and false are not numbers here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _scalar(field: FieldSpec, v, what: str):
     if isinstance(v, str):
         try:
             v = Fraction(v)
         except (ValueError, ZeroDivisionError):
-            raise InputError(f"bad scalar {v!r}")
+            raise InputError(f"{what}: bad scalar {v!r}")
+    elif not _is_int(v):
+        raise InputError(f"{what}: a scalar must be an integer or a string, got {v!r:.40}")
     return field.coerce(v)
 
 
 def _dim(obj: dict, where: str) -> int:
     n = _require(obj, "dim", where)
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InputError(f"{where}: dim must be a positive integer, got {n!r}")
     return n
 
 
 def _check_indices(indices, n: int, what: str):
     for idx in indices:
-        if not isinstance(idx, int) or not 0 <= idx < n:
-            raise InputError(f"{what}: index {idx!r} out of range 0..{n-1}")
+        if not _is_int(idx) or not 0 <= idx < n:
+            raise InputError(f"{what}: an index must be an integer in 0..{n-1}, got {idx!r}")
 
 
 def _list(value, what: str, length: int | None = None) -> list:
@@ -99,7 +106,7 @@ def _list(value, what: str, length: int | None = None) -> list:
 
 
 def _vector(field: FieldSpec, values, n: int, what: str) -> list:
-    return [_scalar(field, v) for v in _list(values, what, n)]
+    return [_scalar(field, v, what) for v in _list(values, what, n)]
 
 
 def _matrix(field: FieldSpec, rows, n: int, what: str) -> list:
@@ -123,7 +130,7 @@ def _triples(field: FieldSpec, triples, n: int, what: str) -> SparseCoaction:
             raise InputError(f"{what}: entries must be [i, j, k, coeff]")
         i, j, k, c = entry
         _check_indices((i, j, k), n, what)
-        entries.append((i, j, k, _scalar(field, c)))
+        entries.append((i, j, k, _scalar(field, c, what)))
     return SparseCoaction.from_entries(entries, n, n)
 
 
@@ -146,8 +153,7 @@ def hopf_from_json(obj: dict, field_override: FieldSpec | None = None) -> HopfAl
 
 def _sparse3(field: FieldSpec, t: SparseCoaction):
     """[i, j, k, coeff] of the nonzeros in C order (np.argwhere order)."""
-    return [[i, j, k, field.fmt(_ratio(field, v, t.scale))]
-            for i, j, k, v in sorted(t.entries())]
+    return [[i, j, k, field.fmt(v)] for i, j, k, v in sorted(t.entries())]
 
 
 def hopf_to_json(h: HopfAlgebraData) -> dict:
@@ -164,7 +170,7 @@ def hopf_to_json(h: HopfAlgebraData) -> dict:
     if h.antipode is not None:
         rows = [[f.fmt(f.zero)] * h.dim for _ in range(h.dim)]
         for a, j, _, v in h.antipode.entries():
-            rows[a][j] = f.fmt(_ratio(f, v, h.antipode.scale))
+            rows[a][j] = f.fmt(v)
         out["antipode"] = rows
     return out
 
@@ -216,7 +222,7 @@ def comodule_from_json(obj: dict, scheme: FiniteGroupScheme | None = None,
                 f"coaction entry ({i},{j}): expected {scheme.order} coefficients"
             )
         for t, c in enumerate(coeffs):
-            coact[i, j, t] = _scalar(f, c)
+            coact[i, j, t] = _scalar(f, c, "coaction")
     return act.Comodule(scheme, coact, labels=_labels(obj, "labels", n))
 
 

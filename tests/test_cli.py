@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
 import copy
+import hashlib
 import io
 import json
 import os
@@ -52,6 +53,32 @@ def test_verify_corrupt_hopf_exits_one(tmp_path, capsys):
     assert main(["verify", str(p)]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "mismatch" in out
+
+
+# sha256 of the canonical bytes on kS3-rescaled.json: the group algebra of
+# S3 over Q in the basis b_i = c_i g_i, c = (2/3, 3/2, -1/2, 5/4, 2, -4/3), so
+# unit, counit, mult, comult and antipode all hold non-integral constants.
+# Recorded while the structure constants were still integers over a shared
+# scale; the bytes must not depend on how scalars are held.
+RESCALED_KS3_PINS = {
+    "hopf_to_json": "580f11c3df81d9fc8c41a83eff931779dec22e358011c913258555706117eb2a",
+    "verify": "ce9c6d470f1e0a66614cffba7b586c76159bbdd5a14caeb64e3f79732bb2c471",
+    "integrals": "5582554a07ced65b25f9f232b1d8fca90e0017a9705a03772e1bfbf5ff2adb6e",
+    "unimodular": "f266efb831dc782218e3dddf74f916df1df0e33e2d9db906601242f641bf48cb",
+    "symmetric": "396734a4c06822cd5367b3d582dc61099aebc74dce5c077a69a51e6aca5b8a0a",
+}
+
+
+@pytest.mark.parametrize("what", sorted(RESCALED_KS3_PINS))
+def test_rational_bytes_are_pinned(what, capsys):
+    path = _data("kS3-rescaled.json")
+    if what == "hopf_to_json":
+        with open(path) as fh:
+            text = jsonio.canonical_json(jsonio.hopf_to_json(jsonio.hopf_from_json(json.load(fh))))
+    else:
+        assert main([what, path, "--output", "json"]) == 0
+        text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == RESCALED_KS3_PINS[what]
 
 
 def test_malformed_json_exits_two(tmp_path, capsys):
@@ -407,6 +434,48 @@ def test_mutated_fixtures_exit_cleanly(case):
             code = main(_FUZZ_COMMANDS[name](path))
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def test_json_booleans_are_not_numbers(tmp_path, capsys):
+    # Python reads true as 1: this object once verified, with integrals [["1"]]
+    obj = {"field": "Q", "dim": True, "basis": ["b"], "unit": [True], "counit": [True],
+           "mult": [[False, False, False, True]], "comult": [[False, False, False, True]]}
+    p = tmp_path / "booleans.json"
+    p.write_text(json.dumps(obj))
+    for cmd in ("verify", "integrals"):
+        assert main([cmd, str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: hopf algebra: dim must be a positive integer")
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, path, key", [
+    ("uL-p2.json", ("dim",), "dim"),
+    ("uL-p2.json", ("field", "Fp"), "Fp"),
+    ("uL-p2.json", ("unit", 0), "unit"),
+    ("uL-p2.json", ("mult", 0, 0), "mult"),
+    ("uL-p2.json", ("mult", 0, 3), "mult"),
+    ("uL-p2.json", ("antipode", 0, 0), "antipode"),
+    ("w-plus-wdual.json", ("coaction", 0, 0), "coaction"),
+    ("w-plus-wdual.json", ("coaction", 0, 2, 5), "coaction"),
+    ("minus-id.json", ("constant_group", "matrices", 1, 0, 0), "constant_group matrix"),
+], ids=["dim", "field", "unit", "mult-index", "mult-coeff", "antipode", "coaction-index",
+        "coaction-coeff", "matrix-entry"])
+def test_a_boolean_for_a_number_names_its_key(name, path, key, tmp_path, capsys):
+    # each number becomes the boolean Python equates with it, so only the
+    # type is wrong
+    for fixture in os.listdir(os.path.dirname(_data(name))):
+        shutil.copy(_data(fixture), tmp_path)
+    obj = _fixture(name)
+    node = obj
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = bool(node[path[-1]])
+    p = tmp_path / ("bool-" + name)
+    p.write_text(json.dumps(obj))
+    assert main(_FUZZ_COMMANDS[name](str(p))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and "Traceback" not in err
 
 
 def _one_triple_hopf(n, counit_index):

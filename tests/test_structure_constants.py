@@ -3,18 +3,20 @@
 `HopfAlgebraData` holds mult, comult and antipode by their nonzeros.  The
 functions prefixed `_dense_` below are the dense (n, n, n) tensordot forms of
 the dual, the integrals, the modular element, grouplike test, the adjoint
-Knop route and the axiom checks, kept as the reference; the sparse code must
-give the same arrays, the same verdicts and the same first-mismatch
-witnesses, also on structure constants perturbed away from a Hopf algebra.
+Knop route and the Hopf and comodule axiom checks, kept as the reference; the
+sparse code must give the same arrays, the same verdicts and the same
+first-mismatch witnesses, also on structure constants perturbed away from a
+Hopf algebra or a comodule.
 """
 
 import hashlib
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from knopf import action as act
@@ -143,6 +145,16 @@ def _dense_verify(f, unit, c, e, d, s):
     return out
 
 
+def _dense_comodule_verify(module):
+    f, c, gamma = module.field, module.coaction, module.scheme.gamma
+    eps = xa.tensordot(f, c, gamma.counit, ([2], [0]))
+    # sum_k c[i, k, g] c[k, j, h] against sum_y c[i, j, y] Delta[y, g, h]
+    lhs = xa.tensordot(f, c, c, ([1], [0])).transpose(0, 2, 1, 3)
+    rhs = xa.tensordot(f, c, gamma.comult.to_dense(f), ([2], [0]))
+    return [("comodule_counit", _dense_first_mismatch(eps, f.eye(module.dim))),
+            ("comodule_coassociativity", _dense_first_mismatch(lhs, rhs))]
+
+
 def _outcome(fn, *args):
     """What a call gives: ("value", list) or ("error", type, message)."""
     try:
@@ -230,6 +242,35 @@ def _schemes(h):
     return out
 
 
+# integer matrix groups that stay faithful mod 3, 5 and 7
+MATRIX_GROUPS = [
+    [[[1, 0], [0, 1]], [[-1, 0], [0, -1]]],
+    [[[1, 0], [0, 1]], [[0, -1], [1, 0]], [[-1, 0], [0, -1]], [[0, 1], [-1, 0]]],
+    [[[int(perm[r] == c) for c in range(3)] for r in range(3)]
+     for perm in itertools.permutations(range(3))],
+]
+
+
+@st.composite
+def conjugated_comodules(draw):
+    """The defining comodule of p g p^-1, g in a matrix group, for a random
+    rational p; one coaction entry moved off in half of the examples."""
+    field = draw(st.sampled_from([Q, *FIELDS[2:]]))
+    group = draw(st.sampled_from(MATRIX_GROUPS))
+    n = len(group[0])
+    entries = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 4]))
+    p = field.asarray([[draw(entries) for _ in range(n)] for _ in range(n)])
+    p_inv = xa.invert(field, p)
+    assume(p_inv is not None)
+    mats = [xa.matmul(field, xa.matmul(field, p, field.asarray(g)), p_inv) for g in group]
+    module = act.constant_group_action(field, mats).module
+    coact = module.coaction.copy()
+    if draw(st.booleans()):
+        index = tuple(draw(st.integers(0, k - 1)) for k in coact.shape)
+        coact[index] = field.reduce(coact[index] + field.coerce(draw(st.integers(1, 2))))
+    return act.Comodule(module.scheme, coact)
+
+
 # -- the tests ----------------------------------------------------------------
 
 
@@ -259,6 +300,14 @@ def test_sparse_hopf_matches_dense_reference(h, rng):
                       f.asarray([rng.randrange(3) for _ in range(gamma.dim)])]
         for v in candidates:
             assert scheme.is_grouplike(v) == _dense_is_grouplike(f, gd, ge, v)
+
+
+@given(conjugated_comodules())
+@settings(max_examples=60, deadline=None)
+def test_comodule_checks_give_the_dense_witnesses(module):
+    report = module.verify()
+    assert [(k.name, k.witness) for k in report.checks] == _dense_comodule_verify(module)
+    assert report.ok == all(k.witness is None for k in report.checks)
 
 
 @pytest.mark.parametrize("field", [Q, FieldSpec.prime(3)])
