@@ -5,11 +5,14 @@ gamma_ij.  The polynomial ring S = Sym(V*) carries the dual coaction on its
 variables; invariants, twisted invariants, Hilbert functions, Molien series,
 pseudo-reflection detection and the integral trace map Tr: S -> S^G all live
 here.  Everything is degree-truncated and exact.  The Sym^d tower is sparse:
-each degree holds only the nonzero entries of its coaction, as field
-scalars, and its invariants are exactalg's sparse fixed-space kernel of that
-form; a twist by a grouplike chi is the untwisted kernel for the unit
-chi^-1.  The kernel starts from the rows of the algebra generators of k[G]*,
-and `exactalg.fixed_space` certifies the result against the rest.
+each degree is an `exactalg.SparseCoaction` of numpy index arrays, built
+from the one before with a fixed number of array operations, because the
+monomials of degree d are the pairs (s, j) of a monomial s of degree d-1 and
+a variable j at or after its last one.  Its invariants are exactalg's sparse
+fixed-space kernel of that form; a twist by a grouplike chi is the untwisted
+kernel for the unit chi^-1.  The kernel starts from the rows of the algebra
+generators of k[G]*, peels their singleton rows, eliminates the rest, and
+`exactalg.fixed_space` certifies the result against the other coordinates.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactalg as xa
-from .errors import InconsistencyError, InputError, UnsupportedCaseError
+from .errors import InconsistencyError, InputError, UndecidedError, UnsupportedCaseError
 from .exactalg import FieldSpec
 from .gscheme import FiniteGroupScheme, constant_scheme, mu_scheme
 from .hopf import AxiomCheck, AxiomReport, monomial_label
@@ -158,16 +161,22 @@ def _exponents(nvars: int, degree: int) -> list[tuple[int, ...]]:
 class _SymTower:
     """Coactions on Sym^d of a comodule, built incrementally in d.
 
-    Degree d monomials are indexed by _exponents(); the coaction R_d satisfies
-    rho(x^m) = sum_m' x^m' (x) R_d[m', m, :], obtained from degree d-1 by
-    multiplying with the coaction of the last variable occurring in each
-    monomial (rho is an algebra map, Gamma is commutative).
+    Degree d monomials are indexed in the order of _exponents() (exponent
+    vectors lexicographically descending), which is the order of the pairs
+    (s, j) of a degree d-1 monomial s and a variable j >= last(s), the last
+    variable occurring in s: x^m = x^s x_j, and (s, j) is monomial
+    base[s] + j, with base[s] the number of pairs before s, minus last(s).
+    So the source, last variable and `up` table (x^s x_i for every s and i)
+    of each degree are arithmetic on those of the degree before, and
+    exponent vectors are only formed on request.
 
-    Every degree is kept as an `exactalg.SparseCoaction`: per monomial, its
-    nonzero (m', gamma) entries as field scalars (ints throughout when the
-    comodule and Gamma are integral).  Column m of R_d is its source column
-    in degree d-1 times the nonzero rows of the right-multiplication table of
-    the last variable's coaction.
+    The coaction R_d satisfies rho(x^m) = sum_m' x^m' (x) R_d[m', m, :]: rho
+    is an algebra map and Gamma is commutative, so column (s, j) of R_d is
+    column s of R_{d-1} times the coaction of x_j.  Every degree is an
+    `exactalg.SparseCoaction`, built from the one before with a fixed number
+    of array operations: each nonzero (m', a) of a source column meets the
+    nonzero (i, c) of the right-multiplication table of x_j's coaction at a,
+    and the products are summed at (column, up[m', i], c).
     """
 
     def __init__(self, variables: Comodule):
@@ -181,56 +190,74 @@ class _SymTower:
             for key, w in gamma.mult.cols[g].items():
                 a, c = divmod(key, order)
                 rm[j, a, i, c] = rm.get((j, a, i, c), 0) + v * w
-        # times[j][a]: the nonzero (i, c, rm[i, j, a, c])
-        self._times = [[[] for _ in range(order)] for _ in range(n)]
+        # row L * order + a of the table: the (j, i, c, rm[i, j, a, c]) with j >= L
+        rows: list[list] = [[] for _ in range(n * order)]
         for (j, a, i, c), v in xa._clean(f.p, rm).items():
-            self._times[j][a].append((i, c, v))
-        zero_exp = (0,) * n
-        self._exps: dict[int, list[tuple[int, ...]]] = {0: [zero_exp]}
-        self._top_index = {zero_exp: 0}
-        self._coact = {0: xa.SparseCoaction([dict(xa._nonzeros(gamma.unit))], order)}
+            for low in range(j + 1):
+                rows[low * order + a].append((j, i, c, int(v) if v.denominator == 1 else v))
+        flat = [t for row in rows for t in row]
+        tj, ti, tc = np.array([t[:3] for t in flat], dtype=np.int64).reshape(-1, 3).T
+        counts = np.array([len(row) for row in rows], dtype=np.int64)
+        self._table = (counts.cumsum() - counts, counts, tj, ti, tc,
+                       xa._scalars([t[3] for t in flat]))
+        self._coact = {0: xa.SparseCoaction.from_entries(
+            ((0, 0, g, v) for g, v in xa._nonzeros(gamma.unit)), 1, order)}
+        zero = np.zeros(1, dtype=np.int64)
+        self._src, self._last = {0: zero}, {0: zero}
+        self._up = np.zeros((1, n), dtype=np.int64)
+        self._exps = {0: np.zeros((1, n), dtype=np.int64)}
 
     def exponents(self, d: int) -> list[tuple[int, ...]]:
         self._build_to(d)
-        return self._exps[d]
+        for k in range(max(self._exps) + 1, d + 1):
+            e = self._exps[k - 1][self._src[k]]
+            e[np.arange(len(e)), self._last[k]] += 1
+            self._exps[k] = e
+        return list(map(tuple, self._exps[d].tolist()))
 
     def coaction(self, d: int) -> xa.SparseCoaction:
-        self._build_to(d)
+        if d not in self._coact:
+            self._build_to(d)
         return self._coact[d]
 
     def _build_to(self, d: int):
         if d < 0:
             raise InputError("degree must be >= 0")
-        n = self.vars.dim
-        p = self.field.p
+        n, p = self.vars.dim, self.field.p
+        tstart, tcount, tj, ti, tc, tw = self._table
+        variables = np.arange(n)
         while len(self._coact) <= d:
             cur = len(self._coact)
-            prev = self._coact[cur - 1]
+            prev, last_p = self._coact[cur - 1], self._last[cur - 1]
             order = prev.order
-            exps = _exponents(n, cur)
-            index = {e: m for m, e in enumerate(exps)}
-            # up[m'][i] = index of (exponent m') + e_i
-            up = [[index[e[:i] + (e[i] + 1,) + e[i + 1 :]] for i in range(n)]
-                  for e in self._exps[cur - 1]]
-            cols = []
-            for e in exps:
-                j = max(k for k in range(n) if e[k])
-                src = prev.cols[self._top_index[e[:j] + (e[j] - 1,) + e[j + 1 :]]]
-                times = self._times[j]
-                acc: dict = {}
-                for key, v in src.items():
-                    mp, a = divmod(key, order)
-                    ups = up[mp]
-                    for i, c, w in times[a]:
-                        k = ups[i] * order + c
-                        acc[k] = acc.get(k, 0) + v * w
-                if p is None:
-                    cols.append({k: x for k, x in acc.items() if x})
-                else:
-                    cols.append({k: y for k, x in acc.items() if (y := x % p)})
-            self._exps[cur] = exps
-            self._top_index = index
-            self._coact[cur] = xa.SparseCoaction(cols, order)
+            width = n - last_p
+            ends = width.cumsum()
+            size = int(ends[-1])
+            if size * size * order >= 2**63:
+                raise UndecidedError(f"Sym^{cur} has {size} monomials, too many to index")
+            # the pair (s, j) is monomial base[s] + j
+            base = ends - n
+            src = np.arange(len(width)).repeat(width)
+            last = np.arange(size) - base[src]
+            # up[s, i]: the index of x^s x_i.  For i < last(s) that is the pair
+            # (t, last(s)) with x^t = x^src(s) x_i, one degree down.
+            t = self._up[self._src[cur - 1]]
+            up = np.where(variables < last_p[:, None], base[t] + last_p[:, None],
+                          base[:, None] + variables)
+            # each source entry (m', a) of column s meets the table row
+            # (last(s), a): the products for every column (s, j), summed at
+            # ((s, j), up[m', i], c)
+            mp, a = np.divmod(prev.keys, order)
+            ent = prev.col_of
+            row = last_p[ent] * order + a
+            idx, at = xa._ranges(tstart[row], tcount[row])
+            keys = (((base[ent][at] + tj[idx]) * size + up.ravel()[mp[at] * n + ti[idx]])
+                    * order + tc[idx])
+            keys, vals = xa._sum_by(p, keys, xa._times(p, prev.vals[at], tw[idx]))
+            col, keys = np.divmod(keys, size * order)
+            ptr = col.searchsorted(np.arange(size + 1))
+            self._coact[cur] = xa.SparseCoaction(ptr, keys, vals, order, col)
+            self._src[cur], self._last[cur], self._up = src, last, up
 
 
 class GradedInvariantRing:
@@ -260,14 +287,16 @@ class GradedInvariantRing:
 
     # -- invariants ---------------------------------------------------------
 
-    def _kernel_unit(self, twist) -> np.ndarray:
-        """u with {x : rho(x) = x (x) u} the invariants twisted by chi.
+    def _kernel_unit(self, twist) -> tuple:
+        """(cache key, u) with {x : rho(x) = x (x) u} the invariants twisted
+        by chi; the key is None when u is the unit of Gamma.
 
         Gamma is commutative and a grouplike chi is invertible, so
         sum_j R_j x_j chi = x (x) 1 exactly when sum_j R_j x_j = x (x) chi^-1.
         """
+        unit = self.scheme.gamma.unit
         if twist is None:
-            return self.scheme.gamma.unit
+            return None, unit
         chi = self.field.asarray(twist)
         if chi.shape != (self.scheme.order,):
             raise InputError(
@@ -277,27 +306,26 @@ class GradedInvariantRing:
         if key not in self._units:
             if not self.scheme.is_grouplike(chi):
                 raise InputError("a twist must be a grouplike element of Gamma")
-            self._units[key] = self.scheme.grouplike_inverse(chi)
+            inverse = self.scheme.grouplike_inverse(chi)
+            self._units[key] = (None if xa.arrays_equal(inverse, unit) else key, inverse)
         return self._units[key]
 
     def invariant_basis(self, d: int, twist=None) -> np.ndarray:
         """Echelon-normal basis (k, dim S_d) of the (twisted) invariants."""
-        unit = self._kernel_unit(twist)
-        key = (d, tuple(unit.tolist()))
-        if key not in self._inv:
-            self._inv[key] = xa.fixed_space(self.field, self.tower.coaction(d), unit,
-                                            self.scheme.dual_algebra.algebra_generators)
-        return self._inv[key]
+        key, unit = self._kernel_unit(twist)
+        if (d, key) not in self._inv:
+            self._inv[d, key] = xa.fixed_space(self.field, self.tower.coaction(d), unit,
+                                               self.scheme.dual_algebra.algebra_generators)
+        return self._inv[d, key]
 
     def invariant_dim(self, d: int, twist=None) -> int:
-        unit = self._kernel_unit(twist)
-        key = (d, tuple(unit.tolist()))
-        if key in self._inv:
-            return len(self._inv[key])
-        if key not in self._dims:
-            self._dims[key] = xa.fixed_dim(self.field, self.tower.coaction(d), unit,
-                                           self.scheme.dual_algebra.algebra_generators)
-        return self._dims[key]
+        key, unit = self._kernel_unit(twist)
+        if (d, key) in self._inv:
+            return len(self._inv[d, key])
+        if (d, key) not in self._dims:
+            self._dims[d, key] = xa.fixed_dim(self.field, self.tower.coaction(d), unit,
+                                              self.scheme.dual_algebra.algebra_generators)
+        return self._dims[d, key]
 
     def hilbert_function(self, max_degree: int, twist=None) -> list[int]:
         """dim A_d, or of the invariants twisted by a grouplike, for d <= max_degree."""
@@ -319,13 +347,12 @@ class GradedInvariantRing:
     def trace_matrix(self, d: int) -> np.ndarray:
         """Matrix of Tr on S_d: column m holds the coefficients of Tr(x^m)."""
         r = self.tower.coaction(d)
-        delta = self.integral_functional().tolist()
-        t = np.zeros((r.dim, r.dim), dtype=object)
-        for j, col in enumerate(r.cols):
-            for key, v in col.items():
-                i, g = divmod(key, r.order)
-                t[i, j] += v * delta[g]
-        return self.field.asarray(t)
+        i, g = np.divmod(r.keys, r.order)
+        keys, sums = xa._sum_by(self.field.p, i * r.dim + r.col_of, xa._times(
+            self.field.p, r.vals, self.integral_functional()[g]))
+        t = np.zeros(r.dim * r.dim, dtype=object)
+        t[keys] = sums
+        return self.field.asarray(t.reshape(r.dim, r.dim))
 
 
 # -- constant matrix groups -------------------------------------------------

@@ -15,28 +15,37 @@ mod p or divided back into Fractions.
 Elimination is sparse and also written once: rows are dicts {column: nonzero
 scalar}, reduced shortest row first and back-substituted to the unique RREF.
 `fixed_space` and `fixed_dim` take a `SparseCoaction` and never build a
-dense system.  They eliminate the rows of the coordinates they are given
+dense system.  They gather the rows of the coordinates they are given
 (algebra generators, whose rows already cut out the fixed space when the
-axioms hold), then certify every null vector against every coordinate and
-add the rows of a violated one until none is: the answer is the kernel of
-all the rows for any input.  `rref`, `rank`, `kernel_basis` and `invert` keep
-dense arrays as their boundary.  There are no tolerances anywhere.
+axioms hold) by array masks, add the unit's diagonal, and peel singleton
+rows in vectorized passes: a row with one nonzero, at column c, makes e_c a
+row of the unique RREF and takes column c out of the others (structured
+Gaussian elimination, LaMacchia-Odlyzko).  Only the remaining core becomes
+row dicts for the elimination.  Then every null vector is certified against
+every coordinate, and the rows of a violated one are added until none is:
+the answer is the kernel of all the rows for any input.  `rref`, `rank`,
+`kernel_basis` and `invert` keep dense arrays as their boundary.  There are
+no tolerances anywhere.
 
 `SparseCoaction` is the one sparse array type: an (n, n, order) array by its
-nonzeros, as field scalars.  It holds the Sym^d coactions and the Hopf
-structure constants alike; `transpose` permutes its indices and `to_dense`
-is the on-demand dense boundary.  Sparse contractions accumulate scalars in
-dicts keyed by index tuples (`_acc`, `_by`) and compare two sides with
-`_mismatches` and `_first_mismatch`, which returns the C-order-first
-differing index as a dense comparison would.
+nonzeros in compressed columns (`ptr`, `keys`, `vals` numpy arrays).  Values
+are int64 over F_p, and over Q while they are integers below 2^63 in
+absolute value; every array product and sum is bounded before it runs
+(`_times`, `_sum_by`), and runs on Python ints and Fractions in an object
+array beyond, since int64 wraps around silently.  It holds the Sym^d coactions and the Hopf structure constants
+alike; `transpose` is one lexsort of the permuted indices, `cols` a cached
+dict view and `to_dense` the on-demand dense boundary.  Sparse contractions
+in Python accumulate scalars in dicts keyed by index tuples (`_acc`, `_by`)
+and compare two sides with `_mismatches` and `_first_mismatch`, which
+returns the C-order-first differing index as a dense comparison would.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from operator import itemgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -171,16 +180,15 @@ class FieldSpec:
                 flat = [self.coerce(v) for v in np.asarray(data, dtype=object).reshape(-1)]
                 arr = np.array(flat, dtype=np.int64).reshape(arr.shape)
             return arr.astype(np.int64) % self.p
-        arr = np.empty(np.shape(data), dtype=object)
         flat = np.asarray(data, dtype=object).reshape(-1)
-        arr.reshape(-1)[:] = [self.coerce(v) for v in flat]
-        return arr
+        return np.fromiter(map(self.coerce, flat.tolist()), dtype=object,
+                           count=flat.size).reshape(np.shape(data))
 
     def zeros(self, shape) -> np.ndarray:
         if self.p is not None:
             return np.zeros(shape, dtype=np.int64)
         arr = np.empty(shape, dtype=object)
-        arr.reshape(-1)[:] = [Fraction(0)] * arr.size
+        arr.fill(Fraction(0))
         return arr
 
     def eye(self, n: int) -> np.ndarray:
@@ -290,32 +298,129 @@ def _from_dict(field: FieldSpec, acc: dict, shape) -> np.ndarray:
     return out
 
 
-class SparseCoaction(NamedTuple):
-    """An array (n, n, order) by its nonzero entries.
+# Sparse arrays are compressed columns of numpy index arrays.  Values are
+# int64 over F_p, and over Q while every value is an int below 2^63 in
+# absolute value; an object array of Python ints and Fractions beyond.
+_INT64 = 2**63
 
-    cols[j] maps i * order + g to entry [i, j, g], a field scalar: a residue
-    over F_p, an int or a Fraction over Q.  `from_entries` and `from_dense`
-    store an integral rational as an int, so integral data computes on
-    Python ints.  For a coaction, order is |G| and
-    the key is the row of the fixed-space system, so a column of the coaction
-    is a column of it; Hopf structure constants are held the same way (order
-    n, or 1 for the antipode matrix).
+
+def _scalars(values: list) -> np.ndarray:
+    """Field scalars as a 1-d array: int64 when each is an int of absolute
+    value below 2^63, else object."""
+    if not values or (set(map(type, values)) == {int}
+                      and -_INT64 < min(values) and max(values) < _INT64):
+        return np.array(values, dtype=np.int64)
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+def _abs_max(a: np.ndarray) -> int | None:
+    """max |a| of an int64 array (0 when empty), None for object values."""
+    if a.dtype == object:
+        return None
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def _times(p: int | None, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise (broadcast), exactly: int64 residues over F_p (each
+    below 2^20), and over Q int64 while max|a| max|b| < 2^63, Python ints
+    and Fractions beyond."""
+    if p is not None:
+        return a * b % p
+    ma, mb = _abs_max(a), _abs_max(b)
+    if ma is None or mb is None or ma * mb >= _INT64:
+        return a.astype(object) * b.astype(object)
+    return a * b
+
+
+def _sum_by(p: int | None, keys: np.ndarray, vals: np.ndarray):
+    """(the distinct keys ascending, the sum of the vals at each), the zero
+    sums dropped.  Over Q the sums run in int64 while max|v| len(vals) <
+    2^63, on Python ints and Fractions beyond."""
+    if p is None and (m := _abs_max(vals)) is not None and m * len(vals) >= _INT64:
+        vals = vals.astype(object)
+    perm = keys.argsort()
+    keys = keys[perm]
+    edge = np.empty(len(keys), dtype=bool)
+    edge[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:])
+    starts = edge.nonzero()[0]
+    sums = np.add.reduceat(vals[perm], starts) if len(starts) else vals[:0]
+    if p is not None:
+        sums %= p
+    nz = (sums != 0).nonzero()[0]
+    return keys[starts[nz]], sums[nz]
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray):
+    """The concatenated ranges [starts[k], starts[k] + counts[k]), and for
+    each position the k it came from."""
+    ends = counts.cumsum()
+    owner = np.arange(len(counts)).repeat(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + (starts - ends + counts)[owner], owner
+
+
+class SparseCoaction:
+    """An array (n, n, order) by its nonzero entries, in compressed columns.
+
+    Column j holds the keys keys[ptr[j]:ptr[j+1]], ascending, and the values
+    at the same positions of vals: key i * order + g is entry [i, j, g], a
+    field scalar (see `_scalars` for the dtype).  For a coaction, order is
+    |G| and the key is the row of the fixed-space system, so a column of the
+    coaction is a column of it; Hopf structure constants are held the same
+    way (order n, or 1 for the antipode matrix).  `cols` is a cached view of
+    the columns as dicts {key: Python scalar}.
     """
 
-    cols: list[dict]
-    order: int
+    def __init__(self, ptr: np.ndarray, keys: np.ndarray, vals: np.ndarray, order: int,
+                 col_of: np.ndarray | None = None):
+        self.ptr, self.keys, self.vals, self.order = ptr, keys, vals, order
+        self._col_of, self._cols = col_of, None
 
     @property
     def dim(self) -> int:
-        return len(self.cols)
+        return len(self.ptr) - 1
+
+    @property
+    def nbytes(self) -> int:
+        return self.ptr.nbytes + self.keys.nbytes + self.vals.nbytes
+
+    @property
+    def col_of(self) -> np.ndarray:
+        """The column of every stored entry."""
+        if self._col_of is None:
+            self._col_of = np.arange(self.dim).repeat(self.ptr[1:] - self.ptr[:-1])
+        return self._col_of
+
+    @property
+    def cols(self) -> list[dict]:
+        """The columns as dicts {key: Python scalar}."""
+        if self._cols is None:
+            keys, vals, ptr = self.keys.tolist(), self.vals.tolist(), self.ptr.tolist()
+            self._cols = [dict(zip(keys[a:b], vals[a:b])) for a, b in zip(ptr, ptr[1:])]
+        return self._cols
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SparseCoaction):
+            return NotImplemented
+        return (self.order == other.order and np.array_equal(self.ptr, other.ptr)
+                and np.array_equal(self.keys, other.keys)
+                and np.array_equal(self.vals, other.vals))
+
+    __hash__ = None
 
     def entries(self):
         """(i, j, g, value) of every nonzero entry, column by column."""
-        order = self.order
-        for j, col in enumerate(self.cols):
-            for key, v in col.items():
-                i, g = divmod(key, order)
-                yield i, j, g, v
+        i, g = np.divmod(self.keys, self.order)
+        return zip(i.tolist(), self.col_of.tolist(), g.tolist(), self.vals.tolist())
+
+    @classmethod
+    def from_coo(cls, i, j, g, vals, dim: int, order: int) -> "SparseCoaction":
+        """From index arrays of the nonzeros, without repeats, and their
+        values (see `_scalars`): one lexsort into columns."""
+        keys = i * order + g
+        perm = np.lexsort((keys, j))
+        j = j[perm]
+        return cls(j.searchsorted(np.arange(dim + 1)), keys[perm], vals[perm], order, j)
 
     @classmethod
     def from_entries(cls, entries, dim: int, order: int) -> "SparseCoaction":
@@ -323,11 +428,13 @@ class SparseCoaction(NamedTuple):
         Fractions over Q, residues over F_p); a later entry at an index
         replaces an earlier one, zeros are dropped and integral Fractions
         become ints."""
-        cols: list[dict] = [{} for _ in range(dim)]
-        for i, j, g, v in entries:
-            cols[j][i * order + g] = v
-        return cls([{k: v.numerator if v.denominator == 1 else v
-                     for k, v in col.items() if v} for col in cols], order)
+        seen = {(i, j, g): v for i, j, g, v in entries}
+        vals = _scalars([v.numerator if v.denominator == 1 else v for v in seen.values()])
+        idx = np.fromiter(itertools.chain.from_iterable(seen), dtype=np.int64,
+                          count=3 * len(seen)).reshape(-1, 3)
+        nz = vals.nonzero()[0]
+        i, j, g = idx[nz].T
+        return cls.from_coo(i, j, g, vals[nz], dim, order)
 
     @classmethod
     def from_dense(cls, coact: np.ndarray) -> "SparseCoaction":
@@ -335,18 +442,20 @@ class SparseCoaction(NamedTuple):
 
     def to_dense(self, field: FieldSpec) -> np.ndarray:
         """The dense (n, n, order) field array: an on-demand boundary."""
-        acc = {(i, j, g): v for i, j, g, v in self.entries()}
-        return _from_dict(field, acc, (self.dim, self.dim, self.order))
+        out = field.zeros((self.dim, self.dim, self.order))
+        i, g = np.divmod(self.keys, self.order)
+        out[i, self.col_of, g] = np.fromiter(map(field.coerce, self.vals.tolist()),
+                                             dtype=out.dtype, count=len(self.vals))
+        return out
 
     def transpose(self, axes) -> "SparseCoaction":
         """The array with its axes permuted as `np.transpose(array, axes)`;
         an index permutation of the nonzeros, without arithmetic."""
+        i, g = np.divmod(self.keys, self.order)
+        idx = (i, self.col_of, g)
         shape = (self.dim, self.dim, self.order)
-        order = shape[axes[2]]
-        cols: list[dict] = [{} for _ in range(shape[axes[1]])]
-        for idx in self.entries():
-            cols[idx[axes[1]]][idx[axes[0]] * order + idx[axes[2]]] = idx[3]
-        return SparseCoaction(cols, order)
+        return SparseCoaction.from_coo(idx[axes[0]], idx[axes[1]], idx[axes[2]], self.vals,
+                                       shape[axes[1]], shape[axes[2]])
 
 
 # Sparse contractions work on dicts of scalars keyed by index tuples.
@@ -457,27 +566,34 @@ def _dense_rows(mat: np.ndarray) -> list[dict]:
 
 def _kernel(field: FieldSpec, rows, n: int) -> np.ndarray:
     """Echelon-normal basis (k, n) of the null space of `rows` (consumed)."""
-    return _null_basis(field, _back_substitute(field, _echelon(field, rows)), n)
+    return _null_basis(field, _null_vectors(_back_substitute(field, _echelon(field, rows)), n), n)
 
 
-def _null_vectors(piv: dict[int, dict], n: int) -> dict[int, dict]:
-    """The echelon-normal null vectors of the RREF rows `piv`, sparse and by
-    ascending free column: {free column f: {i: x_i}}, x_f = 1."""
-    vectors = {f: {f: 1} for f in range(n) if f not in piv}
+def _null_vectors(piv: dict[int, dict], n: int, zero: np.ndarray | None = None):
+    """The echelon-normal null vectors of the RREF rows `piv`, one per free
+    column f ascending with x_f = 1, by their nonzeros: (count, vector,
+    index, value), the last three as parallel lists.  The columns in the
+    mask `zero` are pivots e_c that `piv` leaves out."""
+    free = np.ones(n, dtype=bool) if zero is None else ~zero
+    free[list(piv)] = False
+    index = free.nonzero()[0].tolist()
+    at = {f: k for k, f in enumerate(index)}
+    vector, value = list(range(len(index))), [1] * len(index)
     for c, row in piv.items():
         for f, v in row.items():
             if f != c:
-                vectors[f][c] = -v
-    return vectors
+                vector.append(at[f])
+                index.append(c)
+                value.append(-v)
+    return len(at), vector, index, value
 
 
-def _null_basis(field: FieldSpec, piv: dict[int, dict], n: int) -> np.ndarray:
-    """Echelon-normal basis (k, n) of the null space of the RREF rows `piv`."""
-    vectors = _null_vectors(piv, n)
-    basis = field.zeros((len(vectors), n))
-    for k, x in enumerate(vectors.values()):
-        for i, v in x.items():
-            basis[k, i] = field.coerce(v)
+def _null_basis(field: FieldSpec, nulls, n: int) -> np.ndarray:
+    """The `_null_vectors` as a dense (count, n) basis."""
+    count, vector, index, value = nulls
+    basis = field.zeros((count, n))
+    basis[vector, index] = np.fromiter(map(field.coerce, value), dtype=basis.dtype,
+                                       count=len(value))
     return basis
 
 
@@ -512,49 +628,93 @@ def kernel_basis(field: FieldSpec, mat: np.ndarray) -> np.ndarray:
     return _kernel(field, _dense_rows(mat), mat.shape[1])
 
 
-def _fixed_rows(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray, coords) -> list[dict]:
-    """Rows (i, g), g in coords, of the system sum_j coact[i, j, g] x_j -
-    x_i unit[g] = 0."""
-    order, coords = coact.order, set(coords)
-    unit_nz = [(g, u) for g, u in _nonzeros(unit) if g in coords]
-    rows: dict[int, dict] = {}
-    for j, col in enumerate(coact.cols):
-        # the other coordinates are skipped before anything is copied
-        col = {key: v for key, v in col.items() if key % order in coords}
-        _axpy(field.p, col, -1, {j * order + g: u for g, u in unit_nz})
-        for key, v in col.items():
-            rows.setdefault(key, {})[j] = v
-    return list(rows.values())
+def _unit_terms(unit: np.ndarray):
+    """(g, -unit[g]) at the nonzeros of the unit, as arrays."""
+    values = unit.tolist()
+    g = [k for k, v in enumerate(values) if v]
+    return (np.array(g, dtype=np.int64),
+            _scalars([-(v.numerator if v.denominator == 1 else v) for v in map(values.__getitem__, g)]))
 
 
-def _violated(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray,
-              piv: dict[int, dict]) -> set[int]:
-    """The coordinates g at which some null vector x of the RREF rows `piv`
-    has sum_j coact[:, j, g] x_j != x unit[g]: one pass over the coaction's
-    columns on the supports of the vectors."""
-    p, order = field.p, coact.order
-    u = dict(_nonzeros(unit))
-    bad: set[int] = set()
-    for x in _null_vectors(piv, coact.dim).values():
-        if p is None:
-            # both sides are linear in x: its numerators will do, which keeps
-            # integral coactions on ints
-            s = math.lcm(*(v.denominator for v in x.values()))
-            x = {k: v.numerator * (s // v.denominator) for k, v in x.items()}
-        lhs: dict = {}
-        for j, xj in x.items():
-            for key, v in coact.cols[j].items():
-                lhs[key] = lhs.get(key, 0) + v * xj
-        rhs = {i * order + g: xi * ug for i, xi in x.items() for g, ug in u.items()}
-        bad.update(key % order for key in _mismatches(p, lhs, rhs))
-    return bad
+def _peeled_system(field: FieldSpec, coact: SparseCoaction, unit_terms, coords):
+    """The rows (i, g), g in coords, of the system sum_j coact[i, j, g] x_j -
+    x_i unit[g] = 0, singleton rows peeled: (mask of the peeled columns, row
+    dicts of the rest, the core).
+
+    A row with one nonzero, at column c, says x_c = 0: e_c is a row of the
+    unique RREF, and column c leaves every other row, which may leave new
+    singletons behind.  Each pass peels all current singletons at once; the
+    rows left with two or more entries are the core, on the other columns.
+    """
+    order, n = coact.order, coact.dim
+    want = np.zeros(order, dtype=bool)
+    want[list(coords)] = True
+    keep = want[coact.keys % order].nonzero()[0]
+    g, neg = unit_terms
+    at = want[g].nonzero()[0]
+    # entry (row, column) as row * n + column; the unit's diagonal is
+    # -unit[g] at row j * order + g, column j
+    key = np.concatenate((coact.keys[keep] * n + coact.col_of[keep],
+                          (np.arange(n)[:, None] * (order * n + 1) + g[at] * n).ravel()))
+    vals = np.concatenate((coact.vals[keep], neg[at][None, :].repeat(n, 0).ravel()))
+    key, vals = _sum_by(field.p, key, vals)
+    rows, cols = np.divmod(key, n)
+    peeled = np.zeros(n, dtype=bool)
+    while True:
+        # edge[k]: a row starts at entry k, or k is the end
+        edge = np.empty(len(rows) + 1, dtype=bool)
+        edge[0] = edge[-1] = True
+        np.not_equal(rows[1:], rows[:-1], out=edge[1:-1])
+        single = (edge[:-1] & edge[1:]).nonzero()[0]
+        if not len(single):
+            break
+        peeled[cols[single]] = True
+        live = (~peeled[cols]).nonzero()[0]
+        cascade = len(live) < len(rows) - len(single)
+        rows, cols, vals = rows[live], cols[live], vals[live]
+        if not cascade:
+            # only the singletons went: no other row lost an entry
+            edge = edge[np.append(live, len(edge) - 1)]
+            break
+    starts = edge.nonzero()[0].tolist()
+    cols, vals = cols.tolist(), vals.tolist()
+    return peeled, [dict(zip(cols[a:b], vals[a:b])) for a, b in zip(starts, starts[1:])]
 
 
-def _fixed_rref(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray,
-                first) -> dict[int, dict]:
-    """The RREF rows of the fixed-space system, from the rows of the
+def _violated(field: FieldSpec, coact: SparseCoaction, unit_terms, nulls) -> set[int]:
+    """The coordinates g at which some of the `_null_vectors` x has
+    sum_j coact[:, j, g] x_j != x unit[g], from every vector at once: the
+    columns of the vectors' supports, scaled and summed by (vector, key)."""
+    p, order, n = field.p, coact.order, coact.dim
+    _, vector, index, value = nulls
+    if not value:
+        return set()
+    x = _scalars(value)
+    if x.dtype == object:
+        # both sides are linear in x: its numerators will do, which keeps
+        # integral coactions on integers
+        den: dict = {}
+        for k, v in zip(vector, value):
+            den[k] = math.lcm(den.get(k, 1), v.denominator)
+        x = _scalars([v.numerator * (den[k] // v.denominator) for k, v in zip(vector, value)])
+    g, neg = unit_terms
+    index = np.array(index, dtype=np.int64)
+    base = np.array(vector, dtype=np.int64) * (n * order)
+    lo = coact.ptr[index]
+    idx, at = _ranges(lo, coact.ptr[1:][index] - lo)
+    # key (vector, i * order + g): the coaction's columns, and x_i unit[g]
+    keys = np.concatenate((base[at] + coact.keys[idx],
+                           ((base + index * order)[:, None] + g).ravel()))
+    bad, _ = _sum_by(p, keys, np.concatenate((_times(p, coact.vals[idx], x[at]),
+                                              _times(p, x[:, None], neg).ravel())))
+    return set((bad % order).tolist())
+
+
+def _fixed_vectors(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray, first):
+    """The `_null_vectors` of the fixed-space system, from the rows of the
     coordinates in `first`, certified against every coordinate.
 
+    The peeled columns are kept as a mask, and only the core is eliminated.
     While a null vector of the rows so far violates some coordinate, the
     rows of the least violated one join the elimination.  A coordinate whose
     rows are in can no longer be violated, so there are at most `order`
@@ -565,13 +725,20 @@ def _fixed_rref(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray,
         raise InputError(
             f"the unit must have shape ({coact.order},), got {np.shape(unit)}"
         )
-    piv = _echelon(field, _fixed_rows(field, coact, unit, first))
+    terms = _unit_terms(unit)
+    zero, core = _peeled_system(field, coact, terms, first)
+    piv = _echelon(field, core)
     while True:
-        _back_substitute(field, piv)
-        bad = _violated(field, coact, unit, piv)
+        nulls = _null_vectors(_back_substitute(field, piv), coact.dim, zero)
+        bad = _violated(field, coact, terms, nulls)
         if not bad:
-            return piv
-        _echelon(field, _fixed_rows(field, coact, unit, (min(bad),)), piv)
+            return nulls
+        # the columns in zero are zero: they leave the new rows, and the
+        # columns peeled now, which may sit in rows of piv, join it as rows
+        peeled, core = _peeled_system(field, coact, terms, (min(bad),))
+        rows = [{c: 1} for c in (peeled & ~zero).nonzero()[0].tolist()]
+        rows += [{k: v for k, v in row.items() if not zero[k]} for row in core]
+        _echelon(field, rows, piv)
 
 
 def fixed_space(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray,
@@ -589,15 +756,15 @@ def fixed_space(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray,
     of algebra generators (`first`) already cut out the fixed space; the
     same holds for integrals of an associative algebra with multiplicative
     counit.  Every result is certified against all coordinates anyway
-    (`_fixed_rref`), so inputs that break those axioms get the same answer
-    as the full system, only later.
+    (`_fixed_vectors`), so inputs that break those axioms get the same
+    answer as the full system, only later.
     """
-    return _null_basis(field, _fixed_rref(field, coact, unit, first), coact.dim)
+    return _null_basis(field, _fixed_vectors(field, coact, unit, first), coact.dim)
 
 
 def fixed_dim(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray, first=()) -> int:
     """len(fixed_space(field, coact, unit, first)), without the dense basis."""
-    return coact.dim - len(_fixed_rref(field, coact, unit, first))
+    return _fixed_vectors(field, coact, unit, first)[0]
 
 
 def invert(field: FieldSpec, mat: np.ndarray) -> np.ndarray | None:

@@ -596,10 +596,11 @@ def group_algebra(field: FieldSpec, table: list[list[int]], labels=None) -> Hopf
     ident, inv = _check_group_table(table)
     labels = labels or [f"g{i}" for i in range(m)]
     # g_i g_j = g_{table[i][j]}, Delta g = g (x) g and S(g) = g^-1
-    mult = xa.SparseCoaction([{i * m + table[i][j]: 1 for i in range(m)}
-                              for j in range(m)], m)
-    comult = xa.SparseCoaction([{j * m + j: 1} for j in range(m)], m)
-    antipode = xa.SparseCoaction([{inv[j]: 1} for j in range(m)], 1)
+    g, h = np.divmod(np.arange(m * m), m)
+    ones, zero = np.ones(m * m, dtype=np.int64), np.zeros(m, dtype=np.int64)
+    mult = xa.SparseCoaction.from_coo(g, h, np.array(table).ravel(), ones, m, m)
+    comult = xa.SparseCoaction.from_coo(g[::m + 1], g[::m + 1], g[::m + 1], ones[:m], m, m)
+    antipode = xa.SparseCoaction.from_coo(np.array(inv), h[:m], zero, ones[:m], m, 1)
     unit = field.zeros(m)
     unit[ident] = field.one
     counit = field.asarray([1] * m)

@@ -312,9 +312,36 @@ def test_fixed_space_matches_seed_kernel(case, rng):
     assert got.dtype == want.dtype and xa.arrays_equal(got, want)
     assert xa.fixed_dim(field, sparse, unit) == len(want)
     # rows in another order are eliminated in another pivot order
-    rows = xa._fixed_rows(field, sparse, unit, range(order))
+    rows = xa._dense_rows(a.reshape(n * order, n))
     rng.shuffle(rows)
     assert xa.arrays_equal(xa._kernel(field, rows, n), want)
+
+
+@given(sparse_coactions(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_sparse_coaction_arrays_match_the_dense_array(case, cube):
+    # transpose, entries, equality and the byte count of the compressed
+    # columns, against numpy's dense transpose
+    field, coact, _ = case
+    n, _, order = coact.shape
+    if cube:
+        coact = np.concatenate([coact, field.zeros((n, n, n))], axis=2)[:, :, :n]
+    sparse = xa.SparseCoaction.from_dense(coact)
+    assert sparse.nbytes == sparse.ptr.nbytes + sparse.keys.nbytes + sparse.vals.nbytes
+    # column by column, each by its key i * order + g
+    assert list(sparse.entries()) == sorted(
+        ((i, j, g, v) for (i, j, g), v in np.ndenumerate(coact) if v),
+        key=lambda e: (e[1], e[0], e[2]))
+    shape = coact.shape
+    for axes in ([(0, 1, 2), (1, 0, 2)] if not cube else
+                 [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]):
+        if shape[axes[0]] != shape[axes[1]]:
+            continue
+        want = np.transpose(coact, axes)
+        got = sparse.transpose(axes)
+        assert xa.arrays_equal(got.to_dense(field), want)
+        assert got == xa.SparseCoaction.from_dense(want)
+        assert got.transpose(np.argsort(axes)) == sparse
 
 
 # -- the integer product lane -------------------------------------------------

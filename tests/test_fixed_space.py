@@ -1,17 +1,20 @@
 """Fixed spaces from algebra generators, certified against every coordinate.
 
-`exactalg.fixed_space` eliminates the rows of the coordinates it is given
-(the algebra generators of k[G]* for invariants, of H for integrals), then
-checks every null vector against every coordinate and adds the rows of a
-violated one until none is.  The reference here is the all-rows kernel: one
-dense system with a row per (basis vector, coordinate).  The certified route
-must equal it on comodules, grouplike twists and Hopf algebras, and also on
-coactions and structure constants perturbed off their axioms, where the
-generators' rows alone no longer suffice.
+`exactalg.fixed_space` takes the rows of the coordinates it is given (the
+algebra generators of k[G]* for invariants, of H for integrals), peels the
+singleton rows and eliminates the rest, then checks every null vector
+against every coordinate and adds the rows of a violated one until none
+is.  The reference here is the all-rows kernel: one dense system with a row
+per (basis vector, coordinate).  The certified route must equal it on
+comodules, grouplike twists and Hopf algebras, and also on coactions and
+structure constants perturbed off their axioms, where the generators' rows
+alone no longer suffice.
 """
 
 import functools
 import itertools
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -64,15 +67,19 @@ CUBE = [
 # -- the all-rows reference ---------------------------------------------------
 
 
+def _dense_system(field, coact, unit):
+    """The fixed-space system, dense: [i, g, j] = coact[i, j, g] - [i == j] unit[g]."""
+    dense = coact.to_dense(field)
+    a = dense.transpose(0, 2, 1).copy()
+    for i in range(dense.shape[0]):
+        a[i, :, i] = field.reduce(a[i, :, i] - unit)
+    return a
+
+
 def _all_rows_kernel(field, coact, unit):
     """The fixed space from every row (i, g) at once, on the dense system."""
-    dense = coact.to_dense(field)
-    n, _, order = dense.shape
-    # row (i, g), column j: coact[i, j, g] - [i == j] unit[g]
-    a = dense.transpose(0, 2, 1).copy()
-    for i in range(n):
-        a[i, :, i] = field.reduce(a[i, :, i] - unit)
-    return xa.kernel_basis(field, a.reshape(n * order, n))
+    a = _dense_system(field, coact, unit)
+    return xa.kernel_basis(field, a.reshape(-1, a.shape[2]))
 
 
 def _assert_same(got, want):
@@ -186,7 +193,7 @@ def test_certificate_repairs_a_seed_that_is_not_enough():
     dense = coact.to_dense(Q)
     dense[0, 0, free] += 1
     bad = xa.SparseCoaction.from_dense(dense)
-    seed_only = xa._kernel(Q, xa._fixed_rows(Q, bad, unit, gens), bad.dim)
+    seed_only = xa.kernel_basis(Q, _dense_system(Q, bad, unit)[:, list(gens)].reshape(-1, bad.dim))
     want = _all_rows_kernel(Q, bad, unit)
     assert len(seed_only) > len(want)
     _assert_same(xa.fixed_space(Q, bad, unit, gens), want)
@@ -314,6 +321,71 @@ def test_one_dimensional_algebra_needs_no_generator(field):
 # -- the mechanism ------------------------------------------------------------
 
 
+NONZERO = {None: [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)],
+           5: [1, 2, 3, 4]}
+
+
+@st.composite
+def peel_cases(draw):
+    """(field, coaction, unit, chain, forced) with a system chosen first:
+    the rows of coordinate 0 start with a chain {c_0, c_1}, ..., {c_(L-2),
+    c_(L-1)}, {c_(L-1)} that peels one column per pass, and random sparse
+    rows fill the rest.  When forced, coordinate 0 has no other rows and
+    coordinate 1 has the row e_(c_L), which the null space of coordinate 0's
+    rows violates, so the certificate must add rows."""
+    field = draw(st.sampled_from([Q, FieldSpec.prime(5)]))
+    n, order = draw(st.integers(2, 8)), draw(st.integers(2, 4))
+    forced = draw(st.booleans())
+    chain = draw(st.permutations(range(n)))[:draw(st.integers(1, n - 1 if forced else n))]
+    nonzero = st.sampled_from(NONZERO[field.p]).map(field.coerce)
+    scalar = st.one_of(st.just(field.zero), st.just(field.zero), nonzero)
+    system = field.zeros((n, order, n))
+    for i in range(n):
+        for g in range(order):
+            if g or not forced:
+                system[i, g] = draw(st.lists(scalar, min_size=n, max_size=n))
+    for k, c in enumerate(chain):
+        system[k, 0] = field.zeros(n)
+        system[k, 0, c] = draw(nonzero)
+        if k + 1 < len(chain):
+            system[k, 0, chain[k + 1]] = draw(nonzero)
+    if forced:
+        free = next(c for c in range(n) if c not in chain)
+        system[0, 1] = field.zeros(n)
+        system[0, 1, free] = field.one
+    unit = field.asarray(draw(st.lists(scalar, min_size=order, max_size=order)))
+    # coact[i, j, g] - [i == j] unit[g] is the system's row (i, g)
+    coact = system.transpose(0, 2, 1).copy()
+    for i in range(n):
+        coact[i, i] = field.reduce(coact[i, i] + unit)
+    return field, xa.SparseCoaction.from_dense(coact), unit, chain, forced
+
+
+@given(peel_cases())
+@settings(max_examples=150, deadline=None)
+def test_peeled_system_and_certificate_give_the_dense_kernel(case):
+    field, coact, unit, chain, forced = case
+    want = _all_rows_kernel(field, coact, unit)
+    peeled, core = xa._peeled_system(field, coact, xa._unit_terms(unit), (0,))
+    # the chain cascades to the end, one column per pass
+    assert peeled[list(chain)].all()
+    if forced:
+        assert sorted(peeled.nonzero()[0]) == sorted(chain) and core == []
+    violations, real = [], xa._violated
+
+    def recording(*args):
+        violations.append(real(*args))
+        return violations[-1]
+
+    with mock.patch.object(xa, "_violated", recording):
+        _assert_same(xa.fixed_space(field, coact, unit, (0,)), want)
+    assert xa.fixed_dim(field, coact, unit, (0,)) == len(want)
+    assert not violations[-1]
+    if forced:
+        assert violations[0]
+
+
+
 @pytest.mark.parametrize("twisted", [False, True], ids=["invariants", "twisted"])
 def test_cube_kernel_eliminates_only_the_generator_rows(monkeypatch, twisted):
     # the rows handed to the elimination at d = 20: those of the generators
@@ -326,7 +398,7 @@ def test_cube_kernel_eliminates_only_the_generator_rows(monkeypatch, twisted):
     sign = Q.asarray([_perm_sign([next(c for c, v in enumerate(row) if v) for row in g])
                       for g in CUBE])
     twist = sign if twisted else ring.scheme.gamma.unit
-    want = len(_all_rows_kernel(Q, coact, ring._kernel_unit(twist)))
+    want = len(_all_rows_kernel(Q, coact, ring._kernel_unit(twist)[1]))
     received = []
     real = xa._echelon
 

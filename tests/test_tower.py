@@ -192,6 +192,28 @@ def test_q_tower_numerators_pass_int64():
     assert bound(2) >= 2**53
 
 
+@pytest.mark.parametrize("shift, degree_one", [(10, np.int64), (21, np.int64), (31, object)])
+def test_q_tower_int64_guard_on_unimodularly_conjugated_cube(shift, degree_one):
+    # integral entries up to 2^(2 shift): int64 wraps around silently, so the
+    # tower must leave int64 before any product or sum can pass 2^63
+    p = [[1, 2**shift, 0], [0, 1, 0], [0, 0, 1]]
+    ring = act.constant_group_action(Q, _conjugated(Q, CUBE, p))
+    _assert_same_tower(ring, 4)
+    values = [abs(v) for d in range(5) for v in ring.tower.coaction(d).vals.tolist()]
+    assert max(values) >= 2**63
+    assert ring.tower.coaction(0).vals.dtype == np.int64
+    assert ring.tower.coaction(1).vals.dtype == degree_one
+    assert ring.tower.coaction(4).vals.dtype == object
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_tower_exponents_are_the_lex_descending_monomials(n):
+    ring = act.DiagonalizableAction(list(range(1, n + 1)), 2).to_kernel_route(F5)
+    for d in range(9):
+        assert ring.tower.exponents(d) == _exponents(n, d)
+        assert ring.tower.coaction(d).dim == len(_exponents(n, d))
+
+
 @pytest.mark.parametrize("p", [2, 5, 1048573])
 @pytest.mark.parametrize("seed", range(3))
 def test_fp_tower_matches_seed_on_conjugated_groups(p, seed):
