@@ -51,43 +51,45 @@ class Comodule:
     def field(self) -> FieldSpec:
         return self.scheme.field
 
-    def verify(self) -> AxiomReport:
-        """Counit law and coassociativity of the coaction, with witnesses.
+    def _entries(self):
+        """The index arrays (i, j, g) and values of the coaction's nonzeros."""
+        idx, vals = xa._vector(self.coaction)
+        return (*np.unravel_index(idx, self.coaction.shape), vals)
 
-        Coassociativity, sum_k gamma_ik (x) gamma_kj = Delta(gamma_ij), is
-        contracted on the nonzeros and compared one (i, j) at a time.
-        """
-        n, p = self.dim, self.field.p
+    def verify(self) -> AxiomReport:
+        """Counit law and coassociativity of the coaction, with witnesses:
+        sum_k gamma_ik (x) gamma_kj = Delta(gamma_ij) at (i, j, g, h)."""
+        n, p, order = self.dim, self.field.p, self.scheme.order
         gamma = self.scheme.gamma
-        ent = [[dict(xa._nonzeros(self.coaction[i, j])) for j in range(n)] for i in range(n)]
-        e = dict(xa._nonzeros(gamma.counit))
-        eps = {(i, j): sum(v * e[g] for g, v in ent[i][j].items() if g in e)
-               for i in range(n) for j in range(n)}
-        w = xa._first_mismatch(p, eps, {(i, i): 1 for i in range(n)})
-        checks = [AxiomCheck("comodule_counit", w is None, w)]
-        d_first = xa._by(list(gamma.comult.entries()), 0)
-        w = None
-        for i, j in itertools.product(range(n), repeat=2):
-            lhs = xa._acc(((g, h), v * x) for k in range(n) for g, v in ent[i][k].items()
-                          for h, x in ent[k][j].items())
-            rhs = xa._acc(((g, h), v * x) for y, v in ent[i][j].items()
-                          for g, h, x in d_first.get(y, ()))
-            w = xa._first_mismatch(p, lhs, rhs, (i, j))
-            if w is not None:
-                break
-        checks.append(AxiomCheck("comodule_coassociativity", w is None, w))
-        return AxiomReport(checks)
+        i, j, g, v = self._entries()
+        ei, ev = xa._vector(gamma.counit)
+        di, dj, dk = gamma.comult.coo()
+        what = "the comodule axioms"
+        # sum_g gamma_ij[g] eps(g) against the identity, then
+        # sum_k gamma_ik (x) gamma_kj against Delta(gamma_ij) n^2 keys on
+        o2, base = order * order, n * n
+        terms = xa.contract(p, [((g, i * n + j, v), (ei, 0 * ei, ev)),
+                                ((j, base + i * n * o2 + g * order, v), (i, j * o2 + g, v)),
+                                ((g, base + (i * n + j) * o2, -v),
+                                 (di, dj * order + dk, gamma.comult.vals))], what)
+        eye = (np.arange(n) * (n + 1), -np.ones(n, dtype=np.int64))
+        w = xa.first_differences(p, [(n, n), (n, n, order, order)], [terms, eye])
+        return AxiomReport([AxiomCheck("comodule_counit", w[0] is None, w[0]),
+                            AxiomCheck("comodule_coassociativity", w[1] is None, w[1])])
 
     def dual(self) -> "Comodule":
         """Dual comodule: rho(v*_i) = sum_j v*_j (x) S(gamma_ij)."""
-        gamma = self.scheme.gamma
-        sc = self.field.zeros(self.coaction.shape)
-        for i, j in itertools.product(range(self.dim), repeat=2):
-            sc[j, i] = gamma.apply_antipode(self.coaction[i, j])
+        p, n, order = self.field.p, self.dim, self.scheme.order
+        s = self.scheme.gamma.antipode
+        sa, sj, _ = s.coo()
+        i, j, g, v = self._entries()
+        terms = xa.contract(p, [((g, (j * n + i) * order, v), (sj, sa, s.vals))],
+                            "the dual comodule")
         labels = [
             lb[:-1] if lb.endswith("*") else lb + "*" for lb in self.labels
         ]
-        return Comodule(self.scheme, sc, labels=labels)
+        return Comodule(self.scheme, xa._dense(self.field, *terms,
+                                               self.coaction.shape), labels=labels)
 
 
 def direct_sum(v: Comodule, w: Comodule) -> Comodule:
@@ -104,15 +106,22 @@ def direct_sum(v: Comodule, w: Comodule) -> Comodule:
 def tensor(v: Comodule, w: Comodule) -> Comodule:
     if v.scheme is not w.scheme and v.scheme.gamma != w.scheme.gamma:
         raise InputError("tensor needs comodules over the same scheme")
-    gamma = v.scheme.gamma
-    # [i1 n2 + i2, j1 n2 + j2] holds gamma_{i1 j1} gamma'_{i2 j2}
-    t = v.field.zeros((v.dim, w.dim, v.dim, w.dim, v.scheme.order))
-    for i1, j1, i2, j2 in itertools.product(range(v.dim), range(v.dim),
-                                            range(w.dim), range(w.dim)):
-        t[i1, i2, j1, j2] = gamma.mult_vec(v.coaction[i1, j1], w.coaction[i2, j2])
-    n = v.dim * w.dim
+    p, m, order = v.field.p, v.scheme.gamma.mult, v.scheme.order
+    n1, n2 = v.dim, w.dim
+    n, size = n1 * n2, (n1 * n2) ** 2 * order
+    a, b, c = m.coo()
+    i1, j1, g1, x1 = v._entries()
+    i2, j2, g2, x2 = w._entries()
+    # [i1 n2 + i2, j1 n2 + j2] holds gamma_{i1 j1} gamma'_{i2 j2}: the terms
+    # gamma_{i1 j1}[a] mult[a, b, c], keyed by b and their share of the
+    # output key, joined with gamma'_{i2 j2}[b]
+    keys, vals = xa.contract(p, [((g1, (i1 * n2 * n1 + j1) * n2 * order, x1),
+                                  (a, b * size + c, m.vals))], "a tensor product")
+    terms = xa.contract(p, [((keys // size, keys % size, vals),
+                             (g2, (i2 * n1 * n2 + j2) * order, x2))], "a tensor product")
     labels = [f"{a}.{b}" for a in v.labels for b in w.labels]
-    return Comodule(v.scheme, t.reshape(n, n, v.scheme.order), labels=labels)
+    return Comodule(v.scheme, xa._dense(v.field, *terms, (n, n, order)),
+                    labels=labels)
 
 
 def det_character(v: Comodule):
@@ -123,22 +132,23 @@ def det_character(v: Comodule):
     along their first row and shared between the column sets they cover
     (n 2^(n-1) sparse products in Gamma instead of n n!).
     """
-    f = v.field
-    gamma = v.scheme.gamma
-    n = v.dim
-    # minors[cols]: the minor on the last len(cols) rows and the columns cols
-    minors = {(): gamma.unit}
+    f, gamma, n = v.field, v.scheme.gamma, v.dim
+    # minors[s]: the minor on the last len(sets[s]) rows and the columns
+    # sets[s]; one level's products in Gamma are one batched mult_vec
+    sets, minors = [()], gamma.unit[None, :]
     for i in range(n - 1, -1, -1):
-        step = {}
-        for cols in itertools.combinations(range(n), n - i):
-            acc = f.zeros(v.scheme.order)
-            for k, j in enumerate(cols):
-                if not xa.is_zero(v.coaction[i, j]):
-                    term = gamma.mult_vec(v.coaction[i, j], minors[cols[:k] + cols[k + 1:]])
-                    acc = acc - term if k % 2 else acc + term
-            step[cols] = f.reduce(acc)
-        minors = step
-    acc = minors[tuple(range(n))]
+        index = {cols: s for s, cols in enumerate(sets)}
+        sets = list(itertools.combinations(range(n), n - i))
+        s, k, j, old = np.array([(s, k, j, index[cols[:k] + cols[k + 1:]])
+                                 for s, cols in enumerate(sets) for k, j in enumerate(cols)]).T
+        live = (np.count_nonzero(v.coaction[i], axis=1)[j]
+                * np.count_nonzero(minors, axis=1)[old]).nonzero()[0]
+        prods = gamma.mult_vec(f.reduce(v.coaction[i, j[live]] * (-1) ** k[live, None]),
+                               minors[old[live]])
+        minors = f.zeros((len(sets), v.scheme.order))
+        np.add.at(minors, s[live], prods)
+        minors = f.reduce(minors)
+    acc = minors[0]
     if not v.scheme.is_grouplike(acc):
         raise InconsistencyError("determinant of the coaction is not grouplike")
     return acc
@@ -184,24 +194,22 @@ class _SymTower:
         self.field = f = variables.field
         gamma = variables.scheme.gamma
         n, order = variables.dim, variables.scheme.order
-        # e_a * gamma_ij = sum_g gamma_ij[g] e_a e_g = sum_c rm[i, j, a, c] e_c
-        rm: dict = {}
-        for i, j, g, v in xa._nonzeros(variables.coaction):
-            for key, w in gamma.mult.cols[g].items():
-                a, c = divmod(key, order)
-                rm[j, a, i, c] = rm.get((j, a, i, c), 0) + v * w
+        # e_a * gamma_ij = sum_g gamma_ij[g] e_a e_g = sum_c rm[i, j, a, c] e_c,
+        # keyed (j, a, i, c)
+        i, j, g, v = variables._entries()
+        a, mg, c = gamma.mult.coo()
+        keys, vals = xa.contract(
+            f.p, [((g, (j * order * n + i) * order, v), (mg, a * n * order + c, gamma.mult.vals))],
+            "the tower's multiplication table")
+        j, a, i, c = np.unravel_index(keys, (n, order, n, order))
         # row L * order + a of the table: the (j, i, c, rm[i, j, a, c]) with j >= L
-        rows: list[list] = [[] for _ in range(n * order)]
-        for (j, a, i, c), v in xa._clean(f.p, rm).items():
-            for low in range(j + 1):
-                rows[low * order + a].append((j, i, c, int(v) if v.denominator == 1 else v))
-        flat = [t for row in rows for t in row]
-        tj, ti, tc = np.array([t[:3] for t in flat], dtype=np.int64).reshape(-1, 3).T
-        counts = np.array([len(row) for row in rows], dtype=np.int64)
-        self._table = (counts.cumsum() - counts, counts, tj, ti, tc,
-                       xa._scalars([t[3] for t in flat]))
-        self._coact = {0: xa.SparseCoaction.from_entries(
-            ((0, 0, g, v) for g, v in xa._nonzeros(gamma.unit)), 1, order)}
+        low, at = xa._ranges(0 * j, j + 1)
+        row = low * order + a[at]
+        at = at[row.argsort(kind="stable")]
+        counts = np.bincount(row, minlength=n * order)
+        self._table = (counts.cumsum() - counts, counts, j[at], i[at], c[at], vals[at])
+        g, v = xa._vector(gamma.unit)
+        self._coact = {0: xa.SparseCoaction.from_coo(0 * g, 0 * g, g, v, 1, order)}
         zero = np.zeros(1, dtype=np.int64)
         self._src, self._last = {0: zero}, {0: zero}
         self._up = np.zeros((1, n), dtype=np.int64)
@@ -646,21 +654,16 @@ def _span_contains(field, basis: np.ndarray, vectors: np.ndarray) -> bool:
 
 
 def _equivariant(field, r: xa.SparseCoaction, t: np.ndarray) -> bool:
-    """rho(Tr x^j) = (Tr (x) id)(rho x^j) for every monomial x^j of R_d.
-
-    Column j of t is Tr(x^j).
-    """
-    tcols = [dict(xa._nonzeros(col)) for col in t.T]
-    for j, col in enumerate(r.cols):
-        lhs, rhs = {}, {}
-        for k, tk in tcols[j].items():
-            xa._axpy(field.p, lhs, tk, r.cols[k])
-        for key, v in col.items():
-            k, g = divmod(key, r.order)
-            xa._axpy(field.p, rhs, v, {i * r.order + g: x for i, x in tcols[k].items()})
-        if lhs != rhs:
-            return False
-    return True
+    """rho(Tr x^j) = (Tr (x) id)(rho x^j) for every monomial x^j of R_d, at
+    (j, i, g).  Column j of t is Tr(x^j)."""
+    n, order = r.dim, r.order
+    idx, tv = xa._vector(t)
+    tk, tj = np.divmod(idx, n)
+    ri, rj, rg = r.coo()
+    keys, _ = xa.contract(field.p, [((tk, tj * n * order, tv), (rj, ri * order + rg, r.vals)),
+                                    ((ri, rj * n * order + rg, -r.vals), (tj, tk * order, tv))],
+                          "the equivariance check")
+    return not len(keys)
 
 
 def trace_equivariance_check(ring: GradedInvariantRing, max_degree: int) -> TraceReport:

@@ -2,8 +2,10 @@
 
 Exit codes: 0 = ran to completion (verdicts are report content), 1 = a check
 or expectation failed (axiom violations, catalog mismatches, internal
-inconsistencies), 2 = input or usage errors.  JSON output is canonical and
-byte-deterministic; text output carries the same verdicts.
+inconsistencies), 2 = input or usage errors.  Every command but `verify`
+checks the axioms of the objects it reads first and exits 1 on a failure.
+JSON output is canonical and byte-deterministic; text output carries the
+same verdicts.
 """
 
 from __future__ import annotations
@@ -102,12 +104,22 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _refuse(report, path: str, what: str) -> None:
+    """`knopf verify` reports every check; the other commands refuse to
+    compute on an object that fails one, naming the first and its witness."""
+    bad = report.failures
+    if bad:
+        raise CheckFailure(f"{path} is not {what}: {bad[0].name} fails at {bad[0].witness}")
+
+
 def _load_hopf(args):
     obj = jsonio.load_json(args.path)
     if isinstance(obj, dict) and "coordinate_ring" in obj:
-        return jsonio.scheme_from_json(obj, args.field,
-                                       os.path.dirname(args.path) or ".").gamma
-    return jsonio.hopf_from_json(obj, args.field)
+        h = jsonio.scheme_from_json(obj, args.field, os.path.dirname(args.path) or ".").gamma
+    else:
+        h = jsonio.hopf_from_json(obj, args.field)
+    _refuse(h.verify_axioms(), args.path, "a Hopf algebra")
+    return h
 
 
 def _load_ring(args) -> act.GradedInvariantRing:
@@ -120,12 +132,11 @@ def _load_ring(args) -> act.GradedInvariantRing:
         )
     ring = jsonio.action_from_json(jsonio.load_json(args.module), scheme,
                                    args.field, base)
-    # `knopf verify` reports every check; the other commands refuse to run on
-    # a coaction that is not a comodule
-    bad = ring.module.verify().failures
-    if bad:
-        raise CheckFailure(f"{args.module} is not a comodule: {bad[0].name} "
-                           f"fails at {bad[0].witness}")
+    if ring.constant_matrices is None:
+        # a scheme read from structure constants, given or inline
+        _refuse(ring.scheme.verify(), args.scheme or f"the scheme of {args.module}",
+                "a group scheme")
+    _refuse(ring.module.verify(), args.module, "a comodule")
     return ring
 
 
@@ -220,6 +231,7 @@ def _cmd_knop(args):
     obj = jsonio.load_json(args.path)
     scheme = jsonio.scheme_from_json(obj, args.field,
                                      os.path.dirname(args.path) or ".")
+    _refuse(scheme.verify(), args.path, "a group scheme")
     adj = scheme.knop_character_adjoint_route()
     mod = scheme.knop_character_modular_route()
     agree = scheme.knop_routes_agree()

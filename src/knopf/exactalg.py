@@ -28,16 +28,21 @@ the answer is the kernel of all the rows for any input.  `rref`, `rank`,
 no tolerances anywhere.
 
 `SparseCoaction` is the one sparse array type: an (n, n, order) array by its
-nonzeros in compressed columns (`ptr`, `keys`, `vals` numpy arrays).  Values
-are int64 over F_p, and over Q while they are integers below 2^63 in
-absolute value; every array product and sum is bounded before it runs
-(`_times`, `_sum_by`), and runs on Python ints and Fractions in an object
-array beyond, since int64 wraps around silently.  It holds the Sym^d coactions and the Hopf structure constants
-alike; `transpose` is one lexsort of the permuted indices, `cols` a cached
-dict view and `to_dense` the on-demand dense boundary.  Sparse contractions
-in Python accumulate scalars in dicts keyed by index tuples (`_acc`, `_by`)
-and compare two sides with `_mismatches` and `_first_mismatch`, which
-returns the C-order-first differing index as a dense comparison would.
+nonzeros in compressed columns (`ptr`, `keys`, `vals` numpy arrays), holding
+the Sym^d coactions and the Hopf structure constants alike.  Values are
+int64 over F_p, and over Q while they are integers below 2^63 in absolute
+value; every array product and sum is bounded before it runs, and runs on
+Python ints and Fractions in an object array beyond, since int64 wraps
+around silently.  `coo` gives its index arrays, `transpose` is one lexsort
+of the permuted indices and `to_dense` the on-demand dense boundary.
+
+Every sparse product is one `contract`, the COO einsum: operands are index
+and value arrays, joined on a shared index by sort and `searchsorted`, and
+the products summed by output key.  Its one check is `TERM_BUDGET`: the
+pairs are counted before any is formed, and a join over the budget is
+refused by name.  `first_differences` compares two sides of an equation by
+summing one against the other negated: the least nonzero key is the
+C-order-first index where they differ, as a dense comparison finds it.
 """
 
 from __future__ import annotations
@@ -45,11 +50,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import itemgetter
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, UndecidedError
 
 # int64 safety: dense F_p array arithmetic forms one product of two residues
 # (< p^2 < 2^40) per entry, and products and sums of products are bounded
@@ -277,30 +281,9 @@ def _first_nonzero(col) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-# The elimination works on rows {column: nonzero scalar}: residues 0..p-1 over
-# F_p, and ints or Fractions over Q.  An integral rational enters as an int,
-# because Python int arithmetic is many times faster than Fraction's.
-
-
-def _nonzeros(arr: np.ndarray):
-    """(index..., value) of each nonzero entry, as Python ints and Fractions."""
-    nz = np.nonzero(arr)
-    values = [v.numerator if v.denominator == 1 else v for v in arr[nz].tolist()]
-    return zip(*(x.tolist() for x in nz), values)
-
-
-def _from_dict(field: FieldSpec, acc: dict, shape) -> np.ndarray:
-    """The field array holding acc[index] (reduced mod p over F_p), and zero
-    off acc's keys."""
-    out = field.zeros(shape)
-    for idx, v in acc.items():
-        out[idx] = field.coerce(v)
-    return out
-
-
-# Sparse arrays are compressed columns of numpy index arrays.  Values are
-# int64 over F_p, and over Q while every value is an int below 2^63 in
-# absolute value; an object array of Python ints and Fractions beyond.
+# Sparse arrays are numpy index arrays and values.  Values are int64 over
+# F_p, and over Q while every value is an int below 2^63 in absolute value;
+# an object array of Python ints and Fractions beyond.
 _INT64 = 2**63
 
 
@@ -313,11 +296,30 @@ def _scalars(values: list) -> np.ndarray:
     return np.fromiter(values, dtype=object, count=len(values))
 
 
+def _vector(x: np.ndarray):
+    """(flat index, value) arrays of the nonzeros of a field array, integral
+    rationals as ints (see `_scalars`)."""
+    x = x.ravel()
+    idx = x.nonzero()[0]
+    if x.dtype != object:
+        return idx, x[idx]
+    return idx, _scalars([v.numerator if v.denominator == 1 else v for v in x[idx].tolist()])
+
+
+def _dense(field: FieldSpec, keys: np.ndarray, vals: np.ndarray, shape) -> np.ndarray:
+    """The field array of `shape` holding vals at the C-order flat keys."""
+    out = field.zeros(math.prod(shape))
+    # residues over F_p, and Fractions over Q
+    out[keys] = vals if field.p is not None else np.fromiter(
+        map(field.coerce, vals.tolist()), dtype=object, count=len(vals))
+    return out.reshape(shape)
+
+
 def _abs_max(a: np.ndarray) -> int | None:
     """max |a| of an int64 array (0 when empty), None for object values."""
     if a.dtype == object:
         return None
-    return int(np.abs(a).max()) if a.size else 0
+    return int(np.maximum.reduce(np.abs(a), axis=None, initial=0))
 
 
 def _times(p: int | None, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -338,6 +340,11 @@ def _sum_by(p: int | None, keys: np.ndarray, vals: np.ndarray):
     2^63, on Python ints and Fractions beyond."""
     if p is None and (m := _abs_max(vals)) is not None and m * len(vals) >= _INT64:
         vals = vals.astype(object)
+    return _group_sums(p, keys, vals)
+
+
+def _group_sums(p: int | None, keys: np.ndarray, vals: np.ndarray):
+    """`_sum_by` for vals whose sums are known to fit their dtype."""
     perm = keys.argsort()
     keys = keys[perm]
     edge = np.empty(len(keys), dtype=bool)
@@ -347,7 +354,7 @@ def _sum_by(p: int | None, keys: np.ndarray, vals: np.ndarray):
     sums = np.add.reduceat(vals[perm], starts) if len(starts) else vals[:0]
     if p is not None:
         sums %= p
-    nz = (sums != 0).nonzero()[0]
+    nz = sums.nonzero()[0]
     return keys[starts[nz]], sums[nz]
 
 
@@ -359,6 +366,149 @@ def _ranges(starts: np.ndarray, counts: np.ndarray):
     return np.arange(ends[-1] if len(ends) else 0) + (starts - ends + counts)[owner], owner
 
 
+# Every sparse product is one join of two operands on a shared index.  A join
+# that would form more pairs than TERM_BUDGET is refused before it forms any;
+# the pairs are formed and summed _BLOCK at a time, so a contraction holds
+# about _BLOCK terms and its sums at once.
+TERM_BUDGET = 4_000_000
+_BLOCK = 1 << 12
+
+
+def contract(p: int | None, pairs, what: str = "a contraction"):
+    """sum a.vals[s] * b.vals[t] over s, t with a.on[s] == b.on[t], at the
+    output key a.key[s] + b.key[t], for all pairs of operands (a, b) in
+    `pairs` at once: (the keys ascending, the nonzero sums), as `_sum_by`.
+
+    This is the COO einsum (Kjolstad et al., "The tensor algebra compiler",
+    2017): an operand is three parallel arrays (on, key, vals), the index it
+    is joined on, its entries' share of the output key, and their values;
+    the output of a contraction, keyed for the next, is an operand of it.
+    The shorter side is sorted and the longer one searched in it; the pairs
+    are counted first, and more than TERM_BUDGET are refused by name, as
+    "`what` needs N sparse terms".  Each pair of operands is joined on its
+    own range of indices.
+    """
+    a, b = pairs[0]
+    if len(pairs) > 1:
+        # pair k is joined at k m + on, m above every index joined on
+        a_on, a_key, a_vals, b_on, b_key, b_vals = map(
+            np.concatenate, zip(*(a + b for a, b in pairs)))
+        shift = np.arange(len(pairs)) * (1 + np.maximum.reduce(
+            np.concatenate((a_on, b_on)), initial=0))
+        a_on += shift.repeat([len(a[0]) for a, _ in pairs])
+        b_on += shift.repeat([len(b[0]) for _, b in pairs])
+        a, b = (a_on, a_key, a_vals), (b_on, b_key, b_vals)
+        del a_on, a_key, a_vals, b_on, b_key, b_vals
+    if len(a[0]) < len(b[0]):
+        a, b = b, a
+    perm = b[0].argsort()
+    on = b[0][perm]
+    lo = on.searchsorted(a[0])
+    count = on.searchsorted(a[0], "right") - lo
+    ends = count.cumsum()
+    total = int(ends[-1]) if len(ends) else 0
+    if total > TERM_BUDGET:
+        raise UndecidedError(
+            f"{what} needs {total} sparse terms, over hopf.TERM_BUDGET = {TERM_BUDGET}")
+    if not total:
+        return np.zeros(0, dtype=np.int64), a[2][:0]
+    if total > _BLOCK:
+        # blocks take the longer side in the order of its keys: when it holds
+        # the leading digits of the output, they come a slice at a time, and
+        # the two sides of a check meet in one block
+        order = a[1].argsort()
+        a = (a[0][order], a[1][order], a[2][order])
+        lo, count = lo[order], count[order]
+        ends = count.cumsum()
+    a_vals, b_vals = a[2], b[2]
+    if p is None:
+        # every product and sum below is at most max|a| max|b| total: int64
+        # below 2^63, Python ints and Fractions beyond
+        ma, mb = _abs_max(a_vals), _abs_max(b_vals)
+        if ma is None or mb is None or ma * mb * total >= _INT64:
+            a_vals, b_vals = a_vals.astype(object), b_vals.astype(object)
+    # entry s of a meets the sorted positions lo[s] + [0, count[s]) of b, its
+    # pairs numbered from ends[s] - count[s]; a block takes the next entries
+    # whose pairs fit in _BLOCK, at least one, and the sums of the blocks are
+    # merged whenever they have doubled
+    shift = lo - ends + count
+    sums, size, bound, start = [], 0, _BLOCK, 0
+    while start < len(ends):
+        first = ends[start] - count[start]
+        stop = len(ends) if total - first <= _BLOCK else max(
+            start + 1, int(ends.searchsorted(first + _BLOCK, "right")))
+        reps = count[start:stop]
+        s = np.arange(start, stop).repeat(reps)
+        t = perm[np.arange(first, ends[stop - 1]) + shift[start:stop].repeat(reps)]
+        vals = a_vals[s] * b_vals[t]
+        if p is not None:
+            vals %= p
+        sums.append(_group_sums(p, a[1][s] + b[1][t], vals))
+        size += len(sums[-1][0])
+        if size > bound or stop == len(ends) and len(sums) > 1:
+            sums = [_group_sums(p, np.concatenate([k for k, _ in sums]),
+                                np.concatenate([v for _, v in sums]))]
+            size = len(sums[0][0])
+            bound = max(bound, 2 * size)
+        start = stop
+    return sums[0]
+
+
+def key_bases(shapes) -> list[int]:
+    """Where each array of `shapes` starts when they are laid end to end in
+    one range of C-order keys, and where the last ends; refused beyond int64."""
+    edges = [0, *itertools.accumulate(math.prod(shape) for shape in shapes)]
+    if edges[-1] >= _INT64:
+        raise UndecidedError(f"the checks need {edges[-1]} keys, too many to index")
+    return edges
+
+
+def first_differences(p: int | None, shapes, terms) -> list[tuple | None]:
+    """For arrays of the given shapes laid end to end by `key_bases`, the
+    C-order-first index of each where the terms (keys, vals) sum to nonzero,
+    or None.
+
+    With one side of an equation negated, that is the first index where the
+    two sides differ.  All the terms are summed in one `_sum_by`, whose keys
+    come out ascending: the first in each array's range is its witness.
+    """
+    edges = key_bases(shapes)
+    bad, _ = _sum_by(p, np.concatenate([k for k, _ in terms]),
+                     np.concatenate([v for _, v in terms]))
+    at = bad.searchsorted(edges).tolist()
+    return [tuple(int(x) for x in np.unravel_index(int(bad[lo]) - base, shape))
+            if lo < hi else None for shape, base, lo, hi in zip(shapes, edges, at, at[1:])]
+
+
+def is_outer(p: int | None, terms, n: int, x, y) -> bool:
+    """Whether summed terms (keys i n + j, vals) are the outer product of
+    the vectors x and y, given by their nonzeros (index, value): no join,
+    as the nonzeros of x (x) y are all the pairs of theirs."""
+    keys, vals = terms
+    if len(keys) != len(x[0]) * len(y[0]):
+        return False
+    dx, dy = np.zeros(n, dtype=x[1].dtype), np.zeros(n, dtype=y[1].dtype)
+    dx[x[0]], dy[y[0]] = x[1], y[1]
+    return bool(np.array_equal(vals, _times(p, dx[keys // n], dy[keys % n])))
+
+
+def _row_dicts(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> list[dict]:
+    """Entries, at distinct (row, column), as the elimination's row dicts
+    {column: value}, one per row."""
+    out: dict = {}
+    for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        out.setdefault(r, {})[c] = v
+    return list(out.values())
+
+
+def _dict_arrays(rows: list[dict]):
+    """(row, column, value) arrays of the entries of row dicts."""
+    size = list(map(len, rows))
+    cols = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=sum(size))
+    vals = _scalars([v for row in rows for v in row.values()])
+    return np.arange(len(rows)).repeat(size), cols, vals
+
+
 class SparseCoaction:
     """An array (n, n, order) by its nonzero entries, in compressed columns.
 
@@ -367,14 +517,14 @@ class SparseCoaction:
     field scalar (see `_scalars` for the dtype).  For a coaction, order is
     |G| and the key is the row of the fixed-space system, so a column of the
     coaction is a column of it; Hopf structure constants are held the same
-    way (order n, or 1 for the antipode matrix).  `cols` is a cached view of
-    the columns as dicts {key: Python scalar}.
+    way (order n, or 1 for the antipode matrix).  `coo` gives the index
+    arrays of the entries for `contract`.
     """
 
     def __init__(self, ptr: np.ndarray, keys: np.ndarray, vals: np.ndarray, order: int,
                  col_of: np.ndarray | None = None):
         self.ptr, self.keys, self.vals, self.order = ptr, keys, vals, order
-        self._col_of, self._cols = col_of, None
+        self._col_of, self._coo = col_of, None
 
     @property
     def dim(self) -> int:
@@ -391,13 +541,12 @@ class SparseCoaction:
             self._col_of = np.arange(self.dim).repeat(self.ptr[1:] - self.ptr[:-1])
         return self._col_of
 
-    @property
-    def cols(self) -> list[dict]:
-        """The columns as dicts {key: Python scalar}."""
-        if self._cols is None:
-            keys, vals, ptr = self.keys.tolist(), self.vals.tolist(), self.ptr.tolist()
-            self._cols = [dict(zip(keys[a:b], vals[a:b])) for a, b in zip(ptr, ptr[1:])]
-        return self._cols
+    def coo(self):
+        """The index arrays (i, j, g) of the stored entries, parallel to vals."""
+        if self._coo is None:
+            i, g = np.divmod(self.keys, self.order)
+            self._coo = i, self.col_of, g
+        return self._coo
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseCoaction):
@@ -410,8 +559,7 @@ class SparseCoaction:
 
     def entries(self):
         """(i, j, g, value) of every nonzero entry, column by column."""
-        i, g = np.divmod(self.keys, self.order)
-        return zip(i.tolist(), self.col_of.tolist(), g.tolist(), self.vals.tolist())
+        return zip(*(x.tolist() for x in self.coo()), self.vals.tolist())
 
     @classmethod
     def from_coo(cls, i, j, g, vals, dim: int, order: int) -> "SparseCoaction":
@@ -438,71 +586,27 @@ class SparseCoaction:
 
     @classmethod
     def from_dense(cls, coact: np.ndarray) -> "SparseCoaction":
-        return cls.from_entries(_nonzeros(coact), coact.shape[1], coact.shape[2])
+        idx, vals = _vector(coact)
+        return cls.from_coo(*np.unravel_index(idx, coact.shape), vals, *coact.shape[1:])
 
     def to_dense(self, field: FieldSpec) -> np.ndarray:
         """The dense (n, n, order) field array: an on-demand boundary."""
-        out = field.zeros((self.dim, self.dim, self.order))
-        i, g = np.divmod(self.keys, self.order)
-        out[i, self.col_of, g] = np.fromiter(map(field.coerce, self.vals.tolist()),
-                                             dtype=out.dtype, count=len(self.vals))
-        return out
+        i, j, g = self.coo()
+        return _dense(field, (i * self.dim + j) * self.order + g, self.vals,
+                      (self.dim, self.dim, self.order))
 
     def transpose(self, axes) -> "SparseCoaction":
         """The array with its axes permuted as `np.transpose(array, axes)`;
         an index permutation of the nonzeros, without arithmetic."""
-        i, g = np.divmod(self.keys, self.order)
-        idx = (i, self.col_of, g)
+        idx = self.coo()
         shape = (self.dim, self.dim, self.order)
         return SparseCoaction.from_coo(idx[axes[0]], idx[axes[1]], idx[axes[2]], self.vals,
                                        shape[axes[1]], shape[axes[2]])
 
 
-# Sparse contractions work on dicts of scalars keyed by index tuples.
-
-
-def _acc(terms) -> dict:
-    """Sum (index, scalar) terms by index."""
-    out: dict = {}
-    for k, v in terms:
-        out[k] = out.get(k, 0) + v
-    return out
-
-
-def _by(entries, *axes) -> dict:
-    """Nonzero entries (i, j, k, v) grouped by the indices at `axes`: each
-    key maps to the list of (other indices..., v)."""
-    key = itemgetter(*axes)
-    rest = itemgetter(*(a for a in range(4) if a not in axes))
-    out: dict = {}
-    for e in entries:
-        out.setdefault(key(e), []).append(rest(e))
-    return out
-
-
-def _nonzero(p: int | None, x) -> bool:
-    return bool(x % p if p is not None else x)
-
-
-def _clean(p: int | None, row: dict) -> dict:
-    """The nonzero entries of row, reduced mod p over F_p."""
-    if p is None:
-        return {k: v for k, v in row.items() if v}
-    return {k: v % p for k, v in row.items() if v % p}
-
-
-def _mismatches(p: int | None, lhs: dict, rhs: dict) -> list:
-    """The keys where lhs and rhs differ, an absent key meaning 0."""
-    if _clean(p, lhs) == _clean(p, rhs):
-        return []
-    return [k for k in lhs.keys() | rhs.keys() if _nonzero(p, lhs.get(k, 0) - rhs.get(k, 0))]
-
-
-def _first_mismatch(p: int | None, lhs: dict, rhs: dict, prefix=()) -> tuple | None:
-    """The least index (C order) where lhs and rhs differ, as prefix + index,
-    for dicts keyed by index tuples."""
-    bad = _mismatches(p, lhs, rhs)
-    return prefix + min(bad) if bad else None
+# The elimination works on rows {column: nonzero scalar}: residues 0..p-1 over
+# F_p, and ints or Fractions over Q.  An integral rational enters as an int,
+# because Python int arithmetic is many times faster than Fraction's.
 
 
 def _axpy(p: int | None, row: dict, f, other: dict) -> None:
@@ -558,10 +662,8 @@ def _back_substitute(field: FieldSpec, piv: dict[int, dict]) -> dict[int, dict]:
 
 
 def _dense_rows(mat: np.ndarray) -> list[dict]:
-    rows: list[dict] = [{} for _ in range(mat.shape[0])]
-    for i, j, v in _nonzeros(mat):
-        rows[i][j] = v
-    return rows
+    idx, vals = _vector(mat)
+    return _row_dicts(*np.divmod(idx, mat.shape[1]), vals)
 
 
 def _kernel(field: FieldSpec, rows, n: int) -> np.ndarray:
@@ -630,10 +732,8 @@ def kernel_basis(field: FieldSpec, mat: np.ndarray) -> np.ndarray:
 
 def _unit_terms(unit: np.ndarray):
     """(g, -unit[g]) at the nonzeros of the unit, as arrays."""
-    values = unit.tolist()
-    g = [k for k, v in enumerate(values) if v]
-    return (np.array(g, dtype=np.int64),
-            _scalars([-(v.numerator if v.denominator == 1 else v) for v in map(values.__getitem__, g)]))
+    g, vals = _vector(unit)
+    return g, -vals
 
 
 def _peeled_system(field: FieldSpec, coact: SparseCoaction, unit_terms, coords):

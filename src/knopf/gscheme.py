@@ -14,6 +14,8 @@ The Knop character is computed by two independent routes:
   left-integral line of k[G]* coacts is extracted.
 
 The adjoint route is the definition; the modular route is the cross-check.
+Both, and the grouplike test they end in, are `exactalg.contract`s of the
+structure constants' nonzeros, each refused by name beyond hopf.TERM_BUDGET.
 """
 
 from __future__ import annotations
@@ -76,22 +78,16 @@ class FiniteGroupScheme:
 
     def is_grouplike(self, v) -> bool:
         """Delta v = v (x) v and eps(v) = 1, checked exactly."""
-        f, n = self.field, self.order
-        x = dict(xa._nonzeros(f.asarray(v)))
-        counit = self.gamma.counit.tolist()
-        if xa._nonzero(f.p, sum(a * counit[i] for i, a in x.items()) - 1):
+        f, n, d = self.field, self.order, self.gamma.comult
+        v = f.asarray(v)
+        if f.reduce(v.dot(self.gamma.counit)) != f.one:
             return False
-        # one middle leg j at a time: sum_i v_i Delta[i, j, :] = v_j v
-        for j, col in enumerate(self.gamma.comult.cols):
-            dv: dict = {}
-            for key, w in col.items():
-                i, k = divmod(key, n)
-                if i in x:
-                    dv[k] = dv.get(k, 0) + x[i] * w
-            line = {k: x[j] * a for k, a in x.items()} if j in x else {}
-            if xa._mismatches(f.p, dv, line):
-                return False
-        return True
+        vi, vv = xa._vector(v)
+        di, dj, dk = d.coo()
+        # sum_i v_i Delta[i, j, k] against v_j v_k
+        terms = xa.contract(f.p, [((vi, 0 * vi, vv), (di, dj * n + dk, d.vals))],
+                            "the grouplike test")
+        return xa.is_outer(f.p, terms, n, (vi, vv), (vi, vv))
 
     def grouplike_product(self, u, v) -> np.ndarray:
         return self.gamma.mult_vec(self.field.asarray(u), self.field.asarray(v))
@@ -134,41 +130,27 @@ class FiniteGroupScheme:
         """
         if self._knop_adjoint is not None:
             return self._knop_adjoint.copy()
-        f, n = self.field, self.order
-        gamma = self.gamma
-        d, smat = gamma.comult, gamma.antipode
+        f, n, p = self.field, self.order, self.field.p
+        d, s = self.gamma.comult, self.gamma.antipode
+        di, dj, dk = d.coo()
+        sa, sj, _ = s.coo()
         lam = self.dual_algebra.left_integral()
-        lam_x = dict(xa._nonzeros(lam))
-        # E[a][c] = sum_j d[a,c,j] lam_j   (lam contracted into the last leg)
-        e2: dict = {}
-        for a, c, j, v in d.entries():
-            if j in lam_x:
-                row = e2.setdefault(a, {})
-                row[c] = row.get(c, 0) + v * lam_x[j]
-        # N[i][k] = sum_{a,b,c} d[i,a,b] E[a][c] (S(b_c) b_b)[k] = sum_j lam_j g_{ji}[k]:
-        # E and S(b_c) b_b are contracted at each entry of the second Delta
-        prods = _antipode_products(gamma)
-        n2: dict = {}
-        for i, a, b, v in d.entries():
-            ea = e2.get(a)
-            if ea:
-                for c, vec in prods.get(b, {}).items():
-                    if c in ea:
-                        row = n2.setdefault(i, {})
-                        for k, pv in vec.items():
-                            row[k] = row.get(k, 0) + v * ea[c] * pv
+        li, lv = xa._vector(lam)
+        what = "the adjoint route"
+        # E[a, c] = sum_j d[a, c, j] lam_j   (lam contracted into the last leg)
+        e, ev = xa.contract(p, [((li, 0 * li, lv), (dk, di * n + dj, d.vals))], what)
+        # N[i, k] = sum_{a,b,c} d[i, a, b] E[a, c] (S(b_c) b_b)[k]
+        nk, nv = xa.contract(p, [(_adjoint_terms(self.gamma, what), (e, 0 * e, ev))], what)
         # M[i] = S applied to the Gamma-element N[i]
-        m = {i: xa._acc((x, v * sv) for k, v in row.items()
-                        for x, sv in smat.cols[k].items()) for i, row in n2.items()}
+        m = xa.contract(p, [((nk % n, nk - nk % n, nv), (sj, sa, s.vals))], what)
         # M = lam (x) w: lam has a 1 at its first nonzero entry
-        w = m.get(xa._first_nonzero(lam), {})
-        for i in m.keys() | lam_x.keys():
-            line = {x: lam_x.get(i, 0) * wv for x, wv in w.items()}
-            if xa._mismatches(f.p, m.get(i, {}), line):
-                raise InconsistencyError(
-                    "dualized adjoint coaction does not stabilize the integral line"
-                )
-        w = xa._from_dict(f, w, n)
+        row = m[0] // n == li[0]
+        wi, wv = m[0][row] % n, m[1][row]
+        if not xa.is_outer(p, m, n, (li, lv), (wi, wv)):
+            raise InconsistencyError(
+                "dualized adjoint coaction does not stabilize the integral line"
+            )
+        w = xa._dense(f, wi, wv, (n,))
         if not self.is_grouplike(w):
             raise InconsistencyError("adjoint-route character is not grouplike")
         self._knop_adjoint = w
@@ -198,28 +180,30 @@ class FiniteGroupScheme:
         """Full adjoint coaction G[e,j,:], the Gamma-coefficient of b_e in
         rho_ad(b_j) = sum d[j,a,b] d[a,c,e] b_e (x) S(b_c) b_b.  Intended for
         small schemes and cross-checks; the Knop routes never need it."""
-        gamma = self.gamma
-        d = list(gamma.comult.entries())
-        d_first = xa._by(d, 0)
-        prods = _antipode_products(gamma)
-        acc = xa._acc(((e, j, k), v * w * pv) for j, a, b, v in d
-                      for c, e, w in d_first.get(a, ())
-                      for k, pv in prods.get(b, {}).get(c, {}).items())
-        return xa.SparseCoaction.from_entries(
-            ((e, j, k, self.field.coerce(v)) for (e, j, k), v in acc.items()),
-            self.order, self.order)
+        n, p, d = self.order, self.field.p, self.gamma.comult
+        di, dj, dk = d.coo()
+        what = "the adjoint coaction"
+        keys, vals = xa.contract(p, [(_adjoint_terms(self.gamma, what),
+                                      (di * n + dj, dk * n * n, d.vals))], what)
+        return xa.SparseCoaction.from_coo(*np.unravel_index(keys, (n, n, n)), vals, n, n)
 
 
-def _antipode_products(gamma: HopfAlgebraData) -> dict:
-    """prods[b][c]: the coefficients of S(b_c) b_b by basis index."""
-    by_first = xa._by(gamma.mult.entries(), 0)
-    prods: dict = {}
-    for c, col in enumerate(gamma.antipode.cols):
-        for a, sv in col.items():
-            for b, k, v in by_first.get(a, ()):
-                vec = prods.setdefault(b, {}).setdefault(c, {})
-                vec[k] = vec.get(k, 0) + sv * v
-    return prods
+def _adjoint_terms(gamma: HopfAlgebraData, what: str):
+    """The terms d[j, a, b] (S(b_c) b_b)[k] of the adjoint coaction, as the
+    operand (a n + c, j n + k, value): the antipode joined with the product
+    into S(b_c) b_b, and that joined with Delta at b."""
+    n, p = gamma.dim, gamma.field.p
+    d, s = gamma.comult, gamma.antipode
+    di, dj, dk = d.coo()
+    sa, sc, _ = s.coo()
+    i, j, k = gamma.mult.coo()
+    # S(b_c) b_b = sum_k P[b, c, k] b_k, keyed (b, c, k)
+    pk, pv = xa.contract(p, [((sa, sc * n, s.vals), (i, j * n * n + k, gamma.mult.vals))], what)
+    # d[j, a, b] P[b, c, k] keyed ((a, c), j, k)
+    n2 = n * n
+    keys, vals = xa.contract(p, [((dk, dj * n * n2 + di * n, d.vals),
+                                  (pk // n2, pk // n % n * n2 + pk % n, pv))], what)
+    return keys // n2, keys % n2, vals
 
 
 def direct_product(g1: FiniteGroupScheme, g2: FiniteGroupScheme) -> FiniteGroupScheme:

@@ -8,10 +8,12 @@ Conventions (basis b_0..b_{n-1} over the field):
   antipode[a,j]:   S(b_j) = sum_a antipode[a,j] b_a
 
 mult, comult and antipode are held by their nonzeros only, as
-`exactalg.SparseCoaction`s of these arrays (the antipode with order 1), and
-every operation contracts on the nonzeros, as field scalars: k^G has |G|
-nonzero products and |G|^2 coproduct terms where the dense arrays held
-|G|^3 each.
+`exactalg.SparseCoaction`s of these arrays (the antipode with order 1): k^G
+has |G| nonzero products and |G|^2 coproduct terms where the dense arrays
+held |G|^3 each.  Every operation on them is an `exactalg.contract` of the
+nonzeros; the axiom checks contract both sides of every axiom at once and
+read the first witnesses off one sum.  The contraction's one check is
+TERM_BUDGET: an input whose join needs more sparse terms is refused by name.
 
 Integrals are `exactalg.fixed_space` of the transposed mult against the
 counit, from the rows of `algebra_generators` (a least-index greedy set of
@@ -46,16 +48,11 @@ from .exactalg import FieldSpec
 # (Noether-Deuring), so no extension can overturn a base-field exhaustion.
 SEARCH_BUDGET = 1_000_000
 
-# Sparse terms one step may hold at once: the antipode system's rows and the
-# outer products the axiom checks compare against.  Inputs beyond it are
-# refused rather than allowed to run the machine out of memory.
-TERM_BUDGET = 4_000_000
+# The sparse terms one `exactalg.contract` may form, counted before it forms
+# any; inputs beyond it are refused by this name.
+TERM_BUDGET = xa.TERM_BUDGET
 
-
-def _check_budget(count: int, what: str) -> None:
-    if count > TERM_BUDGET:
-        raise UndecidedError(
-            f"{what} needs {count} sparse terms, over hopf.TERM_BUDGET = {TERM_BUDGET}")
+_FOUR_INDEX = ("associativity", "coassociativity", "comult_algebra_map")
 
 
 @dataclass
@@ -146,24 +143,23 @@ class HopfAlgebraData:
             raise InputError("operation needs a coalgebra structure")
 
     def mult_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        n = self.dim
-        xs = x.tolist()
-        acc: dict = {}
-        for j, yj in enumerate(y.tolist()):
-            if yj:
-                for key, v in self.mult.cols[j].items():
-                    i, k = divmod(key, n)
-                    if xs[i]:
-                        acc[k] = acc.get(k, 0) + xs[i] * yj * v
-        return xa._from_dict(self.field, acc, n)
+        """x y for coefficient vectors x and y, or row by row for two (m, n)
+        stacks of them."""
+        p, n = self.field.p, self.dim
+        (xi, xv), (yi, yv) = xa._vector(x), xa._vector(y)
+        i, j, k = self.mult.coo()
+        # x[r, i] mult[i, j, k] at (r, j, k), then times y[r, j] at (r, k)
+        keys, vals = xa.contract(p, [((xi % n, (xi - xi % n) * n, xv),
+                                      (i, j * n + k, self.mult.vals))], "a product")
+        keys, vals = xa.contract(p, [((keys // n, keys // (n * n) * n + keys % n, vals),
+                                      (yi, 0 * yi, yv))], "a product")
+        return xa._dense(self.field, keys, vals, x.shape)
 
     def apply_antipode(self, x: np.ndarray) -> np.ndarray:
-        acc: dict = {}
-        for j, xj in enumerate(x.tolist()):
-            if xj:
-                for a, v in self.antipode.cols[j].items():
-                    acc[a] = acc.get(a, 0) + xj * v
-        return xa._from_dict(self.field, acc, self.dim)
+        p, (xi, xv) = self.field.p, xa._vector(x)
+        a, j, _ = self.antipode.coo()
+        terms = xa.contract(p, [((xi, 0 * xi, xv), (j, a, self.antipode.vals))], "an antipode")
+        return xa._dense(self.field, *terms, (self.dim,))
 
     def is_commutative(self) -> bool:
         return self.mult == self.mult.transpose((1, 0, 2))
@@ -190,124 +186,114 @@ class HopfAlgebraData:
     def verify_axioms(self) -> AxiomReport:
         """Every axiom with the C-order-first index where it fails.
 
-        Each side is contracted on the nonzeros; the four-index checks are
-        compared one leading index at a time, so only one slice is held.
+        Both sides of every axiom, the right-hand one negated, are contracted
+        on the nonzeros, each check at its own range of keys, in four
+        `exactalg.contract`s, and `exactalg.first_differences` reads every
+        witness off one sum.
         """
         n, p = self.dim, self.field.p
-        c = list(self.mult.entries())
-        u = dict(xa._nonzeros(self.unit))
-        eye = {(i, i): 1 for i in range(n)}
-        checks: list[AxiomCheck] = []
-
-        def add(name, w):
-            checks.append(AxiomCheck(name, w is None, w))
-
-        def four(slices):
-            # the first slice (by leading index) with a mismatch holds the witness
-            for i in range(n):
-                w = xa._first_mismatch(p, *slices(i), prefix=(i,))
-                if w is not None:
-                    return w
-            return None
-
-        add("unit_left", xa._first_mismatch(
-            p, xa._acc(((j, k), u[i] * v) for i, j, k, v in c if i in u), eye))
-        add("unit_right", xa._first_mismatch(
-            p, xa._acc(((i, k), u[j] * v) for i, j, k, v in c if j in u), eye))
-        c_first, c_last = xa._by(c, 0), xa._by(c, 2)
-
-        def assoc(i):
-            # (b_i b_j) b_l against b_i (b_j b_l), by (j, l, m)
-            t1 = xa._acc(((j, l, m), v * w) for j, k, v in c_first.get(i, ())
-                      for l, m, w in c_first.get(k, ()))
-            t2 = xa._acc(((j, l, m), v * w) for k, m, w in c_first.get(i, ())
-                      for j, l, v in c_last.get(k, ()))
-            return t1, t2
-
-        add("associativity", four(assoc))
-
+        n2, n3, n4 = n * n, n ** 3, n ** 4
+        names = ["unit_left", "unit_right", "associativity"]
         if self.comult is not None:
-            d = list(self.comult.entries())
-            e = dict(xa._nonzeros(self.counit))
-            add("counit_left", xa._first_mismatch(
-                p, xa._acc(((i, k), v * e[j]) for i, j, k, v in d if j in e), eye))
-            add("counit_right", xa._first_mismatch(
-                p, xa._acc(((i, j), v * e[k]) for i, j, k, v in d if k in e), eye))
-            d_first = xa._by(d, 0)
+            names += ["counit_left", "counit_right", "coassociativity", "counit_algebra_map",
+                      "comult_unit", "comult_algebra_map", "antipode_left", "antipode_right"]
+        shapes = [(n,) * (4 if name in _FOUR_INDEX else 2) for name in names]
+        at = dict(zip(names, xa.key_bases(shapes)))
+        ci, cj, ck = self.mult.coo()
+        cv, what = self.mult.vals, "the axiom checks"
+        ui, uv = xa._vector(self.unit)
+        unit, diag = (ui, 0 * ui, uv), np.arange(n) * (n + 1)
 
-            def coassoc(i):
+        def outer(name, xi, xv, yi, yv):
+            # -x (x) y at (i, j) of check `name`
+            return (0 * xi, at[name] + xi * n, -xv), (0 * yi, yi, yv)
+
+        # the largest joins are contracted one at a time, each with the
+        # operand holding the leading index first (see `exactalg.contract`):
+        # (b_i b_j) b_l against b_i (b_j b_l), at (i, j, l, m)
+        terms = [xa.contract(p, [
+            ((ck, at["associativity"] + ci * n3 + cj * n2, cv), (ci, cj * n + ck, cv)),
+            ((cj, at["associativity"] + ci * n3 + ck, cv), (ck, ci * n2 + cj * n, -cv))], what)]
+        terms += [(at[name] + diag, -np.ones(n, dtype=np.int64)) for name in names[:2]]
+        pairs = [(unit, (ci, at["unit_left"] + cj * n + ck, cv)),
+                 (unit, (cj, at["unit_right"] + ci * n + ck, cv))]
+        if self.comult is not None:
+            di, dj, dk = self.comult.coo()
+            dv = self.comult.vals
+            ei, ev = xa._vector(self.counit)
+            sa, sj, _ = self.antipode.coo()
+            sv, counit = self.antipode.vals, (ei, 0 * ei, ev)
+            # Delta(b_i) Delta(b_j) = sum d[i, x, k] d[j, y, z] c[x, y, m] c[k, z, m2]
+            # from U = d[i, x, k] c[x, y, m] and V = d[j, y, z] c[k, z, m2], keyed
+            # ((y, k), i, m) and ((y, k), j, m2); and P = S(b_j) b_k, b_j S(b_k)
+            # keyed (side, j, k, m); U from 0, V from n^4, P from 2 n^4 on
+            keys, vals = xa.contract(p, [
+                ((dj, dk * n2 + di * n, dv), (ci, cj * n3 + ck, cv)),
+                ((dk, n4 + dj * n3 + di * n, dv), (cj, ci * n2 + ck, cv)),
+                ((sa, 2 * n4 + sj * n2, sv), (ci, cj * n + ck, cv)),
+                ((sa, 2 * n4 + n3 + sj * n, sv), (cj, ci * n2 + ck, cv))], what)
+            cut = keys.searchsorted([n4, 2 * n4]).tolist()
+            (uk, uv_), (vk, vv), (pk, pv) = (
+                (keys[a:b] - base, vals[a:b])
+                for a, b, base in ((0, cut[0], 0), (cut[0], cut[1], n4), (cut[1], None, 2 * n4)))
+            del keys, vals
+            pairs += [
+                (counit, (dj, at["counit_left"] + di * n + dk, dv)),
+                (counit, (dk, at["counit_right"] + di * n + dj, dv)),
                 # (Delta (x) id) Delta b_i against (id (x) Delta) Delta b_i
-                l3 = xa._acc(((x, y, z), v * w) for j, z, v in d_first.get(i, ())
-                          for x, y, w in d_first.get(j, ()))
-                r3 = xa._acc(((x, y, z), v * w) for x, k, v in d_first.get(i, ())
-                          for y, z, w in d_first.get(k, ()))
-                return l3, r3
-
-            add("coassociativity", four(coassoc))
-            _check_budget(max(len(e), len(u)) ** 2, "the counit and unit axioms")
-            add("counit_algebra_map", xa._first_mismatch(
-                p, xa._acc(((i, j), v * e[k]) for i, j, k, v in c if k in e),
-                {(i, j): a * b for i, a in e.items() for j, b in e.items()}))
-            add("comult_unit", xa._first_mismatch(
-                p, xa._acc(((j, k), u[i] * v) for i, j, k, v in d if i in u),
-                {(i, j): a * b for i, a in u.items() for j, b in u.items()}))
-            c_pair, d_mid = xa._by(c, 0, 1), xa._by(d, 1)
-
-            def comult_mult(i):
-                # Delta(b_i b_j) against Delta(b_i) Delta(b_j), by (j, m, m2)
-                lhs = xa._acc(((j, a, b), v * w) for j, k, v in c_first.get(i, ())
-                           for a, b, w in d_first.get(k, ()))
-                rhs = xa._acc(((j, m, m2), dv * cv * dw * cw)
-                           for x, k, dv in d_first.get(i, ())
-                           for y, m, cv in c_first.get(x, ())
-                           for j, z, dw in d_mid.get(y, ())
-                           for m2, cw in c_pair.get((k, z), ()))
-                return lhs, rhs
-
-            add("comult_algebra_map", four(comult_mult))
-            if self.antipode is not None:
-                sides: tuple[dict, dict] = ({}, {})
-                for side, i, m, a, j, coef in self._antipode_terms():
-                    s = self.antipode.cols[j].get(a)
-                    if s:
-                        sides[side][i, m] = sides[side].get((i, m), 0) + coef * s
-                target = {(i, m): a * b for i, a in e.items() for m, b in u.items()}
-                add("antipode_left", xa._first_mismatch(p, sides[0], target))
-                add("antipode_right", xa._first_mismatch(p, sides[1], target))
-        return AxiomReport(checks)
-
-    def _antipode_terms(self):
-        """(side, i, m, a, j, coefficient) of the antipode axioms in the
-        unknowns S[a, j]: sum S(b_j) b_k Delta[i, j, k] (side 0) and
-        sum b_j S(b_k) Delta[i, j, k] (side 1) have coefficient
-        sum coefficient * S[a, j] at b_m; both must equal eps(b_i) 1."""
-        c = list(self.mult.entries())
-        c_first, c_mid = xa._by(c, 0), xa._by(c, 1)
-        d = list(self.comult.entries())
-        _check_budget(sum(len(c_mid.get(k, ())) + len(c_first.get(j, ())) for _, j, k, _ in d),
-                      "the antipode axioms")
-        for i, j, k, dv in d:
-            for a, m, cv in c_mid.get(k, ()):
-                yield 0, i, m, a, j, dv * cv
-            for a, m, cv in c_first.get(j, ()):
-                yield 1, i, m, a, k, dv * cv
+                ((dj, at["coassociativity"] + di * n3 + dk, dv), (di, dj * n2 + dk * n, dv)),
+                ((dk, at["coassociativity"] + di * n3 + dj * n2, -dv), (di, dj * n + dk, dv)),
+                (counit, (ck, at["counit_algebra_map"] + ci * n + cj, cv)),
+                outer("counit_algebra_map", ei, ev, ei, ev),
+                (unit, (di, at["comult_unit"] + dj * n + dk, dv)),
+                outer("comult_unit", ui, uv, ui, uv),
+                # sum Delta[i, j, k] P[side, j, k, m], side 1 n^2 keys on
+                ((pk // n, pk % n, pv),
+                 (np.concatenate((dj * n + dk, n2 + dj * n + dk)),
+                  at["antipode_left"] + np.concatenate((di * n, n2 + di * n)),
+                  np.concatenate((dv, dv)))),
+                outer("antipode_left", ei, ev, ui, uv),
+                outer("antipode_right", ei, ev, ui, uv),
+            ]
+            terms += [(at[name] + diag, -np.ones(n, dtype=np.int64))
+                      for name in ("counit_left", "counit_right")]
+        terms.append(xa.contract(p, pairs, what))
+        if self.comult is not None:
+            del pairs
+            # Delta(b_i b_j) against Delta(b_i) Delta(b_j), joined at (y, k)
+            terms.append(xa.contract(p, [
+                ((ck, at["comult_algebra_map"] + ci * n3 + cj * n2, cv), (di, dj * n + dk, dv)),
+                ((uk // n2, at["comult_algebra_map"] + uk // n % n * n3 + uk % n * n, -uv_),
+                 (vk // n2, vk // n % n * n2 + vk % n, vv))], what))
+        found = xa.first_differences(p, shapes, terms)
+        return AxiomReport([AxiomCheck(name, w is None, w) for name, w in zip(names, found)])
 
     def _antipode_system(self) -> list[dict]:
-        """Rows of the antipode axioms, unknown S[a, j] in column a * n + j
-        and the right-hand side eps_i unit_m in column n * n."""
-        f, n = self.field, self.dim
-        rows: dict = {}
-        for side, i, m, a, j, coef in self._antipode_terms():
-            row = rows.setdefault((side, i, m), {})
-            row[a * n + j] = row.get(a * n + j, 0) + coef
-        units = list(xa._nonzeros(self.unit))
-        counits = list(xa._nonzeros(self.counit))
-        _check_budget(2 * len(units) * len(counits), "the antipode system")
-        for i, e in counits:
-            for m, u in units:
-                for side in (0, 1):
-                    rows.setdefault((side, i, m), {})[n * n] = e * u
-        return [xa._clean(f.p, row) for row in rows.values()]
+        """Rows of the antipode axioms, which say both sides equal eps(b_i) 1:
+        unknown S[a, j] in column a * n + j and the right-hand side eps_i
+        unit_m in column n * n."""
+        p, n = self.field.p, self.dim
+        ci, cj, ck = self.mult.coo()
+        di, dj, dk = self.comult.coo()
+        cv, dv, w = self.mult.vals, self.comult.vals, 2 * n * n
+        # sum S(b_j) b_k Delta[i, j, k] (side 0) and sum b_j S(b_k) Delta[i, j, k]
+        # (side 1), linear in the unknowns S[a, j]: side 0 joins d[i, j, k]
+        # c[a, k, m] at k, side 1 d[i, j, k] c[j, a, m] at j, keyed by the
+        # unknown and the row, (a n + j) w + (side n + i) n + m
+        keys, vals = xa.contract(p, [((dk, dj * w + di * n, dv), (cj, ci * n * w + ck, cv)),
+                                     ((dj, dk * w + (n + di) * n, dv), (ci, cj * n * w + ck, cv))],
+                                 "the antipode axioms")
+        on, key = np.divmod(keys, w)
+        ei, ev = xa._vector(self.counit)
+        ui, uv = xa._vector(self.unit)
+        # eps_i unit_m in row (side, i, m) of both sides
+        e2 = np.concatenate((ei, ei + n)) * n
+        rk, rv = xa.contract(p, [((0 * e2, e2, np.concatenate((ev, ev))), (0 * ui, ui, uv))],
+                             "the antipode system")
+        width = n * n + 1
+        keys, vals = xa._sum_by(p, np.concatenate((key * width + on, rk * width + n * n)),
+                                np.concatenate((vals, rv)))
+        return xa._row_dicts(*np.divmod(keys, width), vals)
 
     def _solve_antipode(self) -> xa.SparseCoaction:
         """The unique S solving the antipode axiom, from one elimination of
@@ -364,39 +350,40 @@ class HopfAlgebraData:
         level of new rows at a time; every vector stays sparse.  For kG the
         generators generate G, and k^G needs |G| - 1 of its idempotents.
         """
-        f, n = self.field, self.dim
-        # right[g][i]: the (k, v) with b_i b_g = sum v b_k
-        right: dict[int, dict] = {}
+        f, n, m = self.field, self.dim, self.mult
+        # column g of mult, keyed (i, g) and k, for the generators g so far
+        mi, mj, mk = m.coo()
+        on, columns = mi * n + mj, []
 
-        def times(x, g):
-            acc: dict = {}
-            for i, xi in x.items():
-                for k, v in right[g].get(i, ()):
-                    acc[k] = acc.get(k, 0) + xi * v
-            return xa._clean(f.p, acc)
+        def times(pairs):
+            # the rows x b_g = sum_i x_i mult[i, g, :] for the pairs (x, g)
+            r, at, x = xa._dict_arrays([x for x, _ in pairs])
+            g = np.array([g for _, g in pairs], dtype=np.int64)[r]
+            keys, vals = xa.contract(f.p, [((at * n + g, r * n, x), right)],
+                                     "the algebra generators")
+            return xa._row_dicts(keys // n, keys % n, vals)
 
-        piv = xa._echelon(f, [dict(xa._nonzeros(self.unit))])
+        ui, uv = xa._vector(self.unit)
+        piv = xa._echelon(f, [dict(zip(ui.tolist(), uv.tolist()))])
         gens: list[int] = []
-        for i in range(n):
+        for g in range(n):
             if len(piv) == n:
                 break
             size = len(piv)
-            xa._echelon(f, [{i: 1}], piv)
+            xa._echelon(f, [{g: 1}], piv)
             if len(piv) == size:
                 continue
-            gens.append(i)
-            right[i] = {}
-            for key, v in self.mult.cols[i].items():
-                right[i].setdefault(key // n, []).append((key % n, v))
+            gens.append(g)
+            columns.append(slice(m.ptr[g], m.ptr[g + 1]))
+            right = tuple(np.concatenate([a[c] for c in columns]) for a in (on, mk, m.vals))
+            # the earlier rows are closed under the earlier generators; each
+            # level multiplies the rows it added by every generator
             rows = list(piv.values())
-            # the earlier rows are closed under the earlier generators
-            products = [times(x, i) for x in rows[:size]]
-            new = rows[size:]
-            while new and len(piv) < n:
-                products += [times(x, g) for x in new for g in gens]
+            todo = [(x, g) for x in rows[:size]] + [(x, h) for x in rows[size:] for h in gens]
+            while todo and len(piv) < n:
                 size = len(piv)
-                xa._echelon(f, products, piv)
-                new, products = list(piv.values())[size:], []
+                xa._echelon(f, times(todo), piv)
+                todo = [(x, h) for x in list(piv.values())[size:] for h in gens]
         return tuple(gens)
 
     def is_unimodular(self) -> bool:
@@ -427,20 +414,22 @@ class HopfAlgebraData:
         Lambda is the left integral; the returned vector lists alpha(b_i).
         """
         lam = self.left_integral()
-        f, n = self.field, self.dim
-        x = dict(xa._nonzeros(lam))
+        p, n = self.field.p, self.dim
+        li, lv = xa._vector(lam)
+        i, j, k = self.mult.coo()
+        # w[j, k]: lam * b_j = sum_k w[j, k] b_k, which must be alpha(b_j) lam;
         # lam has a 1 at its first nonzero entry
-        first = xa._first_nonzero(lam)
-        alpha = {}
-        for i, col in enumerate(self.mult.cols):
-            # w = lam * b_i; it must be alpha(b_i) lam
-            w = xa._acc((key % n, x[key // n] * v) for key, v in col.items() if key // n in x)
-            alpha[i] = w.get(first, 0)
-            if xa._mismatches(f.p, w, {k: alpha[i] * xk for k, xk in x.items()}):
-                raise InconsistencyError(
-                    f"right multiplication by b_{i} does not preserve the integral line"
-                )
-        return xa._from_dict(f, alpha, n)
+        w = xa.contract(p, [((li, 0 * li, lv), (i, j * n + k, self.mult.vals))],
+                        "the modular element")
+        at = w[0] % n == li[0]
+        ai, av = w[0][at] // n, w[1][at]
+        if not xa.is_outer(p, w, n, (ai, av), (li, lv)):
+            line = xa.contract(p, [((0 * ai, ai * n, -av), (0 * li, li, lv))],
+                               "the modular element")
+            bad = xa.first_differences(p, [(n, n)], [w, line])[0]
+            raise InconsistencyError(
+                f"right multiplication by b_{bad[0]} does not preserve the integral line")
+        return xa._dense(self.field, ai, av, (n,))
 
     # -- dual ------------------------------------------------------------
 
@@ -475,24 +464,21 @@ class HopfAlgebraData:
                 pass
         return cands
 
-    @cached_property
-    def _mult_by_last(self) -> dict:
-        return xa._by(self.mult.entries(), 2)
-
     def _form_matrix(self, phi: np.ndarray) -> np.ndarray:
         """beta[i, j] = phi(b_i b_j)."""
-        acc = xa._acc(((i, j), v * x) for k, x in xa._nonzeros(phi)
-                      for i, j, v in self._mult_by_last.get(k, ()))
-        return xa._from_dict(self.field, acc, (self.dim, self.dim))
+        p, n = self.field.p, self.dim
+        fi, fv = xa._vector(phi)
+        i, j, k = self.mult.coo()
+        terms = xa.contract(p, [((fi, 0 * fi, fv), (k, i * n + j, self.mult.vals))], "a form")
+        return xa._dense(self.field, *terms, (n, n))
 
     def _commutator_rows(self) -> list[dict]:
         """Per pair (i, j), the coefficients of b_i b_j - b_j b_i."""
-        rows: dict = {}
-        for i, j, k, v in self.mult.entries():
-            for pair, x in (((i, j), v), ((j, i), -v)):
-                row = rows.setdefault(pair, {})
-                row[k] = row.get(k, 0) + x
-        return [xa._clean(self.field.p, row) for row in rows.values()]
+        n, (i, j, k) = self.dim, self.mult.coo()
+        keys, vals = xa._sum_by(self.field.p, np.concatenate(((i * n + j) * n + k,
+                                                              (j * n + i) * n + k)),
+                                np.concatenate((self.mult.vals, -self.mult.vals)))
+        return xa._row_dicts(keys // n, keys % n, vals)
 
     def _find_nondegenerate(self, symmetric: bool) -> np.ndarray | None:
         """A functional with nondegenerate form, or None if provably none exists.
@@ -513,7 +499,7 @@ class HopfAlgebraData:
             return None
         for phi in self._form_candidates(space):
             ph = phi.tolist()
-            if any(xa._nonzero(f.p, sum(v * ph[k] for k, v in row.items())) for row in comm):
+            if any(f.reduce(sum(v * ph[k] for k, v in row.items())) for row in comm):
                 continue
             if xa.rank(f, self._form_matrix(phi)) == n:
                 return phi
@@ -577,12 +563,24 @@ def _check_group_table(table: list[list[int]]) -> tuple[int, list[int]]:
     if not units.size:
         raise InputError("group table has no identity element")
     ident = int(units[0])
-    for i in range(m):
-        # [j, k] holds (ij)k and i(jk)
-        lhs, rhs = t[t[i]], t[i][t]
-        if not np.array_equal(lhs, rhs):
-            j, k = np.argwhere(lhs != rhs)[0].tolist()
-            raise InputError(f"group table not associative at ({i},{j},{k})")
+    # Light's test: the a with (xa)y = x(ay) for all x, y are closed under
+    # products, so the table is associative when a set of elements that
+    # generates it under right multiplication passes; any such set will do
+    gens, reached = [], {ident}
+    for g in range(m - 1, -1, -1):
+        if g not in reached:
+            gens.append(g)
+            new = reached
+            while new:
+                new = {table[x][h] for x in new for h in gens} - reached
+                reached |= new
+    if any(not np.array_equal(t[t[:, a]], t[:, t[a]]) for a in gens):
+        for i in range(m):
+            # [j, k] holds (ij)k and i(jk); the least failing (i, j, k)
+            lhs, rhs = t[t[i]], t[i][t]
+            if not np.array_equal(lhs, rhs):
+                j, k = np.argwhere(lhs != rhs)[0].tolist()
+                raise InputError(f"group table not associative at ({i},{j},{k})")
     both = (t == ident) & (t.T == ident)
     missing = np.flatnonzero(~both.any(axis=1))
     if missing.size:

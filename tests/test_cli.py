@@ -384,6 +384,13 @@ _FUZZ_COMMANDS = {
 }
 
 
+# more commands run on the same mutated fixture
+_FUZZ_MORE = {
+    "uL-p2.json": [lambda path: ["symmetric", path]],
+    "mu3a5.json": [lambda path: ["knop", path]],
+}
+
+
 def _node_paths(obj, prefix=()):
     """Paths to every node below the root, containers included."""
     items = obj.items() if isinstance(obj, dict) else (
@@ -429,11 +436,12 @@ def test_mutated_fixtures_exit_cleanly(case):
         path = os.path.join(tmp, "mutated-" + name)
         with open(path, "w") as fh:
             json.dump(obj, fh)
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(_FUZZ_COMMANDS[name](path))
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+        for command in [_FUZZ_COMMANDS[name], *_FUZZ_MORE.get(name, ())]:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(command(path))
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
 
 
 def test_json_booleans_are_not_numbers(tmp_path, capsys):
@@ -525,3 +533,37 @@ def test_verify_refuses_an_antipode_system_over_the_term_budget(tmp_path, capsys
     assert err.startswith("error: the antipode system needs 18000000 sparse terms")
     assert "TERM_BUDGET" in err and "Traceback" not in err
     assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize("command", ["knop", "integrals", "unimodular", "symmetric"])
+def test_commands_refuse_a_scheme_that_fails_its_axioms(command, tmp_path, capsys):
+    # one coproduct term of k[mu_3 x| alpha_5] dropped: `verify` names the
+    # failing check, and no other command computes a verdict on the object
+    obj = _fixture("mu3a5.json")
+    del obj["coordinate_ring"]["comult"][7]
+    p = tmp_path / "broken.json"
+    p.write_text(json.dumps(obj))
+    assert main(["verify", str(p)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
+    assert failed[0] == "  [FAIL] counit_right (first mismatch at (3, 3))"
+    assert main([command, str(p), "--output", "json"]) == 1
+    out, err = capsys.readouterr()
+    what = "a group scheme" if command == "knop" else "a Hopf algebra"
+    assert out == ""
+    assert err == f"check failed: {p} is not {what}: counit_right fails at (3, 3)\n"
+
+
+def test_invariants_refuse_a_scheme_that_fails_its_axioms(tmp_path, capsys):
+    # the comodule W + W* over the same broken scheme, given on the command line
+    scheme = _fixture("mu3a5.json")
+    del scheme["coordinate_ring"]["comult"][7]
+    (tmp_path / "broken.json").write_text(json.dumps(scheme))
+    module = _fixture("w-plus-wdual.json")
+    module.pop("scheme", None)
+    (tmp_path / "module.json").write_text(json.dumps(module))
+    argv = ["invariants", "--module", str(tmp_path / "module.json"),
+            "--scheme", str(tmp_path / "broken.json"), "--max-degree", "2"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (f"check failed: {tmp_path / 'broken.json'} is not a group scheme: "
+                   "counit_right fails at (3, 3)\n")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knopf import exactalg as xa
@@ -426,3 +426,119 @@ def test_operand_beyond_float_range_with_zero_partner(QQ):
     _assert_same_fractions(xa.matmul(QQ, huge, zero), huge @ zero)
     empty = QQ.zeros((0, 2))
     _assert_same_fractions(xa.matmul(QQ, huge[:, :0], empty), huge[:, :0] @ empty)
+
+
+# -- the sparse contraction against dense object tensordot ---------------------
+
+CONTRACT_FIELDS = [FieldSpec.rationals(), FieldSpec.prime(2), FieldSpec.prime(5),
+                   FieldSpec.prime(1048573)]
+
+
+def _entries(field):
+    if field.p is not None:
+        return st.one_of(st.just(0), st.integers(0, field.p - 1))
+    # integers near 2^62 overflow int64 in products, near 2^31 in sums of
+    # products: the object lane
+    return st.one_of(st.just(0), st.integers(-3, 3),
+                     st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+                     st.integers(2**31 - 3, 2**31 + 3), st.integers(2**62 - 3, 2**62 + 3),
+                     st.integers(-2**62 - 3, -2**62 + 3))
+
+
+def _dense_object(draw, field, shape):
+    values = [draw(_entries(field)) for _ in range(int(np.prod(shape)))]
+    return np.array(values + [None], dtype=object)[:-1].reshape(shape)
+
+
+def _operand(arr, on_axis, stride):
+    """The nonzeros of arr joined on `on_axis`, keyed by the other axis times
+    `stride`; values as field scalars (ints, Fractions)."""
+    idx, vals = xa._vector(arr)
+    at = np.unravel_index(idx, arr.shape)
+    return at[on_axis], at[1 - on_axis] * stride, vals
+
+
+@st.composite
+def contractions(draw):
+    field = draw(st.sampled_from(CONTRACT_FIELDS))
+    products = []
+    for _ in range(draw(st.integers(1, 3))):
+        x, k, y = (draw(st.integers(0, 4)) for _ in range(3))
+        products.append((_dense_object(draw, field, (x, k)),
+                         _dense_object(draw, field, (k, y))))
+    return field, products, draw(st.sampled_from([1, 2, 3, 1 << 13]))
+
+
+_SUM_PAST_INT64 = np.array([[2**31 + 1] * 2], dtype=object)
+
+
+@given(contractions())
+# each product fits int64, their sum does not
+@example((FieldSpec.rationals(), [(_SUM_PAST_INT64, _SUM_PAST_INT64.T)], 1 << 13))
+@settings(max_examples=300, deadline=None)
+def test_contract_matches_dense_object_tensordot(case):
+    # a batch of matrix products, each at its own range of output keys,
+    # formed in blocks of any size
+    field, products, block = case
+    pairs, want, base = [], [], 0
+    for a, b in products:
+        (x, k), y = a.shape, b.shape[1]
+        on_a, key_a, va = _operand(a, 1, y)
+        on_b, key_b, vb = _operand(b, 0, 1)
+        pairs.append(((on_a, key_a + base, va), (on_b, key_b, vb)))
+        ref = np.tensordot(a, b, axes=([1], [0])) if k else np.zeros((x, y), dtype=object)
+        want += [field.coerce(v) for v in np.asarray(ref).ravel()]
+        base += x * y
+    saved, xa._BLOCK = xa._BLOCK, block
+    try:
+        keys, sums = xa.contract(field.p, pairs)
+    finally:
+        xa._BLOCK = saved
+    assert keys.tolist() == sorted(set(keys.tolist()))
+    assert all(field.coerce(v) != 0 for v in sums.tolist())
+    got = xa._dense(field, keys, sums, (base,))
+    assert [field.coerce(v) for v in got.tolist()] == want
+
+
+def test_contract_of_empty_operands():
+    empty = (np.zeros(0, dtype=np.int64),) * 3
+    one = (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
+    for p in (None, 5):
+        for pairs in ([(empty, empty)], [(empty, one)], [(one, empty), (empty, empty)]):
+            keys, sums = xa.contract(p, pairs)
+            assert len(keys) == len(sums) == 0
+
+
+@st.composite
+def difference_checks(draw):
+    field = draw(st.sampled_from(CONTRACT_FIELDS))
+    checks = []
+    for _ in range(draw(st.integers(1, 3))):
+        shape = tuple(draw(st.integers(0, 3)) for _ in range(draw(st.integers(1, 3))))
+        lhs = _dense_object(draw, field, shape)
+        rhs = lhs.copy() if draw(st.booleans()) else _dense_object(draw, field, shape)
+        if rhs.size and draw(st.booleans()):
+            # one entry moved off
+            at = tuple(draw(st.integers(0, n - 1)) for n in shape)
+            rhs[at] = field.coerce(rhs[at]) + 1
+        checks.append((shape, lhs, rhs))
+    return field, checks
+
+
+@given(difference_checks())
+@settings(max_examples=300, deadline=None)
+def test_first_differences_give_the_dense_first_mismatch(case):
+    field, checks = case
+    shapes = [shape for shape, _, _ in checks]
+    terms = []
+    for (shape, lhs, rhs), base in zip(checks, xa.key_bases(shapes)):
+        for arr, sign in ((lhs, 1), (rhs, -1)):
+            idx, vals = xa._vector(arr)
+            terms.append((idx + base, vals if sign > 0 else -vals))
+    want = []
+    for shape, lhs, rhs in checks:
+        diff = np.array([field.coerce(u) != field.coerce(v)
+                         for u, v in zip(lhs.ravel(), rhs.ravel())], dtype=bool).reshape(shape)
+        hits = np.argwhere(diff)
+        want.append(tuple(int(v) for v in hits[0]) if len(hits) else None)
+    assert xa.first_differences(field.p, shapes, terms) == want

@@ -97,7 +97,7 @@ def test_antipode_solver_matches_group_inverse():
     solved = HopfAlgebraData(Q, h.basis, h.unit, h.mult, h.counit, h.comult)
     assert solved.antipode == h.antipode
     # S(g) = g^{-1}: column 1 (generator) maps to index 2 (its inverse)
-    assert solved.antipode.cols[1] == {2: 1}
+    assert solved.antipode.to_dense(Q)[:, 1, 0].tolist() == [0, 0, 1]
 
 
 def _monoid_z2_eq_z():
@@ -219,6 +219,28 @@ def test_group_table_associativity_witness():
     want = next((i, j, k) for i in range(m) for j in range(m) for k in range(m)
                 if table[table[i][j]][k] != table[i][table[j][k]])
     assert want == (1, 2, 5)
+    with pytest.raises(InputError) as exc:
+        group_algebra(Q, table)
+    assert str(exc.value) == "group table not associative at ({},{},{})".format(*want)
+
+
+def test_group_table_witness_outside_the_checked_generators():
+    # C_6 with 1 * 1 = 3: associativity is checked at a set of elements that
+    # generates the table under right multiplication, taken greedily from the
+    # top, here {5}; the least failing (i, j, k) has i = 1 outside that set
+    # and is still the one reported, as the scan over every triple gives it
+    table = cyclic_table(6)
+    table[1][1] = table[1][2]
+    m = len(table)
+    want = next((i, j, k) for i in range(m) for j in range(m) for k in range(m)
+                if table[table[i][j]][k] != table[i][table[j][k]])
+    gens, reached = [], {0}
+    for g in reversed(range(m)):
+        if g not in reached:
+            gens.append(g)
+            while not {table[x][h] for x in reached for h in gens} <= reached:
+                reached |= {table[x][h] for x in reached for h in gens}
+    assert want == (1, 1, 2) and want[0] not in gens
     with pytest.raises(InputError) as exc:
         group_algebra(Q, table)
     assert str(exc.value) == "group table not associative at ({},{},{})".format(*want)

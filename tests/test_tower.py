@@ -128,13 +128,7 @@ class _SeedTower:
 
 def _dense(ring, d):
     """R_d of the ring's sparse tower as a dense (m, m, |G|) field array."""
-    f, r = ring.field, ring.tower.coaction(d)
-    out = f.zeros((r.dim, r.dim, r.order))
-    for j, col in enumerate(r.cols):
-        for key, v in col.items():
-            i, g = divmod(key, r.order)
-            out[i, j, g] = f.coerce(v)
-    return out
+    return ring.tower.coaction(d).to_dense(ring.field)
 
 
 def _assert_same_tower(ring, max_degree):
@@ -185,8 +179,7 @@ def test_q_tower_numerators_pass_int64():
     _assert_same_tower(ring, 6)
 
     def bound(d):
-        return max(abs(Fraction(x).numerator)
-                   for col in ring.tower.coaction(d).cols for x in col.values())
+        return max(abs(Fraction(x).numerator) for x in ring.tower.coaction(d).vals.tolist())
 
     assert bound(6) >= 2**63
     assert bound(2) >= 2**53
