@@ -168,6 +168,11 @@ def _exponents(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _numerators(field: FieldSpec, vals: np.ndarray):
+    """(numerators, common denominator) of field scalars; (vals, 1) unless Fractions."""
+    return (vals, 1) if vals.dtype != object else xa._integral(field, vals)[:2]
+
+
 class _SymTower:
     """Coactions on Sym^d of a comodule, built incrementally in d.
 
@@ -207,9 +212,13 @@ class _SymTower:
         row = low * order + a[at]
         at = at[row.argsort(kind="stable")]
         counts = np.bincount(row, minlength=n * order)
-        self._table = (counts.cumsum() - counts, counts, j[at], i[at], c[at], vals[at])
+        # over Q the table and each degree are kept as integer numerators
+        # over one common denominator, so the products and sums run on ints
+        vals, self._table_den = _numerators(f, vals[at])
+        self._table = (counts.cumsum() - counts, counts, j[at], i[at], c[at], vals)
         g, v = xa._vector(gamma.unit)
         self._coact = {0: xa.SparseCoaction.from_coo(0 * g, 0 * g, g, v, 1, order)}
+        self._numerators = _numerators(f, v)
         zero = np.zeros(1, dtype=np.int64)
         self._src, self._last = {0: zero}, {0: zero}
         self._up = np.zeros((1, n), dtype=np.int64)
@@ -261,7 +270,14 @@ class _SymTower:
             idx, at = xa._ranges(tstart[row], tcount[row])
             keys = (((base[ent][at] + tj[idx]) * size + up.ravel()[mp[at] * n + ti[idx]])
                     * order + tc[idx])
-            keys, vals = xa._sum_by(p, keys, xa._times(p, prev.vals[at], tw[idx]))
+            num, den = self._numerators
+            keys, num = xa._sum_by(p, keys, xa._times(p, num[at], tw[idx]))
+            den *= self._table_den
+            if den > 1:
+                common = math.gcd(den, *num.tolist())
+                num, den = num // common, den // common
+            self._numerators = num, den
+            vals = num if den == 1 else xa._from_integral(self.field, num, den)
             col, keys = np.divmod(keys, size * order)
             ptr = col.searchsorted(np.arange(size + 1))
             self._coact[cur] = xa.SparseCoaction(ptr, keys, vals, order, col)

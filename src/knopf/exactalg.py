@@ -17,15 +17,16 @@ scalar}, reduced shortest row first and back-substituted to the unique RREF.
 `fixed_space` and `fixed_dim` take a `SparseCoaction` and never build a
 dense system.  They gather the rows of the coordinates they are given
 (algebra generators, whose rows already cut out the fixed space when the
-axioms hold) by array masks, add the unit's diagonal, and peel singleton
-rows in vectorized passes: a row with one nonzero, at column c, makes e_c a
-row of the unique RREF and takes column c out of the others (structured
-Gaussian elimination, LaMacchia-Odlyzko).  Only the remaining core becomes
-row dicts for the elimination.  Then every null vector is certified against
-every coordinate, and the rows of a violated one are added until none is:
-the answer is the kernel of all the rows for any input.  `rref`, `rank`,
-`kernel_basis` and `invert` keep dense arrays as their boundary.  There are
-no tolerances anywhere.
+axioms hold) by array masks, add the unit's diagonal, and reduce them in
+numpy arrays by structured Gaussian elimination (LaMacchia-Odlyzko,
+Pomerance-Smith): singleton rows are peeled and doubleton rows merged
+until neither is left, each column a multiple of the largest column of its
+component.  Only a residual core of longer rows becomes row dicts for the
+elimination.  Then every null vector is certified against every
+coordinate, and the reduction is redone with the rows of a violated one
+until none is: the answer is the kernel of all the rows for any input.
+`rref`, `rank`, `kernel_basis` and `invert` keep dense arrays as their
+boundary.  There are no tolerances anywhere.
 
 `SparseCoaction` is the one sparse array type: an (n, n, order) array by its
 nonzeros in compressed columns (`ptr`, `keys`, `vals` numpy arrays), holding
@@ -53,7 +54,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError, UndecidedError
+from .errors import InconsistencyError, InputError, UndecidedError
 
 # int64 safety: dense F_p array arithmetic forms one product of two residues
 # (< p^2 < 2^40) per entry, and products and sums of products are bounded
@@ -343,9 +344,10 @@ def _sum_by(p: int | None, keys: np.ndarray, vals: np.ndarray):
     return _group_sums(p, keys, vals)
 
 
-def _group_sums(p: int | None, keys: np.ndarray, vals: np.ndarray):
-    """`_sum_by` for vals whose sums are known to fit their dtype."""
-    perm = keys.argsort()
+def _group_sums(p: int | None, keys: np.ndarray, vals: np.ndarray, kind: str = "stable"):
+    """`_sum_by` for vals whose sums are known to fit their dtype, the keys sorted
+    by `kind`: timsort by default, which merges the sorted runs most keys come in."""
+    perm = keys.argsort(kind=kind)
     keys = keys[perm]
     edge = np.empty(len(keys), dtype=bool)
     edge[:1] = True
@@ -443,7 +445,8 @@ def contract(p: int | None, pairs, what: str = "a contraction"):
         vals = a_vals[s] * b_vals[t]
         if p is not None:
             vals %= p
-        sums.append(_group_sums(p, a[1][s] + b[1][t], vals))
+        # a block's pairs come in no order of their keys: introsort
+        sums.append(_group_sums(p, a[1][s] + b[1][t], vals, "quicksort"))
         size += len(sums[-1][0])
         if size > bound or stop == len(ends) and len(sums) > 1:
             sums = [_group_sums(p, np.concatenate([k for k, _ in sums]),
@@ -499,14 +502,6 @@ def _row_dicts(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> list[dic
     for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
         out.setdefault(r, {})[c] = v
     return list(out.values())
-
-
-def _dict_arrays(rows: list[dict]):
-    """(row, column, value) arrays of the entries of row dicts."""
-    size = list(map(len, rows))
-    cols = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=sum(size))
-    vals = _scalars([v for row in rows for v in row.values()])
-    return np.arange(len(rows)).repeat(size), cols, vals
 
 
 class SparseCoaction:
@@ -668,34 +663,36 @@ def _dense_rows(mat: np.ndarray) -> list[dict]:
 
 def _kernel(field: FieldSpec, rows, n: int) -> np.ndarray:
     """Echelon-normal basis (k, n) of the null space of `rows` (consumed)."""
-    return _null_basis(field, _null_vectors(_back_substitute(field, _echelon(field, rows)), n), n)
+    piv = _back_substitute(field, _echelon(field, rows))
+    ones = np.ones(n, dtype=np.int64)
+    return _null_basis(field, _null_vectors(field.p, piv, ones == 1, np.arange(n), ones), n)
 
 
-def _null_vectors(piv: dict[int, dict], n: int, zero: np.ndarray | None = None):
-    """The echelon-normal null vectors of the RREF rows `piv`, one per free
-    column f ascending with x_f = 1, by their nonzeros: (count, vector,
-    index, value), the last three as parallel lists.  The columns in the
-    mask `zero` are pivots e_c that `piv` leaves out."""
-    free = np.ones(n, dtype=bool) if zero is None else ~zero
+def _null_vectors(p: int | None, piv: dict[int, dict], live: np.ndarray, root: np.ndarray,
+                  weight: np.ndarray):
+    """The echelon-normal null vectors of the system x_u = weight[u] x_root[u]
+    and the RREF rows `piv` on the roots in the mask `live` (the other roots
+    are zero), one per live root f that is no pivot, ascending, with x_f = 1,
+    by their nonzeros: (count, vector, index, value) as parallel arrays."""
+    free = live.copy()
     free[list(piv)] = False
-    index = free.nonzero()[0].tolist()
-    at = {f: k for k, f in enumerate(index)}
-    vector, value = list(range(len(index))), [1] * len(index)
+    at = free.cumsum() - 1
+    index = free[root].nonzero()[0]
+    parts = [(at[root[index]], index, weight[index])]
     for c, row in piv.items():
-        for f, v in row.items():
-            if f != c:
-                vector.append(at[f])
-                index.append(c)
-                value.append(-v)
-    return len(at), vector, index, value
+        # x_c = -v x_f for the entries v at f of the pivot row, on c's component
+        on = (root == c).nonzero()[0]
+        parts += [(at[f].repeat(len(on)), on, _times(p, weight[on], _scalars(
+            [-v if p is None else -v % p]))) for f, v in row.items() if f != c]
+    return int(free.sum()), *map(np.concatenate, zip(*parts))
 
 
 def _null_basis(field: FieldSpec, nulls, n: int) -> np.ndarray:
     """The `_null_vectors` as a dense (count, n) basis."""
     count, vector, index, value = nulls
     basis = field.zeros((count, n))
-    basis[vector, index] = np.fromiter(map(field.coerce, value), dtype=basis.dtype,
-                                       count=len(value))
+    basis[vector, index] = value if field.p is not None else np.fromiter(
+        map(field.coerce, value.tolist()), dtype=object, count=len(value))
     return basis
 
 
@@ -736,17 +733,38 @@ def _unit_terms(unit: np.ndarray):
     return g, -vals
 
 
-def _peeled_system(field: FieldSpec, coact: SparseCoaction, unit_terms, coords):
-    """The rows (i, g), g in coords, of the system sum_j coact[i, j, g] x_j -
-    x_i unit[g] = 0, singleton rows peeled: (mask of the peeled columns, row
-    dicts of the rest, the core).
+def _quotients(p: int | None, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den elementwise for den nonzero: over F_p den^(p-2) by square and
+    multiply (two residues multiply below 2^40); over Q int64 while every den
+    is +-1, Python ints and Fractions beyond."""
+    if p is not None:
+        inv, e = 1, p - 2
+        while e:
+            if e & 1:
+                inv = inv * den % p
+            den, e = den * den % p, e >> 1
+        return num * inv % p
+    if den.dtype != object and (np.abs(den) == 1).all():
+        return num * den
+    return _scalars([q.numerator if q.denominator == 1 else q
+                     for q in map(Fraction, num.tolist(), den.tolist())])
 
-    A row with one nonzero, at column c, says x_c = 0: e_c is a row of the
-    unique RREF, and column c leaves every other row, which may leave new
-    singletons behind.  Each pass peels all current singletons at once; the
-    rows left with two or more entries are the core, on the other columns.
+
+def _reduced_system(field: FieldSpec, coact: SparseCoaction, unit_terms, coords):
+    """The rows (i, g), g in coords, of the system sum_j coact[i, j, g] x_j -
+    x_i unit[g] = 0, by structured Gaussian elimination: (mask of the zero
+    columns, root, weight, row dicts of the residual core on the roots).
+
+    Singleton rows are peeled and doubleton rows merged, in vectorized
+    passes, until neither is left.  A row with one nonzero, at c, makes e_c
+    a row of the unique RREF.  A row c_a x_a + c_b x_b, a < b, says x_a =
+    -(c_b / c_a) x_b: each such a is hooked onto its largest b, and pointer
+    jumping composes the hooks into x_u = weight[u] x_root[u], root[u] the
+    largest column of u's component, its free column in the unique RREF.
+    The rows are rewritten onto the roots and re-summed: merged rows cancel,
+    and a cycle that closes inconsistently leaves a singleton on its root.
     """
-    order, n = coact.order, coact.dim
+    p, order, n = field.p, coact.order, coact.dim
     want = np.zeros(order, dtype=bool)
     want[list(coords)] = True
     keep = want[coact.keys % order].nonzero()[0]
@@ -757,28 +775,45 @@ def _peeled_system(field: FieldSpec, coact: SparseCoaction, unit_terms, coords):
     key = np.concatenate((coact.keys[keep] * n + coact.col_of[keep],
                           (np.arange(n)[:, None] * (order * n + 1) + g[at] * n).ravel()))
     vals = np.concatenate((coact.vals[keep], neg[at][None, :].repeat(n, 0).ravel()))
-    key, vals = _sum_by(field.p, key, vals)
+    key, vals = _sum_by(p, key, vals)
     rows, cols = np.divmod(key, n)
-    peeled = np.zeros(n, dtype=bool)
+    zero = np.zeros(n, dtype=bool)
+    root, weight = np.arange(n), np.ones(n, dtype=np.int64)
     while True:
         # edge[k]: a row starts at entry k, or k is the end
         edge = np.empty(len(rows) + 1, dtype=bool)
         edge[0] = edge[-1] = True
         np.not_equal(rows[1:], rows[:-1], out=edge[1:-1])
-        single = (edge[:-1] & edge[1:]).nonzero()[0]
-        if not len(single):
+        starts = edge.nonzero()[0]
+        size = starts[1:] - starts[:-1]
+        single = starts[:-1][size == 1]
+        if len(single):
+            zero[cols[single]] = True
+            live = (~zero[cols]).nonzero()[0]
+            rows, cols, vals = rows[live], cols[live], vals[live]
+            continue
+        pair = starts[:-1][size == 2]
+        if not len(pair):
             break
-        peeled[cols[single]] = True
-        live = (~peeled[cols]).nonzero()[0]
-        cascade = len(live) < len(rows) - len(single)
-        rows, cols, vals = rows[live], cols[live], vals[live]
-        if not cascade:
-            # only the singletons went: no other row lost an entry
-            edge = edge[np.append(live, len(edge) - 1)]
-            break
-    starts = edge.nonzero()[0].tolist()
-    cols, vals = cols.tolist(), vals.tolist()
-    return peeled, [dict(zip(cols[a:b], vals[a:b])) for a, b in zip(starts, starts[1:])]
+        # the rows of each a, ordered by b: the last one is its hook
+        by = (cols[pair] * n + cols[pair + 1]).argsort()
+        a = cols[pair[by]]
+        pair = pair[by[np.concatenate((a[1:] != a[:-1], [True]))]]
+        hook = _quotients(p, -vals[pair + 1], vals[pair])
+        if hook.dtype == object:
+            weight = weight.astype(object)
+        root[cols[pair]], weight[cols[pair]] = cols[pair + 1], hook
+        while True:
+            up = root[root]
+            if (up == root).all():
+                break
+            # x_u = w_u x_r and x_r = w_r x_up give x_u = w_u w_r x_up
+            weight, root = _times(p, weight, weight[root]), up
+        key, vals = _sum_by(p, rows * n + root[cols], _times(p, vals, weight[cols]))
+        rows, cols = np.divmod(key, n)
+    starts, cols, vals = starts.tolist(), cols.tolist(), vals.tolist()
+    return zero[root], root, weight, [dict(zip(cols[a:b], vals[a:b]))
+                                      for a, b in zip(starts, starts[1:])]
 
 
 def _violated(field: FieldSpec, coact: SparseCoaction, unit_terms, nulls) -> set[int]:
@@ -786,20 +821,19 @@ def _violated(field: FieldSpec, coact: SparseCoaction, unit_terms, nulls) -> set
     sum_j coact[:, j, g] x_j != x unit[g], from every vector at once: the
     columns of the vectors' supports, scaled and summed by (vector, key)."""
     p, order, n = field.p, coact.order, coact.dim
-    _, vector, index, value = nulls
-    if not value:
+    _, vector, index, x = nulls
+    if not len(x):
         return set()
-    x = _scalars(value)
     if x.dtype == object:
         # both sides are linear in x: its numerators will do, which keeps
         # integral coactions on integers
         den: dict = {}
-        for k, v in zip(vector, value):
+        entries = list(zip(vector.tolist(), x.tolist()))
+        for k, v in entries:
             den[k] = math.lcm(den.get(k, 1), v.denominator)
-        x = _scalars([v.numerator * (den[k] // v.denominator) for k, v in zip(vector, value)])
+        x = _scalars([v.numerator * (den[k] // v.denominator) for k, v in entries])
     g, neg = unit_terms
-    index = np.array(index, dtype=np.int64)
-    base = np.array(vector, dtype=np.int64) * (n * order)
+    base = vector * (n * order)
     lo = coact.ptr[index]
     idx, at = _ranges(lo, coact.ptr[1:][index] - lo)
     # key (vector, i * order + g): the coaction's columns, and x_i unit[g]
@@ -814,31 +848,30 @@ def _fixed_vectors(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray, fi
     """The `_null_vectors` of the fixed-space system, from the rows of the
     coordinates in `first`, certified against every coordinate.
 
-    The peeled columns are kept as a mask, and only the core is eliminated.
-    While a null vector of the rows so far violates some coordinate, the
-    rows of the least violated one join the elimination.  A coordinate whose
-    rows are in can no longer be violated, so there are at most `order`
-    passes, and the last has the null space of all the rows, whose RREF is
-    unique, whatever `first` was: a good seed only makes it end at once.
+    The rows are reduced by `_reduced_system`, and only its residual core
+    is eliminated, on the roots.  While a null vector violates some
+    coordinate, the reduction is redone with the rows of the least violated
+    one added.  A coordinate whose rows are in can no longer be violated, so
+    at most `order` coordinates are added, and the last pass has the null
+    space of all the rows, whose RREF is unique, whatever `first` was: a
+    good seed only makes it end at once.
     """
     if np.shape(unit) != (coact.order,):
         raise InputError(
             f"the unit must have shape ({coact.order},), got {np.shape(unit)}"
         )
     terms = _unit_terms(unit)
-    zero, core = _peeled_system(field, coact, terms, first)
-    piv = _echelon(field, core)
-    while True:
-        nulls = _null_vectors(_back_substitute(field, piv), coact.dim, zero)
+    coords = list(first)
+    for _ in range(coact.order + 1):
+        zero, root, weight, core = _reduced_system(field, coact, terms, coords)
+        piv = _back_substitute(field, _echelon(field, core))
+        live = ~zero & (root == np.arange(coact.dim))
+        nulls = _null_vectors(field.p, piv, live, root, weight)
         bad = _violated(field, coact, terms, nulls)
         if not bad:
             return nulls
-        # the columns in zero are zero: they leave the new rows, and the
-        # columns peeled now, which may sit in rows of piv, join it as rows
-        peeled, core = _peeled_system(field, coact, terms, (min(bad),))
-        rows = [{c: 1} for c in (peeled & ~zero).nonzero()[0].tolist()]
-        rows += [{k: v for k, v in row.items() if not zero[k]} for row in core]
-        _echelon(field, rows, piv)
+        coords.append(min(bad))
+    raise InconsistencyError("a coordinate whose rows are in stays violated")
 
 
 def fixed_space(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray,
@@ -858,6 +891,11 @@ def fixed_space(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray,
     counit.  Every result is certified against all coordinates anyway
     (`_fixed_vectors`), so inputs that break those axioms get the same
     answer as the full system, only later.
+
+    `_reduced_system` makes every column a multiple of a root, the largest
+    column of its component, which is a free column of the unique RREF: so
+    the basis read off the roots is the echelon-normal one, whatever the
+    order of the rows.
     """
     return _null_basis(field, _fixed_vectors(field, coact, unit, first), coact.dim)
 

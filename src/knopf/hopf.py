@@ -347,25 +347,23 @@ class HopfAlgebraData:
 
         That subalgebra's span is one `_echelon` basis, started from the
         unit and closed by right-multiplying its rows by the generators, a
-        level of new rows at a time; every vector stays sparse.  For kG the
-        generators generate G, and k^G needs |G| - 1 of its idempotents.
+        level of new rows at a time; every vector stays a sparse row dict.
+        For kG the generators generate G, and k^G needs |G| - 1 of its idempotents.
         """
         f, n, m = self.field, self.dim, self.mult
-        # column g of mult, keyed (i, g) and k, for the generators g so far
-        mi, mj, mk = m.coo()
-        on, columns = mi * n + mj, []
 
-        def times(pairs):
-            # the rows x b_g = sum_i x_i mult[i, g, :] for the pairs (x, g)
-            r, at, x = xa._dict_arrays([x for x, _ in pairs])
-            g = np.array([g for _, g in pairs], dtype=np.int64)[r]
-            keys, vals = xa.contract(f.p, [((at * n + g, r * n, x), right)],
-                                     "the algebra generators")
-            return xa._row_dicts(keys // n, keys % n, vals)
+        def times(x, right):
+            # x b_g = sum_i x_i (b_i b_g), right[i] the row of b_i b_g
+            row: dict = {}
+            for i, v in x.items():
+                if i in right:
+                    xa._axpy(f.p, row, v, right[i])
+            return row
 
         ui, uv = xa._vector(self.unit)
         piv = xa._echelon(f, [dict(zip(ui.tolist(), uv.tolist()))])
-        gens: list[int] = []
+        # the rows of b_i b_g, i -> row, for each generator g so far
+        rights: dict[int, dict] = {}
         for g in range(n):
             if len(piv) == n:
                 break
@@ -373,18 +371,20 @@ class HopfAlgebraData:
             xa._echelon(f, [{g: 1}], piv)
             if len(piv) == size:
                 continue
-            gens.append(g)
-            columns.append(slice(m.ptr[g], m.ptr[g + 1]))
-            right = tuple(np.concatenate([a[c] for c in columns]) for a in (on, mk, m.vals))
+            right = rights[g] = {}
+            lo, hi = m.ptr[g], m.ptr[g + 1]
+            for key, v in zip(m.keys[lo:hi].tolist(), m.vals[lo:hi].tolist()):
+                right.setdefault(key // n, {})[key % n] = v
             # the earlier rows are closed under the earlier generators; each
             # level multiplies the rows it added by every generator
             rows = list(piv.values())
-            todo = [(x, g) for x in rows[:size]] + [(x, h) for x in rows[size:] for h in gens]
+            todo = [(x, right) for x in rows[:size]] + [
+                (x, r) for x in rows[size:] for r in rights.values()]
             while todo and len(piv) < n:
                 size = len(piv)
-                xa._echelon(f, times(todo), piv)
-                todo = [(x, h) for x in list(piv.values())[size:] for h in gens]
-        return tuple(gens)
+                xa._echelon(f, [times(x, r) for x, r in todo], piv)
+                todo = [(x, r) for x in list(piv.values())[size:] for r in rights.values()]
+        return tuple(rights)
 
     def is_unimodular(self) -> bool:
         """Left integral space equals right integral space (exact spans)."""

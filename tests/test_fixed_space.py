@@ -22,11 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knopf import action as act
+from knopf import canon
 from knopf import exactalg as xa
 from knopf import gscheme as gs
 from knopf.catalog import cyclic_table, dihedral_table, radford_battery, standard_module
 from knopf.exactalg import FieldSpec
 from knopf.hopf import HopfAlgebraData, function_algebra, group_algebra, tensor_hopf
+from test_exactalg import _seed_kernel
 
 Q = FieldSpec.rationals()
 FIELDS = [Q, FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(5),
@@ -366,7 +368,7 @@ def peel_cases(draw):
 def test_peeled_system_and_certificate_give_the_dense_kernel(case):
     field, coact, unit, chain, forced = case
     want = _all_rows_kernel(field, coact, unit)
-    peeled, core = xa._peeled_system(field, coact, xa._unit_terms(unit), (0,))
+    peeled, _, _, core = xa._reduced_system(field, coact, xa._unit_terms(unit), (0,))
     # the chain cascades to the end, one column per pass
     assert peeled[list(chain)].all()
     if forced:
@@ -410,3 +412,133 @@ def test_cube_kernel_eliminates_only_the_generator_rows(monkeypatch, twisted):
     monkeypatch.setattr(xa, "_echelon", counting)
     assert ring.invariant_dim(20, twist=twist) == want
     assert sum(received) <= len(gens) * coact.dim
+
+
+# -- the doubleton merge ------------------------------------------------------
+
+
+MERGE_FIELDS = [Q, FieldSpec.prime(2), FieldSpec.prime(5), FieldSpec.prime(1048573)]
+# Q weights stay int64 while every divisor is +-1; the other divisors take
+# them to the object lane
+MERGE_SCALARS = {None: [1, -1, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)],
+                 2: [1], 5: [1, 2, 3, 4], 1048573: [1, 2, 1048572, 524287, 77]}
+
+
+@st.composite
+def doubleton_cases(draw):
+    """(field, coaction, unit, system (n, order, n)) of a system made mostly
+    of doubleton rows.
+
+    Chains run over random orders of the first columns, each row c_a x_a +
+    c_b x_b consistent with potentials t (c_a t_a + c_b t_b = 0), so that a
+    chain hooks over several rounds and jumps; a chain may close into a
+    cycle, by a row that agrees with the potentials or one that does not.
+    Around the chains: rows {a, b, c} that become a doubleton once the
+    singleton row {c} of an extra column c is peeled, rows {a, b, c} whose a
+    and b cancel once a and b are merged, leaving a singleton, and rows of
+    three random entries for the core.
+    """
+    field = draw(st.sampled_from(MERGE_FIELDS))
+    p = field.p
+    nonzero = st.sampled_from(MERGE_SCALARS[p]).map(field.coerce)
+
+    def scalar():
+        return draw(nonzero)
+
+    def partner(ca, a, b):
+        # the c_b with c_a t_a + c_b t_b = 0
+        return -ca * t[a] / t[b] if p is None else -ca * t[a] * pow(t[b], -1, p) % p
+
+    chained, extra = draw(st.integers(2, 10)), draw(st.integers(0, 3))
+    n = chained + extra
+    t = [scalar() for _ in range(chained)]
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.permutations(range(chained)))[:draw(st.integers(2, chained))]
+        edges = list(zip(path, path[1:]))
+        if len(path) > 2 and draw(st.booleans()):
+            edges.append((path[-1], path[0]))
+        for k, (a, b) in enumerate(edges):
+            ca = scalar()
+            cb = partner(ca, a, b)
+            if k == len(path) - 1 and draw(st.booleans()):
+                # the cycle closes inconsistently: x = 0 on it
+                cb = cb + scalar() if p is None else (cb + scalar()) % p
+            rows.append({a: ca, b: cb})
+    for c in range(chained, n):
+        a, b = draw(st.permutations(range(chained)))[:2]
+        rows += [{a: scalar(), b: scalar(), c: scalar()}, {c: scalar()}]
+    for _ in range(draw(st.integers(0, 2)) if n > 2 else 0):
+        a, b, c = draw(st.permutations(range(n)))[:3]
+        if max(a, b) < chained and draw(st.booleans()):
+            ca = scalar()
+            rows.append({a: ca, b: partner(ca, a, b), c: scalar()})
+        else:
+            rows.append({a: scalar(), b: scalar(), c: scalar()})
+    order = -(-len(rows) // n)
+    system = field.zeros((n * order, n))
+    for slot, row in zip(draw(st.permutations(range(n * order))), rows):
+        for c, v in row.items():
+            system[slot, c] = field.coerce(v)
+    system = system.reshape(n, order, n)
+    unit = field.asarray([scalar() for _ in range(order)])
+    # coact[i, j, g] - [i == j] unit[g] is the system's row (i, g)
+    coact = system.transpose(0, 2, 1).copy()
+    for i in range(n):
+        coact[i, i] = field.reduce(coact[i, i] + unit)
+    return field, xa.SparseCoaction.from_dense(coact), unit, system
+
+
+@given(doubleton_cases())
+@settings(max_examples=300, deadline=None)
+def test_merged_doubletons_give_the_seed_kernel(case):
+    field, coact, unit, system = case
+    n, order, _ = system.shape
+    want = _seed_kernel(field, system.reshape(n * order, n))
+    for first in (range(order), (0,), ()):
+        _assert_same(xa.fixed_space(field, coact, unit, first), want)
+        assert xa.fixed_dim(field, coact, unit, first) == len(want)
+
+
+def test_merge_roots_are_the_largest_columns_and_cycles_close():
+    # over F_5, x_0 = 2 x_1, x_1 = 3 x_2, x_2 = 4 x_3: one root, 3, and two
+    # jumps composing the weights 2 3 4 = 4, 3 4 = 2 and 4; x_4 = x_5 and
+    # x_5 = -x_4 close a cycle inconsistently, which leaves a singleton on
+    # its root and zeroes the component
+    field = FieldSpec.prime(5)
+    system = field.zeros((6, 6))
+    for r, (a, b, cb) in enumerate([(0, 1, -2), (1, 2, -3), (2, 3, -4), (4, 5, -1), (5, 4, 1)]):
+        system[r, a], system[r, b] = 1, cb % 5
+    coact = system[:, :, None].copy()
+    for i in range(6):
+        coact[i, i, 0] = (coact[i, i, 0] + 1) % 5
+    zero, root, weight, core = xa._reduced_system(
+        field, xa.SparseCoaction.from_dense(coact), xa._unit_terms(field.asarray([1])), (0,))
+    assert root[:4].tolist() == [3, 3, 3, 3] and core == []
+    assert weight[:4].tolist() == [4, 2, 4, 1]
+    assert zero.tolist() == [False] * 4 + [True] * 2
+
+
+@pytest.mark.parametrize("probe", ["fp", "q-cube"])
+def test_probe_kernels_leave_no_rows_for_the_row_dict_elimination(monkeypatch, probe):
+    # both kernels of degree 40 reduce to roots by peeling and merging alone
+    if probe == "fp":
+        g = gs.mu_semidirect_alpha_scheme(FieldSpec.prime(5), 3)
+        w = standard_module(g, 3, 5)
+        ring = act.GradedInvariantRing(act.direct_sum(w, w.dual()))
+    else:
+        ring = act.constant_group_action(Q, CUBE)
+    twist = canon.canonical_twist(ring)
+    ring.scheme.dual_algebra.algebra_generators
+    received = []
+    real = xa._echelon
+
+    def counting(field, rows, piv=None):
+        rows = list(rows)
+        received.append(len(rows))
+        return real(field, rows, piv)
+
+    monkeypatch.setattr(xa, "_echelon", counting)
+    ring.invariant_dim(40)
+    ring.invariant_dim(40, twist=twist)
+    assert received and not any(received)

@@ -361,6 +361,23 @@ def test_fp_dims_pinned_to_degree_30():
     assert ring.hilbert_function(30, canon.canonical_twist(ring)) == MU3A5_OMEGA_DIMS
 
 
+# d = 31..40, as the peel and row-dict elimination computed them
+MU3A5_A_DIMS_TO_40 = MU3A5_A_DIMS + [407, 445, 485, 527, 572, 619, 669, 721, 776, 833]
+MU3A5_OMEGA_DIMS_TO_40 = MU3A5_OMEGA_DIMS + [407, 444, 484, 526, 571, 618, 668, 720, 775, 833]
+
+
+def test_fp_dims_pinned_to_degree_40():
+    ring = _mu3a5_w_plus_wdual()
+    assert ring.hilbert_function(40) == MU3A5_A_DIMS_TO_40
+    assert ring.hilbert_function(40, canon.canonical_twist(ring)) == MU3A5_OMEGA_DIMS_TO_40
+
+
+def test_q_cube_dims_match_molien_to_degree_90():
+    ring = act.constant_group_action(Q, CUBE)
+    molien = act.molien_series(CUBE, Q).series_coeffs(91)
+    assert ring.hilbert_function(90) == molien
+
+
 def test_window_20_classify_peak_memory():
     ring = _mu3a5_w_plus_wdual()
     tracemalloc.start()
