@@ -13,13 +13,18 @@ fixed-space kernel of that form; a twist by a grouplike chi is the untwisted
 kernel for the unit chi^-1.  The kernel starts from the rows of the algebra
 generators of k[G]*, peels their singleton rows, eliminates the rest, and
 `exactalg.fixed_space` certifies the result against the other coordinates.
+
+The trace report takes Tr by its nonzero terms, never as a dense matrix:
+its image is certified invariant by the same certificate, equivariance and
+Reynolds are one sparse contraction each, and the pairing scan is a
+downward closure in the tower.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
@@ -157,17 +162,6 @@ def det_character(v: Comodule):
 # -- symmetric powers -------------------------------------------------------
 
 
-def _exponents(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    """Exponent vectors of total degree d, lexicographically descending."""
-    out = []
-    for combo in itertools.combinations_with_replacement(range(nvars), degree):
-        e = [0] * nvars
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    return out
-
-
 def _numerators(field: FieldSpec, vals: np.ndarray):
     """(numerators, common denominator) of field scalars; (vals, 1) unless Fractions."""
     return (vals, 1) if vals.dtype != object else xa._integral(field, vals)[:2]
@@ -176,8 +170,8 @@ def _numerators(field: FieldSpec, vals: np.ndarray):
 class _SymTower:
     """Coactions on Sym^d of a comodule, built incrementally in d.
 
-    Degree d monomials are indexed in the order of _exponents() (exponent
-    vectors lexicographically descending), which is the order of the pairs
+    Degree d monomials are indexed by their exponent vectors
+    lexicographically descending, which is the order of the pairs
     (s, j) of a degree d-1 monomial s and a variable j >= last(s), the last
     variable occurring in s: x^m = x^s x_j, and (s, j) is monomial
     base[s] + j, with base[s] the number of pairs before s, minus last(s).
@@ -232,6 +226,35 @@ class _SymTower:
             self._exps[k] = e
         return list(map(tuple, self._exps[d].tolist()))
 
+    def _next_up(self, up: np.ndarray, d: int) -> np.ndarray:
+        """up[s, i]: the index in degree d + 1 of x^s x_i, for s of degree d,
+        from the table `up` of degree d - 1.  For i >= last(s) that is the
+        pair (s, i); for i < last(s) the pair (t, last(s)) with x^t =
+        x^src(s) x_i, one degree down."""
+        last, n = self._last[d], self.vars.dim
+        base = (n - last).cumsum() - n
+        variables = np.arange(n)
+        return np.where(variables < last[:, None], base[up[self._src[d]]] + last[:, None],
+                        base[:, None] + variables)
+
+    def divisor_closure(self, marked: list[np.ndarray]) -> list[np.ndarray]:
+        """For masks marked[d] of the monomials of degree d = 0..D, the masks
+        of the monomials that divide a marked one of degree at most D.
+
+        Top down: x^s divides a marked monomial exactly when it is marked or
+        some x^s x_i divides one, and the x^s x_i are the `up` table, built
+        bottom up once for the window and then dropped.
+        """
+        top = len(marked) - 1
+        self._build_to(top)
+        ups = [np.zeros((1, self.vars.dim), dtype=np.int64)]
+        for d in range(top):
+            ups.append(self._next_up(ups[-1], d))
+        out = [marked[top]]
+        for d in range(top - 1, -1, -1):
+            out.append(marked[d] | out[-1][ups[d + 1]].any(axis=1))
+        return out[::-1]
+
     def coaction(self, d: int) -> xa.SparseCoaction:
         if d not in self._coact:
             self._build_to(d)
@@ -242,7 +265,6 @@ class _SymTower:
             raise InputError("degree must be >= 0")
         n, p = self.vars.dim, self.field.p
         tstart, tcount, tj, ti, tc, tw = self._table
-        variables = np.arange(n)
         while len(self._coact) <= d:
             cur = len(self._coact)
             prev, last_p = self._coact[cur - 1], self._last[cur - 1]
@@ -256,11 +278,7 @@ class _SymTower:
             base = ends - n
             src = np.arange(len(width)).repeat(width)
             last = np.arange(size) - base[src]
-            # up[s, i]: the index of x^s x_i.  For i < last(s) that is the pair
-            # (t, last(s)) with x^t = x^src(s) x_i, one degree down.
-            t = self._up[self._src[cur - 1]]
-            up = np.where(variables < last_p[:, None], base[t] + last_p[:, None],
-                          base[:, None] + variables)
+            up = self._next_up(self._up, cur - 1)
             # each source entry (m', a) of column s meets the table row
             # (last(s), a): the products for every column (s, j), summed at
             # ((s, j), up[m', i], c)
@@ -368,22 +386,25 @@ class GradedInvariantRing:
             self._delta = self.scheme.dual_algebra.left_integral()
         return self._delta
 
-    def trace_matrix(self, d: int) -> np.ndarray:
-        """Matrix of Tr on S_d: column m holds the coefficients of Tr(x^m)."""
+    def trace_terms(self, d: int):
+        """Tr on S_d by its nonzeros: (keys i dim S_d + m ascending, values),
+        the coefficient of x^i in Tr(x^m) = sum_i,g R_d[i, m, g] delta_G(g) x^i."""
         r = self.tower.coaction(d)
         i, g = np.divmod(r.keys, r.order)
-        keys, sums = xa._sum_by(self.field.p, i * r.dim + r.col_of, xa._times(
-            self.field.p, r.vals, self.integral_functional()[g]))
-        t = np.zeros(r.dim * r.dim, dtype=object)
-        t[keys] = sums
-        return self.field.asarray(t.reshape(r.dim, r.dim))
+        at, delta = xa._vector(self.integral_functional())
+        weight = np.zeros(r.order, dtype=delta.dtype)
+        weight[at] = delta
+        live = weight[g].nonzero()[0]
+        return xa._sum_by(self.field.p, i[live] * r.dim + r.col_of[live],
+                          xa._times(self.field.p, r.vals[live], weight[g[live]]))
+
+    def trace_matrix(self, d: int) -> np.ndarray:
+        """Matrix of Tr on S_d: column m holds the coefficients of Tr(x^m)."""
+        dim = self.tower.coaction(d).dim
+        return xa._dense(self.field, *self.trace_terms(d), (dim, dim))
 
 
 # -- constant matrix groups -------------------------------------------------
-
-
-def _matrix_key(field: FieldSpec, m: np.ndarray):
-    return tuple(field.fmt(x) for x in m.reshape(-1))
 
 
 def _close_group(field: FieldSpec, matrices: list[np.ndarray]):
@@ -434,28 +455,16 @@ def _close_group(field: FieldSpec, matrices: list[np.ndarray]):
 def pseudo_reflections(field: FieldSpec, matrices: list) -> list[int]:
     """Indices of g != 1 with rank(g - I) <= 1."""
     mats = [field.asarray(m) for m in matrices]
-    n = mats[0].shape[0]
-    eye = field.eye(n)
-    out = []
-    for i, g in enumerate(mats):
-        if xa.arrays_equal(g, eye):
-            continue
-        diff = field.reduce(g - eye)
-        if xa.rank(field, diff) <= 1:
-            out.append(i)
-    return out
+    eye = field.eye(mats[0].shape[0])
+    return [i for i, g in enumerate(mats)
+            if not xa.arrays_equal(g, eye) and xa.rank(field, field.reduce(g - eye)) <= 1]
 
 
 def is_small_constant(field: FieldSpec, matrices: list) -> bool:
     """Faithful (no repeated matrices) and free of pseudo-reflections."""
     mats = [field.asarray(m) for m in matrices]
-    seen = set()
-    for m in mats:
-        k = _matrix_key(field, m)
-        if k in seen:
-            return False
-        seen.add(k)
-    return not pseudo_reflections(field, mats)
+    distinct = {tuple(m.reshape(-1).tolist()) for m in mats}
+    return len(distinct) == len(mats) and not pseudo_reflections(field, mats)
 
 
 def constant_group_action(field: FieldSpec, matrices: list,
@@ -479,11 +488,7 @@ def constant_group_action(field: FieldSpec, matrices: list,
         labels=[f"g{i}" for i in range(len(mats))],
         label=label or f"constant[{len(mats)}]",
     )
-    n = mats[0].shape[0]
-    coact = field.zeros((n, n, len(mats)))
-    for g, m in enumerate(mats):
-        coact[:, :, g] = m
-    module = Comodule(scheme, coact)
+    module = Comodule(scheme, np.stack(mats, axis=-1))
     ring = GradedInvariantRing(module, label=label, var_labels=var_labels)
     ring.constant_matrices = mats
     return ring
@@ -585,15 +590,12 @@ class DiagonalizableAction:
             raise UnsupportedCaseError(
                 "the torus is not a finite scheme; weight route only"
             )
-        scheme = mu_scheme(field, self.modulus)
-        f = field
-        coact = f.zeros((self.n, self.n, self.modulus))
+        coact = field.zeros((self.n, self.n, self.modulus))
         for i, w in enumerate(self.weights):
             # module coaction carries the inverse character of the variable
-            coact[i, i, (-w) % self.modulus] = f.one
-        module = Comodule(scheme, coact)
-        return GradedInvariantRing(module, label=self.label,
-                                   var_labels=self.var_labels)
+            coact[i, i, (-w) % self.modulus] = field.one
+        return GradedInvariantRing(Comodule(mu_scheme(field, self.modulus), coact),
+                                   label=self.label, var_labels=self.var_labels)
 
 
 # -- trace map reports ------------------------------------------------------
@@ -606,14 +608,6 @@ class TraceDegreeResult:
     equivariance: str  # "pass" | "fail" | "skipped (...)"
     reynolds: str      # "pass" | "fail" | "not applicable"
 
-    def to_dict(self):
-        return {
-            "degree": self.degree,
-            "image_in_invariants": self.image_in_invariants,
-            "equivariance": self.equivariance,
-            "reynolds": self.reynolds,
-        }
-
 
 @dataclass
 class TraceReport:
@@ -625,22 +619,16 @@ class TraceReport:
 
     @property
     def ok(self) -> bool:
-        return all(
-            r.image_in_invariants
-            and r.equivariance != "fail"
-            and r.reynolds != "fail"
-            for r in self.degrees
-        )
+        return all(r.image_in_invariants and r.equivariance != "fail" and r.reynolds != "fail"
+                   for r in self.degrees)
 
     def to_dict(self):
         return {
             "window": self.window,
             "unimodular": self.unimodular,
             "ok": self.ok,
-            "degrees": [r.to_dict() for r in self.degrees],
-            "pairing_uncovered": {
-                str(d): v for d, v in self.pairing_uncovered.items()
-            },
+            "degrees": [asdict(r) for r in self.degrees],
+            "pairing_uncovered": {str(d): v for d, v in self.pairing_uncovered.items()},
             "pairing_note": self.pairing_note,
         }
 
@@ -662,19 +650,19 @@ class TraceReport:
         return "\n".join(lines)
 
 
-def _span_contains(field, basis: np.ndarray, vectors: np.ndarray) -> bool:
-    if len(basis) == 0:
-        return xa.is_zero(vectors)
-    stacked = np.concatenate([basis, vectors], axis=0)
-    return xa.rank(field, stacked) == xa.rank(field, basis)
+def _image_invariant(field, r: xa.SparseCoaction, unit_terms, terms) -> bool:
+    """rho(Tr x^m) = Tr x^m (x) 1 for every monomial x^m of R_d: the columns
+    of Tr as null vectors (m, i, value) of the invariants' system, certified
+    by `exactalg._violated` against the unit's terms."""
+    (i, m), vals = np.divmod(terms[0], r.dim), terms[1]
+    return not xa._violated(field, r, unit_terms, (r.dim, m, i, vals))
 
 
-def _equivariant(field, r: xa.SparseCoaction, t: np.ndarray) -> bool:
+def _equivariant(field, r: xa.SparseCoaction, terms) -> bool:
     """rho(Tr x^j) = (Tr (x) id)(rho x^j) for every monomial x^j of R_d, at
-    (j, i, g).  Column j of t is Tr(x^j)."""
+    (j, i, g), with Tr by its `GradedInvariantRing.trace_terms`."""
     n, order = r.dim, r.order
-    idx, tv = xa._vector(t)
-    tk, tj = np.divmod(idx, n)
+    (tk, tj), tv = np.divmod(terms[0], n), terms[1]
     ri, rj, rg = r.coo()
     keys, _ = xa.contract(field.p, [((tk, tj * n * order, tv), (rj, ri * order + rg, r.vals)),
                                     ((ri, rj * n * order + rg, -r.vals), (tj, tk * order, tv))],
@@ -682,63 +670,63 @@ def _equivariant(field, r: xa.SparseCoaction, t: np.ndarray) -> bool:
     return not len(keys)
 
 
+def _reynolds(field, terms, basis: np.ndarray, scale: int) -> bool:
+    """Tr v = scale v for every row v of the dense basis: one contraction of
+    the trace terms with the basis's nonzeros, compared by keys and values."""
+    n = basis.shape[1]
+    (tk, tj), tv = np.divmod(terms[0], n), terms[1]
+    idx, bv = xa._vector(basis)
+    row, col = np.divmod(idx, n)
+    keys, vals = xa.contract(field.p, [((tj, tk, tv), (col, row * n, bv))],
+                             "the Reynolds check")
+    return (np.array_equal(keys, idx)
+            and np.array_equal(vals, xa._times(field.p, bv, np.array([scale]))))
+
+
 def trace_equivariance_check(ring: GradedInvariantRing, max_degree: int) -> TraceReport:
     """Trace-map sanity report over a degree window.
 
-    Per degree: the image of Tr lies in the invariants; when k[G]* is
-    unimodular, rho(Tr s) = (Tr (x) id)(rho s); for constant groups in
-    characteristic zero, Tr restricted to invariants is multiplication by |G|.
-    A truncated pairing scan records basis monomials s with Tr(s t) = 0 for
-    every monomial t inside the window (inconclusive at the boundary).
+    Per degree, on Tr by its `trace_terms`: the image of Tr lies in the
+    invariants, by the fixed-space certificate on every column; when k[G]*
+    is unimodular, rho(Tr s) = (Tr (x) id)(rho s), one contraction; for
+    constant groups in characteristic zero, Tr is multiplication by |G| on
+    the invariant basis, one contraction.  A truncated pairing scan records
+    the basis monomials s with Tr(s t) = 0 for every monomial t inside the
+    window (inconclusive at the boundary): those that divide no monomial of
+    nonzero trace, by the tower's `divisor_closure`.
     """
     f = ring.field
     unimod = ring.scheme.dual_algebra.is_unimodular()
-    reynolds_scale = None
-    if ring.constant_matrices is not None and f.p is None:
-        reynolds_scale = f.coerce(len(ring.constant_matrices))
+    reynolds = ring.constant_matrices is not None and f.p is None
+    unit = xa._unit_terms(ring.scheme.gamma.unit)
     report = TraceReport(window=max_degree, unimodular=unimod)
-    # monomials with a nonzero trace, per degree, for the pairing scan below
-    nonzero_cols: dict[int, set] = {}
+    # the monomials of nonzero trace, per degree, for the pairing scan below
+    nonzero = []
     for d in range(max_degree + 1):
-        t = ring.trace_matrix(d)
-        inv = ring.invariant_basis(d)
-        img_ok = _span_contains(f, inv, t.T)
+        r = ring.tower.coaction(d)
+        terms = ring.trace_terms(d)
+        img_ok = _image_invariant(f, r, unit, terms)
         if unimod:
-            equi = "pass" if _equivariant(f, ring.tower.coaction(d), t) else "fail"
+            equi = "pass" if _equivariant(f, r, terms) else "fail"
         else:
             equi = "skipped (k[G]* not unimodular)"
-        if reynolds_scale is not None and len(inv):
-            scaled = f.reduce(inv * reynolds_scale)
-            traced = xa.matmul(f, t, inv.T).T
-            rey = "pass" if xa.arrays_equal(traced, scaled) else "fail"
-        elif reynolds_scale is not None:
-            rey = "pass"
+        if reynolds:
+            scale = len(ring.constant_matrices)
+            rey = "pass" if _reynolds(f, terms, ring.invariant_basis(d), scale) else "fail"
         else:
             rey = "not applicable"
         report.degrees.append(TraceDegreeResult(d, img_ok, equi, rey))
-        exps = ring.tower.exponents(d)
-        nonzero_cols[d] = {
-            exps[m] for m in range(len(exps)) if not xa.is_zero(t[:, m])
-        }
+        mask = np.zeros(r.dim, dtype=bool)
+        mask[terms[0] % r.dim] = True
+        nonzero.append(mask)
     # truncated nondegeneracy proxy for the pairing (s, t) -> Tr(st)
-    for d in range(max_degree + 1):
-        uncovered = []
-        for e in ring.tower.exponents(d):
-            hit = False
-            for total in range(d, max_degree + 1):
-                for mu in nonzero_cols[total]:
-                    if all(mu[i] >= e[i] for i in range(ring.n)):
-                        hit = True
-                        break
-                if hit:
-                    break
-            if not hit:
-                uncovered.append(monomial_label(e, ring.variables.labels))
-        if uncovered:
-            report.pairing_uncovered[d] = uncovered
+    for d, covered in enumerate(ring.tower.divisor_closure(nonzero)):
+        if not covered.all():
+            exps = ring.tower.exponents(d)
+            report.pairing_uncovered[d] = [monomial_label(exps[m], ring.variables.labels)
+                                           for m in (~covered).nonzero()[0].tolist()]
     report.pairing_note = (
         "pairing scan is truncated at the window; monomials uncovered only "
         "near the boundary are inconclusive"
     )
     return report
-

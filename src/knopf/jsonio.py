@@ -51,11 +51,19 @@ def field_to_json(field: FieldSpec):
 
 
 def load_json(path: str):
+    """The JSON object in the file at `path`; InputError naming the path when
+    it cannot be read or parsed."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
+    except OSError as e:
+        raise InputError(f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError:
+        raise InputError(f"{path} is not UTF-8 text")
+    except RecursionError:
+        raise InputError(f"JSON in {path} is nested too deeply to read")
     except json.JSONDecodeError as e:
         raise InputError(
             f"malformed JSON in {path} at line {e.lineno}, column {e.colno}: "

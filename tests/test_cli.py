@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import io
+import itertools
 import json
 import os
 import shutil
@@ -86,6 +87,25 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     p.write_text('{"dim": 2,')
     assert main(["verify", str(p)]) == 2
     assert "line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("directory", "Is a directory"),
+    ("latin-1", "is not UTF-8 text"),
+    ("nested", "nested too deeply"),
+], ids=["directory", "latin-1", "nested"])
+def test_unreadable_input_exits_two(kind, message, tmp_path, capsys):
+    path = tmp_path / f"{kind}.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "latin-1":
+        path.write_bytes('{"label": "m\xfcller"}'.encode("latin-1"))
+    else:
+        path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and message in err
+    assert "Traceback" not in err
 
 
 def test_missing_file_exits_two(capsys):
@@ -188,6 +208,43 @@ def test_trace_subcommand(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
     assert payload["unimodular"] is True
+
+
+def _cube_rotations():
+    """The signed permutation matrices of determinant 1."""
+    out = []
+    for perm in itertools.permutations(range(3)):
+        inversions = sum(perm[a] > perm[b] for a in range(3) for b in range(a + 1, 3))
+        for signs in itertools.product((1, -1), repeat=3):
+            if (-1) ** inversions * signs[0] * signs[1] * signs[2] == 1:
+                out.append([[signs[r] * int(perm[r] == c) for c in range(3)] for r in range(3)])
+    return out
+
+
+# sha256 of `knopf trace --output json`, recorded from the dense trace matrix
+# the report was first computed with.  The report carries no label and Tr is
+# the sum over the group, so the cube's bytes do not depend on the order of
+# its matrices.
+TRACE_PINS = {
+    ("w-plus-wdual.json", 8): "19865be3a019f583f52795794a84ff50b34225a6a21c36ce88d3840bbac8fcff",
+    ("w-plus-wdual.json", 16): "8f8d8d35dadd6b7bbb3ccde305e36bec477c1d9717c4c72caf50cc3a9010f343",
+    ("cube", 8): "3d403410699e3759429ea9ba9d53619c910bb4f86b8a7c9a17577777a0ee31f2",
+    ("cube", 16): "a8c3fbc6afe7ff37ddc20939b58a4ec10caf34b89b7f670edc488d443144ee5a",
+    ("minus-id.json", None): "538b72e50250ee1e41c07b67f0ad00a5dc01afd081267723fa87b5419761937d",
+}
+
+
+@pytest.mark.parametrize("name, window", sorted(TRACE_PINS, key=str),
+                         ids=lambda x: str(x))
+def test_trace_bytes_are_pinned(name, window, tmp_path, capsys):
+    path = _data(name)
+    if name == "cube":
+        path = tmp_path / "cube.json"
+        path.write_text(json.dumps({"constant_group": {"matrices": _cube_rotations()}}))
+    args = ["trace", "--module", str(path), "--output", "json"]
+    assert main(args + ([] if window is None else ["--max-degree", str(window)])) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == TRACE_PINS[name, window]
 
 
 def test_catalog_list_and_run(capsys):

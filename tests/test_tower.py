@@ -20,13 +20,24 @@ from knopf import action as act
 from knopf import canon
 from knopf import exactalg as xa
 from knopf import gscheme as gs
-from knopf.action import Comodule, _exponents
+from knopf.action import Comodule
 from knopf.catalog import standard_module
 from knopf.errors import InputError
 from knopf.exactalg import FieldSpec
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
+
+
+def _exponents(nvars: int, degree: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of total degree d, lexicographically descending."""
+    out = []
+    for combo in itertools.combinations_with_replacement(range(nvars), degree):
+        e = [0] * nvars
+        for i in combo:
+            e[i] += 1
+        out.append(tuple(e))
+    return out
 
 
 def _perm_sign(perm) -> int:
@@ -390,21 +401,83 @@ def test_window_20_classify_peak_memory():
     assert peak < 150 * 2**20
 
 
-@pytest.mark.parametrize("field, group", [(Q, CUBE), (F5, S3), (Q, REFLECTION)],
-                         ids=["Q-cube", "F5-S3", "Q-reflection"])
-def test_sparse_equivariance_matches_dense_tensordots(field, group):
-    # the trace report's sparse check against the dense contractions it
-    # replaced, on the true trace matrix and on perturbed ones
-    ring = act.constant_group_action(field, group)
+def _span_contains(field, basis, vectors) -> bool:
+    """The image check as it was: the rows of `vectors` lie in the row span
+    of `basis` exactly when stacking them keeps the rank."""
+    if len(basis) == 0:
+        return xa.is_zero(vectors)
+    return xa.rank(field, np.concatenate([basis, vectors])) == xa.rank(field, basis)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: act.constant_group_action(Q, CUBE),
+    lambda: act.constant_group_action(F5, S3),
+    lambda: act.constant_group_action(Q, REFLECTION),
+    _mu3a5_w_plus_wdual,
+], ids=["Q-cube", "F5-S3", "Q-reflection", "F5-mu3a5"])
+def test_sparse_equivariance_matches_dense_tensordots(make):
+    # the trace report's sparse checks against the dense rank test and
+    # contractions they replaced, on the true trace matrix and on perturbed
+    # ones; mu_3 x| alpha_5 has a non-unimodular dual and is no constant
+    # group, so the report runs only its image check
+    ring = make()
+    field, constant = ring.field, ring.constant_matrices is not None
+    unit = xa._unit_terms(ring.scheme.gamma.unit)
     rng = random.Random(0)
     for d in range(5):
         t, r = ring.trace_matrix(d), _dense(ring, d)
+        coact, inv = ring.tower.coaction(d), ring.invariant_basis(d)
+        assert xa._dense(field, *ring.trace_terms(d), t.shape).tolist() == t.tolist()
         for perturb in (False, True, True):
             t2 = t.copy()
             if perturb:
                 i, j = rng.randrange(len(t)), rng.randrange(len(t))
                 t2[i, j] = field.reduce(t2[i, j] + field.one)
+            terms = xa._vector(t2)
+            assert act._image_invariant(field, coact, unit, terms) == \
+                _span_contains(field, inv, t2.T)
+            if not constant:
+                continue
             lhs = xa.tensordot(field, r, t2, ([1], [0])).transpose(0, 2, 1)
             rhs = xa.tensordot(field, t2, r, ([1], [0]))
-            assert act._equivariant(field, ring.tower.coaction(d), t2) == \
-                xa.arrays_equal(lhs, rhs)
+            assert act._equivariant(field, coact, terms) == xa.arrays_equal(lhs, rhs)
+            scale = len(ring.constant_matrices)
+            traced = xa.matmul(field, t2, inv.T).T if len(inv) else inv
+            assert act._reynolds(field, terms, inv, scale) == \
+                xa.arrays_equal(traced, field.reduce(inv * field.coerce(scale)))
+
+
+def _pairwise_uncovered(exps, nonzero, window):
+    """The pairing scan as it was: a monomial e of degree d is covered when
+    some monomial of nonzero trace and degree d..window is >= e entrywise."""
+    return [[not any(all(a >= b for a, b in zip(mu, e))
+                     for total in range(d, window + 1) for mu in nonzero[total])
+             for e in exps[d]] for d in range(window + 1)]
+
+
+@given(n=st.integers(1, 3), window=st.integers(0, 8), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_divisor_closure_matches_pairwise_scan(n, window, data):
+    tower = act.constant_group_action(Q, [np.eye(n, dtype=np.int64).tolist()]).tower
+    exps = [tower.exponents(d) for d in range(window + 1)]
+    masks = []
+    for e in exps:
+        mask = np.zeros(len(e), dtype=bool)
+        mask[data.draw(st.lists(st.integers(0, len(e) - 1), max_size=3))] = True
+        masks.append(mask)
+    nonzero = [[e[m] for m in mask.nonzero()[0]] for e, mask in zip(exps, masks)]
+    got = [(~covered).tolist() for covered in tower.divisor_closure(masks)]
+    assert got == _pairwise_uncovered(exps, nonzero, window)
+
+
+def test_window_28_trace_report_peak_memory():
+    # the dense trace matrices took about 1 GB here
+    ring = _mu3a5_w_plus_wdual()
+    tracemalloc.start()
+    try:
+        report = act.trace_equivariance_check(ring, 28)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and not report.unimodular
+    assert peak < 50 * 2**20
