@@ -167,6 +167,23 @@ def _numerators(field: FieldSpec, vals: np.ndarray):
     return (vals, 1) if vals.dtype != object else xa._integral(field, vals)[:2]
 
 
+# source entries per block of a tower step, whose products are summed at once
+_BLOCK = 1 << 15
+
+
+def _step(n: int, up: np.ndarray, src: np.ndarray, last: np.ndarray):
+    """up[s, i], the index in degree d + 1 of x^s x_i for the monomials s of
+    degree d (their `src` and `last`), from `up` of degree d - 1: the pair
+    (s, i) for i >= last(s), else (t, last(s)) with x^t = x^src(s) x_i; and
+    the src and last of degree d + 1, whose monomials are the pairs (s, j)."""
+    width, variables = n - last, np.arange(n)
+    base = width.cumsum() - n
+    up = np.where(variables < last[:, None], base[up[src]] + last[:, None],
+                  base[:, None] + variables)
+    src = np.arange(len(width)).repeat(width)
+    return up, src, np.arange(len(src)) - base[src]
+
+
 class _SymTower:
     """Coactions on Sym^d of a comodule, built incrementally in d.
 
@@ -176,8 +193,8 @@ class _SymTower:
     variable occurring in s: x^m = x^s x_j, and (s, j) is monomial
     base[s] + j, with base[s] the number of pairs before s, minus last(s).
     So the source, last variable and `up` table (x^s x_i for every s and i)
-    of each degree are arithmetic on those of the degree before, and
-    exponent vectors are only formed on request.
+    of each degree are arithmetic on those of the degree before; the tower
+    keeps those of its top degree and derives lower ones on request.
 
     The coaction R_d satisfies rho(x^m) = sum_m' x^m' (x) R_d[m', m, :]: rho
     is an algebra map and Gamma is commutative, so column (s, j) of R_d is
@@ -211,31 +228,20 @@ class _SymTower:
         vals, self._table_den = _numerators(f, vals[at])
         self._table = (counts.cumsum() - counts, counts, j[at], i[at], c[at], vals)
         g, v = xa._vector(gamma.unit)
-        self._coact = {0: xa.SparseCoaction.from_coo(0 * g, 0 * g, g, v, 1, order)}
+        self._coact, self._read = {0: xa.SparseCoaction.from_coo(0 * g, 0 * g, g, v, 1, order)}, 0
         self._numerators = _numerators(f, v)
+        # `up` below degree 0, and the source and last variable of its monomial
         zero = np.zeros(1, dtype=np.int64)
-        self._src, self._last = {0: zero}, {0: zero}
-        self._up = np.zeros((1, n), dtype=np.int64)
-        self._exps = {0: np.zeros((1, n), dtype=np.int64)}
+        self._origin = self._state = (zero[:, None].repeat(n, 1), zero, zero)
 
     def exponents(self, d: int) -> list[tuple[int, ...]]:
         self._build_to(d)
-        for k in range(max(self._exps) + 1, d + 1):
-            e = self._exps[k - 1][self._src[k]]
-            e[np.arange(len(e)), self._last[k]] += 1
-            self._exps[k] = e
-        return list(map(tuple, self._exps[d].tolist()))
-
-    def _next_up(self, up: np.ndarray, d: int) -> np.ndarray:
-        """up[s, i]: the index in degree d + 1 of x^s x_i, for s of degree d,
-        from the table `up` of degree d - 1.  For i >= last(s) that is the
-        pair (s, i); for i < last(s) the pair (t, last(s)) with x^t =
-        x^src(s) x_i, one degree down."""
-        last, n = self._last[d], self.vars.dim
-        base = (n - last).cumsum() - n
-        variables = np.arange(n)
-        return np.where(variables < last[:, None], base[up[self._src[d]]] + last[:, None],
-                        base[:, None] + variables)
+        e, state = np.zeros((1, self.vars.dim), dtype=np.int64), self._origin
+        for _ in range(d):
+            state = _step(self.vars.dim, *state)
+            e = e[state[1]]
+            e[np.arange(len(e)), state[2]] += 1
+        return list(map(tuple, e.tolist()))
 
     def divisor_closure(self, marked: list[np.ndarray]) -> list[np.ndarray]:
         """For masks marked[d] of the monomials of degree d = 0..D, the masks
@@ -247,17 +253,21 @@ class _SymTower:
         """
         top = len(marked) - 1
         self._build_to(top)
-        ups = [np.zeros((1, self.vars.dim), dtype=np.int64)]
-        for d in range(top):
-            ups.append(self._next_up(ups[-1], d))
+        ups, state = [], self._origin
+        for _ in range(top):
+            state = _step(self.vars.dim, *state)
+            ups.append(state[0])
         out = [marked[top]]
         for d in range(top - 1, -1, -1):
-            out.append(marked[d] | out[-1][ups[d + 1]].any(axis=1))
+            out.append(marked[d] | out[-1][ups[d]].any(axis=1))
         return out[::-1]
 
     def coaction(self, d: int) -> xa.SparseCoaction:
         if d not in self._coact:
             self._build_to(d)
+        if d != self._read:
+            # the kernels' gathered rows are kept for the degree read last only
+            self._coact[self._read].gathered, self._read = None, d
         return self._coact[d]
 
     def _build_to(self, d: int):
@@ -267,39 +277,45 @@ class _SymTower:
         tstart, tcount, tj, ti, tc, tw = self._table
         while len(self._coact) <= d:
             cur = len(self._coact)
-            prev, last_p = self._coact[cur - 1], self._last[cur - 1]
-            order = prev.order
-            width = n - last_p
-            ends = width.cumsum()
+            prev, last_p = self._coact[cur - 1], self._state[2]
+            order, ends = prev.order, (n - last_p).cumsum()
             size = int(ends[-1])
             if size * size * order >= 2**63:
                 raise UndecidedError(f"Sym^{cur} has {size} monomials, too many to index")
             # the pair (s, j) is monomial base[s] + j
             base = ends - n
-            src = np.arange(len(width)).repeat(width)
-            last = np.arange(size) - base[src]
-            up = self._next_up(self._up, cur - 1)
+            state = _step(n, *self._state)
             # each source entry (m', a) of column s meets the table row
             # (last(s), a): the products for every column (s, j), summed at
-            # ((s, j), up[m', i], c)
-            mp, a = np.divmod(prev.keys, order)
-            ent = prev.col_of
-            row = last_p[ent] * order + a
-            idx, at = xa._ranges(tstart[row], tcount[row])
-            keys = (((base[ent][at] + tj[idx]) * size + up.ravel()[mp[at] * n + ti[idx]])
-                    * order + tc[idx])
-            num, den = self._numerators
-            keys, num = xa._sum_by(p, keys, xa._times(p, num[at], tw[idx]))
-            den *= self._table_den
+            # ((s, j), up[m', i], c), keyed base[s] size order per source
+            # entry plus j size order + c per table entry plus up[m', i] order
+            stride = size * order
+            tkey, upo = tj * stride + tc, state[0].ravel() * order
+            ptr, keys, num, parts = prev.ptr, prev.keys, self._numerators[0], []
+            # whole source columns a block at a time: their columns (s, j) are disjoint
+            cuts = [*ptr.searchsorted(np.arange(0, ptr[-1] + 1, _BLOCK)).tolist(), len(ends)]
+            for c0, c1 in itertools.pairwise(cuts):
+                lo, hi = ptr[c0], ptr[c1]
+                per, mp = ptr[c0 + 1:c1 + 1] - ptr[c0:c1], keys[lo:hi] // order
+                row = (last_p[c0:c1] * order).repeat(per) + keys[lo:hi] - mp * order
+                idx, at = xa._ranges(tstart[row], tcount[row])
+                a, b = num[lo:hi][at], tw[idx]
+                # over F_p the products are summed unreduced while their sum is below 2^63
+                raw = p is not None and (p - 1) ** 2 * len(b) < xa._INT64
+                parts.append(xa._sum_by(p, (base[c0:c1] * stride).repeat(per)[at] + tkey[idx]
+                                        + upo[(mp * n)[at] + ti[idx]],
+                                        a * b if raw else xa._times(p, a, b)))
+            keys, num = map(np.concatenate, zip(*parts))
+            den = self._numerators[1] * self._table_den
             if den > 1:
                 common = math.gcd(den, *num.tolist())
                 num, den = num // common, den // common
             self._numerators = num, den
             vals = num if den == 1 else xa._from_integral(self.field, num, den)
-            col, keys = np.divmod(keys, size * order)
-            ptr = col.searchsorted(np.arange(size + 1))
-            self._coact[cur] = xa.SparseCoaction(ptr, keys, vals, order, col)
-            self._src[cur], self._last[cur], self._up = src, last, up
+            col = keys // stride
+            keys -= col * stride
+            ptr = np.bincount(col + 1, minlength=size + 1).cumsum()
+            self._coact[cur], self._state = xa.SparseCoaction(ptr, keys, vals, order), state
 
 
 class GradedInvariantRing:

@@ -11,6 +11,7 @@ same verdicts.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -38,6 +39,7 @@ def _common(sub, degree=False, small=False):
                          help="assert smallness when it cannot be verified")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="knopf",

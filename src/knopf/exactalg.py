@@ -82,8 +82,8 @@ class FieldSpec:
 
     def __init__(self, p: int | None = None):
         if p is not None:
-            if not isinstance(p, int) or not _is_prime(p) or p > _MAX_PRIME:
-                raise InputError(f"modulus must be a prime < 2^20, got {p!r}")
+            if not isinstance(p, int) or p > _MAX_PRIME or not _is_prime(p):
+                raise InputError(f"modulus must be a prime < 2^20, got {p!r:.40}")
         self.p = p
 
     @classmethod
@@ -121,7 +121,7 @@ class FieldSpec:
         """Coerce an int/str/Fraction into a canonical scalar of this field;
         a bool is not a scalar."""
         if isinstance(x, bool):
-            raise InputError(f"cannot coerce {x!r} into {self!r}")
+            raise InputError(f"cannot coerce {x!r:.40} into {self!r}")
         if self.p is not None:
             if isinstance(x, str):
                 x = int(x, 10)
@@ -131,17 +131,17 @@ class FieldSpec:
                 if x.denominator % self.p == 0:
                     raise InputError(f"{x} has no image in F_{self.p}")
                 return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
-            raise InputError(f"cannot coerce {x!r} into F_{self.p}")
+            raise InputError(f"cannot coerce {x!r:.40} into F_{self.p}")
         if isinstance(x, str):
             try:
                 return Fraction(x)
             except (ValueError, ZeroDivisionError) as exc:
-                raise InputError(f"bad rational literal {x!r}") from exc
+                raise InputError(f"bad rational literal {x!r:.40}") from exc
         if isinstance(x, (int, np.integer)):
             return Fraction(int(x))
         if isinstance(x, Fraction):
             return x
-        raise InputError(f"cannot coerce {x!r} into Q")
+        raise InputError(f"cannot coerce {x!r:.40} into Q")
 
     def fmt(self, x):
         """Serialize a scalar: F_p as int, Q as 'a' or 'a/b'."""
@@ -338,26 +338,32 @@ def _times(p: int | None, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _sum_by(p: int | None, keys: np.ndarray, vals: np.ndarray):
     """(the distinct keys ascending, the sum of the vals at each), the zero
     sums dropped.  Over Q the sums run in int64 while max|v| len(vals) <
-    2^63, on Python ints and Fractions beyond."""
+    2^63, on Python ints and Fractions beyond; over F_p the vals may be
+    unreduced while sum |v| < 2^63, and the sums are reduced."""
     if p is None and (m := _abs_max(vals)) is not None and m * len(vals) >= _INT64:
         vals = vals.astype(object)
     return _group_sums(p, keys, vals)
 
 
 def _group_sums(p: int | None, keys: np.ndarray, vals: np.ndarray, kind: str = "stable"):
-    """`_sum_by` for vals whose sums are known to fit their dtype, the keys sorted
-    by `kind`: timsort by default, which merges the sorted runs most keys come in."""
+    """`_sum_by` for vals whose absolute values are known to sum within their
+    dtype, the keys sorted by `kind`: timsort by default, which merges the
+    sorted runs most keys come in.  int64 sums are differences of prefix sums."""
     perm = keys.argsort(kind=kind)
-    keys = keys[perm]
-    edge = np.empty(len(keys), dtype=bool)
-    edge[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=edge[1:])
-    starts = edge.nonzero()[0]
-    sums = np.add.reduceat(vals[perm], starts) if len(starts) else vals[:0]
+    keys, vals = keys[perm], vals[perm]
+    edge = np.empty(len(keys) + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    bounds = edge.nonzero()[0]
+    if vals.dtype == object:
+        sums = np.add.reduceat(vals, bounds[:-1]) if len(vals) else vals
+    else:
+        sums = vals.cumsum()[bounds[1:] - 1]
+        sums[1:] -= sums[:-1]
     if p is not None:
         sums %= p
     nz = sums.nonzero()[0]
-    return keys[starts[nz]], sums[nz]
+    return keys[bounds[nz]], sums[nz]
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray):
@@ -513,13 +519,14 @@ class SparseCoaction:
     |G| and the key is the row of the fixed-space system, so a column of the
     coaction is a column of it; Hopf structure constants are held the same
     way (order n, or 1 for the antipode matrix).  `coo` gives the index
-    arrays of the entries for `contract`.
+    arrays of the entries for `contract`; `gathered` keeps the fixed-space
+    rows of the last kernel for the next one, and None drops them.
     """
 
     def __init__(self, ptr: np.ndarray, keys: np.ndarray, vals: np.ndarray, order: int,
                  col_of: np.ndarray | None = None):
         self.ptr, self.keys, self.vals, self.order = ptr, keys, vals, order
-        self._col_of, self._coo = col_of, None
+        self._col_of, self._coo, self.gathered = col_of, None, None
 
     @property
     def dim(self) -> int:
@@ -531,9 +538,9 @@ class SparseCoaction:
 
     @property
     def col_of(self) -> np.ndarray:
-        """The column of every stored entry."""
+        """The column of every stored entry: as given, or `ptr` expanded."""
         if self._col_of is None:
-            self._col_of = np.arange(self.dim).repeat(self.ptr[1:] - self.ptr[:-1])
+            return np.arange(self.dim).repeat(self.ptr[1:] - self.ptr[:-1])
         return self._col_of
 
     def coo(self):
@@ -756,53 +763,60 @@ def _reduced_system(field: FieldSpec, coact: SparseCoaction, unit_terms, coords)
     columns, root, weight, row dicts of the residual core on the roots).
 
     Singleton rows are peeled and doubleton rows merged, in vectorized
-    passes, until neither is left.  A row with one nonzero, at c, makes e_c
-    a row of the unique RREF.  A row c_a x_a + c_b x_b, a < b, says x_a =
-    -(c_b / c_a) x_b: each such a is hooked onto its largest b, and pointer
-    jumping composes the hooks into x_u = weight[u] x_root[u], root[u] the
-    largest column of u's component, its free column in the unique RREF.
-    The rows are rewritten onto the roots and re-summed: merged rows cancel,
-    and a cycle that closes inconsistently leaves a singleton on its root.
+    passes, until neither is left, found by counting the entries of each
+    row: only doubleton rows are sorted.  A row with one nonzero, at c,
+    makes e_c a row of the unique RREF.  A row c_a x_a + c_b x_b, a < b, says
+    x_a = -(c_b / c_a) x_b: each such a is hooked onto its largest b, and
+    pointer jumping composes the hooks into x_u = weight[u] x_root[u],
+    root[u] the largest column of u's component, its free column in the
+    unique RREF.  The rows are rewritten onto the roots and re-summed: merged
+    rows cancel, and a cycle that closes inconsistently leaves a singleton
+    on its root.
     """
     p, order, n = field.p, coact.order, coact.dim
-    want = np.zeros(order, dtype=bool)
-    want[list(coords)] = True
-    keep = want[coact.keys % order].nonzero()[0]
+    if (hit := coact.gathered) is None or hit[0] != coords:
+        # the entries at coords as (row i * order + g, column j, value): off
+        # the diagonal i = j, and on it, rows ascending
+        col, want = coact.col_of, np.zeros(order, dtype=bool)
+        want[list(coords)] = True
+        i = coact.keys // order
+        wanted, diag = want[coact.keys - i * order], i == col
+        on, off = (wanted & diag).nonzero()[0], (wanted & ~diag).nonzero()[0]
+        hit = coact.gathered = (coords, want, coact.keys[off], col[off], coact.vals[off],
+                                coact.keys[on], coact.vals[on])
+    want, rows, cols, vals, diag, dvals = hit[1:]
     g, neg = unit_terms
     at = want[g].nonzero()[0]
-    # entry (row, column) as row * n + column; the unit's diagonal is
-    # -unit[g] at row j * order + g, column j
-    key = np.concatenate((coact.keys[keep] * n + coact.col_of[keep],
-                          (np.arange(n)[:, None] * (order * n + 1) + g[at] * n).ravel()))
-    vals = np.concatenate((coact.vals[keep], neg[at][None, :].repeat(n, 0).ravel()))
-    key, vals = _sum_by(p, key, vals)
-    rows, cols = np.divmod(key, n)
+    # the unit's diagonal, -unit[g] at row j * order + g, column j, folded
+    # into the coaction's entries there: two ascending runs of rows, merged
+    on = (np.arange(n)[:, None] * order + g[at]).ravel(), neg[at][None, :].repeat(n, 0).ravel()
+    diag, dvals = _sum_by(p, np.concatenate((diag, on[0])), np.concatenate((dvals, on[1])))
+    rows, cols, vals = map(np.concatenate, ((rows, diag), (cols, diag // order), (vals, dvals)))
     zero = np.zeros(n, dtype=bool)
     root, weight = np.arange(n), np.ones(n, dtype=np.int64)
     while True:
-        # edge[k]: a row starts at entry k, or k is the end
-        edge = np.empty(len(rows) + 1, dtype=bool)
-        edge[0] = edge[-1] = True
-        np.not_equal(rows[1:], rows[:-1], out=edge[1:-1])
-        starts = edge.nonzero()[0]
-        size = starts[1:] - starts[:-1]
-        single = starts[:-1][size == 1]
+        count = np.bincount(rows)[rows]
+        single = (count == 1).nonzero()[0]
         if len(single):
             zero[cols[single]] = True
             live = (~zero[cols]).nonzero()[0]
             rows, cols, vals = rows[live], cols[live], vals[live]
             continue
-        pair = starts[:-1][size == 2]
-        if not len(pair):
+        # the doubleton rows alone, in row order: row k's a < b at two[2k : 2k + 2]
+        two = (count == 2).nonzero()[0]
+        if not len(two):
             break
+        two = two[(rows[two] * n + cols[two]).argsort()]
+        a, b = two[::2], two[1::2]
         # the rows of each a, ordered by b: the last one is its hook
-        by = (cols[pair] * n + cols[pair + 1]).argsort()
-        a = cols[pair[by]]
-        pair = pair[by[np.concatenate((a[1:] != a[:-1], [True]))]]
-        hook = _quotients(p, -vals[pair + 1], vals[pair])
+        by = (cols[a] * n + cols[b]).argsort()
+        last = cols[a[by]]
+        by = by[np.concatenate((last[1:] != last[:-1], [True]))]
+        a, b = a[by], b[by]
+        hook = _quotients(p, -vals[b], vals[a])
         if hook.dtype == object:
             weight = weight.astype(object)
-        root[cols[pair]], weight[cols[pair]] = cols[pair + 1], hook
+        root[cols[a]], weight[cols[a]] = cols[b], hook
         while True:
             up = root[root]
             if (up == root).all():
@@ -811,9 +825,7 @@ def _reduced_system(field: FieldSpec, coact: SparseCoaction, unit_terms, coords)
             weight, root = _times(p, weight, weight[root]), up
         key, vals = _sum_by(p, rows * n + root[cols], _times(p, vals, weight[cols]))
         rows, cols = np.divmod(key, n)
-    starts, cols, vals = starts.tolist(), cols.tolist(), vals.tolist()
-    return zero[root], root, weight, [dict(zip(cols[a:b], vals[a:b]))
-                                      for a, b in zip(starts, starts[1:])]
+    return zero[root], root, weight, _row_dicts(rows, cols, vals)
 
 
 def _violated(field: FieldSpec, coact: SparseCoaction, unit_terms, nulls) -> set[int]:
@@ -863,7 +875,7 @@ def _fixed_vectors(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray, fi
     terms = _unit_terms(unit)
     coords = list(first)
     for _ in range(coact.order + 1):
-        zero, root, weight, core = _reduced_system(field, coact, terms, coords)
+        zero, root, weight, core = _reduced_system(field, coact, terms, tuple(coords))
         piv = _back_substitute(field, _echelon(field, core))
         live = ~zero & (root == np.arange(coact.dim))
         nulls = _null_vectors(field.p, piv, live, root, weight)

@@ -40,10 +40,10 @@ def parse_field(spec) -> FieldSpec:
         try:
             return FieldSpec.prime(int(spec[3:]))
         except ValueError:
-            raise InputError(f"bad field spec {spec!r}; use Q or Fp:<prime>")
+            raise InputError(f"bad field spec {spec!r:.40}; use Q or Fp:<prime>")
     if isinstance(spec, dict) and set(spec) == {"Fp"} and _is_int(spec["Fp"]):
         return FieldSpec.prime(spec["Fp"])
-    raise InputError(f"bad field spec {spec!r}; use \"Q\" or {{\"Fp\": p}}")
+    raise InputError(f"bad field spec {spec!r:.40}; use \"Q\" or {{\"Fp\": p}}")
 
 
 def field_to_json(field: FieldSpec):
@@ -87,7 +87,7 @@ def _scalar(field: FieldSpec, v, what: str):
         try:
             v = Fraction(v)
         except (ValueError, ZeroDivisionError):
-            raise InputError(f"{what}: bad scalar {v!r}")
+            raise InputError(f"{what}: bad scalar {v!r:.40}")
     elif not _is_int(v):
         raise InputError(f"{what}: a scalar must be an integer or a string, got {v!r:.40}")
     return field.coerce(v)

@@ -1,12 +1,15 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
 import copy
+import functools
 import hashlib
 import io
 import itertools
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -292,6 +295,46 @@ def test_verify_hopf_without_usable_antipode(name, code, tmp_path, capsys):
     err = capsys.readouterr().err
     assert ("admits no antipode" if code == 2 else "not unique") in err
     assert "Traceback" not in err
+
+
+def _without_clock(text: str) -> str:
+    """Catalog JSON output without its one wall-clock field."""
+    out = json.loads(text)
+    for r in out["results"]:
+        del r["elapsed_seconds"]
+    return json.dumps(out, sort_keys=True)
+
+
+def test_reused_argument_tree_matches_fresh_processes(capsys):
+    # the argument tree is built once per process: a --param given to one
+    # call must not leak into the next through its append default
+    runs = [["uL", "--param", "p=3"], ["uL", "--param", "p=3"], ["uL"]]
+    reused = []
+    for argv in runs:
+        assert main(["catalog", "run", *argv, "--output", "json"]) == 0
+        reused.append(_without_clock(capsys.readouterr().out))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    fresh = [_without_clock(subprocess.run(
+        [sys.executable, "-c", "import sys; from knopf.cli import main; sys.exit(main())",
+         "catalog", "run", *argv, "--output", "json"],
+        env=env, capture_output=True, text=True, check=True).stdout) for argv in runs]
+    assert reused == fresh
+    assert reused[0] != reused[2]
+
+
+@pytest.mark.parametrize("obj", [
+    {"matrices": [[[1, 0], [0, 1]]], "field": "x" * 3000},
+    {"matrices": [[["1" * 3000 + "/0", 0], [0, 1]]]},
+    {"matrices": [[[1, 0], [0, 1]]], "field": functools.reduce(lambda x, _: [x], range(900), "Q")},
+    {"matrices": [[[1, 0], [0, 1]]], "field": {"Fp": 10**3000}},
+], ids=["long-field", "long-rational", "deep-field", "long-modulus"])
+def test_error_messages_bound_the_values_they_echo(obj, tmp_path, capsys):
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(obj))
+    assert main(["molien", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.encode()) < 200
 
 
 def test_catalog_param_without_name_exits_two(capsys):

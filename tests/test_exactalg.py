@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knopf import exactalg as xa
+from knopf.errors import InputError
 from knopf.exactalg import FieldSpec
 
 
@@ -18,6 +19,26 @@ def test_field_identity_and_coercion(QQ):
     assert f5.coerce(7) == 2
     assert f5.inv(2) == 3
     assert f5.characteristic == 5 and QQ.characteristic == 0
+
+
+@pytest.mark.parametrize("p, x", [
+    (None, "1" * 3000 + "/0"),
+    (None, [[["1"] * 40] * 40] * 2),
+    (5, [[["1"] * 40] * 40] * 2),
+    (5, True),
+], ids=["bad-rational", "list-into-Q", "list-into-F5", "bool"])
+def test_coercion_errors_bound_the_value_they_echo(p, x):
+    with pytest.raises(InputError) as exc:
+        FieldSpec(p).coerce(x)
+    assert len(str(exc.value)) < 200
+
+
+def test_modulus_beyond_the_bound_is_refused_before_any_trial_division():
+    # trial division up to sqrt(2^61 - 1) would not finish
+    for p in (2**61 - 1, 10**3000 + 1):
+        with pytest.raises(InputError) as exc:
+            FieldSpec.prime(p)
+        assert "2^20" in str(exc.value) and len(str(exc.value)) < 200
 
 
 def test_field_equality_and_hash():

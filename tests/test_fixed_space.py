@@ -387,6 +387,30 @@ def test_peeled_system_and_certificate_give_the_dense_kernel(case):
         assert violations[0]
 
 
+@pytest.mark.parametrize("field, unit", [
+    (FieldSpec.prime(5), [3, 0, 4]),
+    (Q, [Fraction(1, 2), 0, Fraction(-3, 2)]),
+], ids=["F5", "Q-object"])
+def test_diagonal_entries_that_cancel_the_unit_fold_to_nothing(field, unit):
+    # coact[i, i, :] = unit: row (i, g) of the system loses its diagonal
+    # entry.  A zero left in its place would count as a singleton row and
+    # zero column i; in rows (0, 2) and (2, 0) the one entry left is x_1's
+    # and x_3's, and every other row folds to nothing
+    unit = field.asarray(unit)
+    dense = field.zeros((4, 4, 3))
+    for i in range(4):
+        dense[i, i] = unit
+    coact = xa.SparseCoaction.from_dense(dense)
+    assert coact.vals.dtype == (object if field.p is None else np.int64)
+    _assert_same(xa.fixed_space(field, coact, unit, (0, 1, 2)), field.eye(4))
+    dense[0, 1, 2], dense[2, 3, 0] = field.one, field.coerce(2)
+    coact = xa.SparseCoaction.from_dense(dense)
+    zero, root, _, core = xa._reduced_system(field, coact, xa._unit_terms(unit), (0, 1, 2))
+    assert zero.tolist() == [False, True, False, True] and core == []
+    want = _all_rows_kernel(field, coact, unit)
+    assert len(want) == 2
+    _assert_same(xa.fixed_space(field, coact, unit, (0, 2)), want)
+
 
 @pytest.mark.parametrize("twisted", [False, True], ids=["invariants", "twisted"])
 def test_cube_kernel_eliminates_only_the_generator_rows(monkeypatch, twisted):

@@ -244,6 +244,57 @@ def test_fp_tower_matches_seed_on_mu3_alpha5():
     _assert_same_tower(ring, 6)
 
 
+@pytest.mark.parametrize("bound", ["unreduced", "reduced"])
+def test_fp_tower_near_the_unreduced_sum_bound_matches_seed(bound, monkeypatch):
+    # at p = 1048573 a product of residues is near 2^40, so a tower step may
+    # sum at most 2^23 of them unreduced; with the bound forced below one
+    # product, each product is reduced before it is summed
+    f = FieldSpec.prime(1048573)
+    if bound == "reduced":
+        monkeypatch.setattr(xa, "_INT64", (f.p - 1) ** 2)
+    rng = random.Random(11)
+    q = _random_invertible(f, 3, rng, lambda r: f.p - 1 - r.randrange(4))
+    ring = act.constant_group_action(f, _conjugated(f, S3, q))
+    _assert_same_tower(ring, 6)
+    assert max(v for d in range(7) for v in ring.tower.coaction(d).vals.tolist()) > f.p // 2
+
+
+def test_degree_revisited_after_the_tower_moved_on():
+    # the tower keeps no column index and no monomial arrays below its top:
+    # a lower degree read again derives them, and equals a fresh tower's
+    ring, fresh = _mu3a5_w_plus_wdual(), _mu3a5_w_plus_wdual()
+    twist = canon.canonical_twist(ring)
+    ring.tower.coaction(12)
+    old, new = ring.tower.coaction(7), fresh.tower.coaction(7)
+    assert old._col_of is None
+    assert old == new
+    assert np.array_equal(old.col_of, new.col_of)
+    assert all(np.array_equal(a, b) for a, b in zip(old.coo(), new.coo()))
+    assert ring.tower.exponents(7) == fresh.tower.exponents(7) == _exponents(4, 7)
+    assert ring.invariant_dim(7) == fresh.invariant_dim(7) == MU3A5_A_DIMS[7]
+    assert ring.invariant_dim(7, twist) == fresh.invariant_dim(7, twist) == MU3A5_OMEGA_DIMS[7]
+    assert xa.arrays_equal(ring.invariant_basis(7), fresh.invariant_basis(7))
+    # the kernels' gathered rows stay with the degree read last
+    assert old.gathered is not None
+    ring.invariant_dim(8)
+    assert old.gathered is None and ring.tower.coaction(8).gathered is not None
+
+
+def test_fp_tower_retains_sixteen_bytes_per_nonzero():
+    # R_0..R_40 of W + W* over mu_3 x| alpha_5 hold 15.2 MB of ptr, keys and
+    # vals; a column index and the monomials' source and last variable kept
+    # for every degree would come to 24.8 MB in all
+    ring = _mu3a5_w_plus_wdual()
+    tracemalloc.start()
+    try:
+        ring.tower.coaction(40)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(ring.tower.coaction(d).nbytes for d in range(41)) > 15 * 2**20
+    assert kept < 18 * 2**20
+
+
 # -- twisted kernels -----------------------------------------------------------
 
 
