@@ -1,12 +1,14 @@
 """G-modules as comodules and their symmetric-power invariant theory.
 
 A G-module V is a right comodule over Gamma = k[G]: rho(v_j) = sum_i v_i (x)
-gamma_ij.  The polynomial ring S = Sym(V*) carries the dual coaction on its
+gamma_ij, held by its nonzeros as an `exactalg.SparseCoaction` (dense input
+is converted once), and duals, sums and tensor products are built from
+those.  The polynomial ring S = Sym(V*) carries the dual coaction on its
 variables; invariants, twisted invariants, Hilbert functions, Molien series,
 pseudo-reflection detection and the integral trace map Tr: S -> S^G all live
-here.  Everything is degree-truncated and exact.  The Sym^d tower is sparse:
-each degree is an `exactalg.SparseCoaction` of numpy index arrays, built
-from the one before with a fixed number of array operations, because the
+here.  Everything is degree-truncated and exact.  The Sym^d tower is built
+on first use and is sparse too: each degree is a SparseCoaction, built from
+the one before with a fixed number of array operations, because the
 monomials of degree d are the pairs (s, j) of a monomial s of degree d-1 and
 a variable j at or after its last one.  Its invariants are exactalg's sparse
 fixed-space kernel of that form; a twist by a grouplike chi is the untwisted
@@ -26,6 +28,7 @@ import itertools
 import math
 from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -38,35 +41,26 @@ from .ratfunc import Poly, RatFunc, det_poly_matrix
 
 
 class Comodule:
-    """Right k[G]-comodule by its coaction matrix of Gamma-elements."""
+    """Right k[G]-comodule by its coaction matrix, an (n, n, |G|) SparseCoaction."""
 
     def __init__(self, scheme: FiniteGroupScheme, coaction, labels=None):
         self.scheme = scheme
-        f = scheme.field
-        c = f.asarray(coaction)
-        if c.ndim != 3 or c.shape[0] != c.shape[1] or c.shape[2] != scheme.order:
-            raise InputError(
-                f"coaction must have shape (n, n, {scheme.order}), got {c.shape}"
-            )
-        self.coaction = c
-        self.dim = c.shape[0]
+        self.coaction = xa.held(scheme.field, coaction, (None, None, scheme.order))
+        if self.coaction is None:
+            raise InputError(f"coaction must have shape (n, n, {scheme.order})")
+        self.dim = self.coaction.dim
         self.labels = list(labels) if labels else [f"v{i}" for i in range(self.dim)]
 
     @property
     def field(self) -> FieldSpec:
         return self.scheme.field
 
-    def _entries(self):
-        """The index arrays (i, j, g) and values of the coaction's nonzeros."""
-        idx, vals = xa._vector(self.coaction)
-        return (*np.unravel_index(idx, self.coaction.shape), vals)
-
     def verify(self) -> AxiomReport:
         """Counit law and coassociativity of the coaction, with witnesses:
         sum_k gamma_ik (x) gamma_kj = Delta(gamma_ij) at (i, j, g, h)."""
         n, p, order = self.dim, self.field.p, self.scheme.order
         gamma = self.scheme.gamma
-        i, j, g, v = self._entries()
+        (i, j, g), v = self.coaction.coo(), self.coaction.vals
         ei, ev = xa._vector(gamma.counit)
         di, dj, dk = gamma.comult.coo()
         what = "the comodule axioms"
@@ -87,24 +81,20 @@ class Comodule:
         p, n, order = self.field.p, self.dim, self.scheme.order
         s = self.scheme.gamma.antipode
         sa, sj, _ = s.coo()
-        i, j, g, v = self._entries()
-        terms = xa.contract(p, [((g, (j * n + i) * order, v), (sj, sa, s.vals))],
-                            "the dual comodule")
-        labels = [
-            lb[:-1] if lb.endswith("*") else lb + "*" for lb in self.labels
-        ]
-        return Comodule(self.scheme, xa._dense(self.field, *terms,
-                                               self.coaction.shape), labels=labels)
+        (i, j, g), v = self.coaction.coo(), self.coaction.vals
+        keys, vals = xa.contract(p, [((g, (j * n + i) * order, v), (sj, sa, s.vals))],
+                                 "the dual comodule")
+        labels = [lb[:-1] if lb.endswith("*") else lb + "*" for lb in self.labels]
+        return Comodule(self.scheme, xa.SparseCoaction.from_coo(
+            *np.unravel_index(keys, (n, n, order)), vals, n, order), labels=labels)
 
 
 def direct_sum(v: Comodule, w: Comodule) -> Comodule:
     if v.scheme is not w.scheme and v.scheme.gamma != w.scheme.gamma:
         raise InputError("direct sum needs comodules over the same scheme")
-    f = v.field
-    n1, n2 = v.dim, w.dim
-    c = f.zeros((n1 + n2, n1 + n2, v.scheme.order))
-    c[:n1, :n1] = v.coaction
-    c[n1:, n1:] = w.coaction
+    n1, (i, j, g) = v.dim, w.coaction.coo()
+    parts = zip((*v.coaction.coo(), v.coaction.vals), (i + n1, j + n1, g, w.coaction.vals))
+    c = xa.SparseCoaction.from_coo(*map(np.concatenate, parts), n1 + w.dim, v.scheme.order)
     return Comodule(v.scheme, c, labels=v.labels + w.labels)
 
 
@@ -115,18 +105,18 @@ def tensor(v: Comodule, w: Comodule) -> Comodule:
     n1, n2 = v.dim, w.dim
     n, size = n1 * n2, (n1 * n2) ** 2 * order
     a, b, c = m.coo()
-    i1, j1, g1, x1 = v._entries()
-    i2, j2, g2, x2 = w._entries()
+    (i1, j1, g1), x1 = v.coaction.coo(), v.coaction.vals
+    (i2, j2, g2), x2 = w.coaction.coo(), w.coaction.vals
     # [i1 n2 + i2, j1 n2 + j2] holds gamma_{i1 j1} gamma'_{i2 j2}: the terms
     # gamma_{i1 j1}[a] mult[a, b, c], keyed by b and their share of the
     # output key, joined with gamma'_{i2 j2}[b]
     keys, vals = xa.contract(p, [((g1, (i1 * n2 * n1 + j1) * n2 * order, x1),
                                   (a, b * size + c, m.vals))], "a tensor product")
-    terms = xa.contract(p, [((keys // size, keys % size, vals),
-                             (g2, (i2 * n1 * n2 + j2) * order, x2))], "a tensor product")
+    keys, vals = xa.contract(p, [((keys // size, keys % size, vals),
+                                  (g2, (i2 * n1 * n2 + j2) * order, x2))], "a tensor product")
     labels = [f"{a}.{b}" for a in v.labels for b in w.labels]
-    return Comodule(v.scheme, xa._dense(v.field, *terms, (n, n, order)),
-                    labels=labels)
+    return Comodule(v.scheme, xa.SparseCoaction.from_coo(
+        *np.unravel_index(keys, (n, n, order)), vals, n, order), labels=labels)
 
 
 def det_character(v: Comodule):
@@ -137,7 +127,7 @@ def det_character(v: Comodule):
     along their first row and shared between the column sets they cover
     (n 2^(n-1) sparse products in Gamma instead of n n!).
     """
-    f, gamma, n = v.field, v.scheme.gamma, v.dim
+    f, gamma, n, coact = v.field, v.scheme.gamma, v.dim, v.coaction.to_dense(v.field)
     # minors[s]: the minor on the last len(sets[s]) rows and the columns
     # sets[s]; one level's products in Gamma are one batched mult_vec
     sets, minors = [()], gamma.unit[None, :]
@@ -146,9 +136,9 @@ def det_character(v: Comodule):
         sets = list(itertools.combinations(range(n), n - i))
         s, k, j, old = np.array([(s, k, j, index[cols[:k] + cols[k + 1:]])
                                  for s, cols in enumerate(sets) for k, j in enumerate(cols)]).T
-        live = (np.count_nonzero(v.coaction[i], axis=1)[j]
+        live = (np.count_nonzero(coact[i], axis=1)[j]
                 * np.count_nonzero(minors, axis=1)[old]).nonzero()[0]
-        prods = gamma.mult_vec(f.reduce(v.coaction[i, j[live]] * (-1) ** k[live, None]),
+        prods = gamma.mult_vec(f.reduce(coact[i, j[live]] * (-1) ** k[live, None]),
                                minors[old[live]])
         minors = f.zeros((len(sets), v.scheme.order))
         np.add.at(minors, s[live], prods)
@@ -212,7 +202,7 @@ class _SymTower:
         n, order = variables.dim, variables.scheme.order
         # e_a * gamma_ij = sum_g gamma_ij[g] e_a e_g = sum_c rm[i, j, a, c] e_c,
         # keyed (j, a, i, c)
-        i, j, g, v = variables._entries()
+        (i, j, g), v = variables.coaction.coo(), variables.coaction.vals
         a, mg, c = gamma.mult.coo()
         keys, vals = xa.contract(
             f.p, [((g, (j * order * n + i) * order, v), (mg, a * n * order + c, gamma.mult.vals))],
@@ -330,7 +320,6 @@ class GradedInvariantRing:
         self.variables = module.dual()
         if var_labels:
             self.variables.labels = list(var_labels)
-        self.tower = _SymTower(self.variables)
         self._inv: dict = {}
         self._dims: dict = {}
         self._units: dict = {}
@@ -342,6 +331,11 @@ class GradedInvariantRing:
     @property
     def field(self) -> FieldSpec:
         return self.module.field
+
+    @cached_property
+    def tower(self) -> _SymTower:
+        """The Sym^d tower, built on first use, so a comodule is verified first."""
+        return _SymTower(self.variables)
 
     # -- invariants ---------------------------------------------------------
 
@@ -606,10 +600,10 @@ class DiagonalizableAction:
             raise UnsupportedCaseError(
                 "the torus is not a finite scheme; weight route only"
             )
-        coact = field.zeros((self.n, self.n, self.modulus))
-        for i, w in enumerate(self.weights):
-            # module coaction carries the inverse character of the variable
-            coact[i, i, (-w) % self.modulus] = field.one
+        # module coaction carries the inverse character of the variable
+        i, inverse = np.arange(self.n), [(-w) % self.modulus for w in self.weights]
+        coact = xa.SparseCoaction.from_coo(i, i, np.array(inverse, dtype=np.int64),
+                                           np.ones_like(i), self.n, self.modulus)
         return GradedInvariantRing(Comodule(mu_scheme(field, self.modulus), coact),
                                    label=self.label, var_labels=self.var_labels)
 

@@ -53,11 +53,9 @@ def u_l_hopf(p: int) -> hopf.HopfAlgebraData:
 
 def standard_module(scheme: gs.FiniteGroupScheme, ell: int, p: int) -> act.Comodule:
     """W for mu_ell acting on alpha_p: the matrix form [[t, a], [0, 1]]."""
-    f = scheme.field
-    coact = f.zeros((2, 2, scheme.order))
-    coact[0, 0, (1 % ell) * p] = f.one   # t, which is 1 when ell = 1
-    coact[0, 1, 0 * p + 1] = f.one   # a
-    coact[1, 1, 0] = f.one           # 1
+    # t at (0, 0), which is 1 when ell = 1, a at (0, 1) and 1 at (1, 1)
+    coact = xa.SparseCoaction.from_entries(
+        [(0, 0, (1 % ell) * p, 1), (0, 1, 1, 1), (1, 1, 0, 1)], 2, scheme.order)
     return act.Comodule(scheme, coact, labels=["w1", "w2"])
 
 

@@ -30,12 +30,12 @@ boundary.  There are no tolerances anywhere.
 
 `SparseCoaction` is the one sparse array type: an (n, n, order) array by its
 nonzeros in compressed columns (`ptr`, `keys`, `vals` numpy arrays), holding
-the Sym^d coactions and the Hopf structure constants alike.  Values are
-int64 over F_p, and over Q while they are integers below 2^63 in absolute
-value; every array product and sum is bounded before it runs, and runs on
-Python ints and Fractions in an object array beyond, since int64 wraps
-around silently.  `coo` gives its index arrays, `transpose` is one lexsort
-of the permuted indices and `to_dense` the on-demand dense boundary.
+comodules, the Sym^d coactions and the Hopf structure constants alike.
+Values are int64 over F_p, and over Q while they are integers below 2^63 in
+absolute value; every array product and sum is bounded before it runs, and
+runs on Python ints and Fractions in an object array beyond, since int64
+wraps around silently.  `coo` gives its index arrays, `transpose` is one
+lexsort of the permuted indices and `to_dense` the on-demand dense boundary.
 
 Every sparse product is one `contract`, the COO einsum: operands are index
 and value arrays, joined on a shared index by sort and `searchsorted`, and
@@ -122,9 +122,12 @@ class FieldSpec:
         a bool is not a scalar."""
         if isinstance(x, bool):
             raise InputError(f"cannot coerce {x!r:.40} into {self!r}")
+        if isinstance(x, str):
+            try:
+                x = Fraction(x)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InputError(f"bad rational literal {x!r:.40}") from exc
         if self.p is not None:
-            if isinstance(x, str):
-                x = int(x, 10)
             if isinstance(x, (int, np.integer)):
                 return int(x) % self.p
             if isinstance(x, Fraction):
@@ -132,11 +135,6 @@ class FieldSpec:
                     raise InputError(f"{x} has no image in F_{self.p}")
                 return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
             raise InputError(f"cannot coerce {x!r:.40} into F_{self.p}")
-        if isinstance(x, str):
-            try:
-                return Fraction(x)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InputError(f"bad rational literal {x!r:.40}") from exc
         if isinstance(x, (int, np.integer)):
             return Fraction(int(x))
         if isinstance(x, Fraction):
@@ -517,10 +515,11 @@ class SparseCoaction:
     at the same positions of vals: key i * order + g is entry [i, j, g], a
     field scalar (see `_scalars` for the dtype).  For a coaction, order is
     |G| and the key is the row of the fixed-space system, so a column of the
-    coaction is a column of it; Hopf structure constants are held the same
-    way (order n, or 1 for the antipode matrix).  `coo` gives the index
-    arrays of the entries for `contract`; `gathered` keeps the fixed-space
-    rows of the last kernel for the next one, and None drops them.
+    coaction is a column of it.  A comodule, its Sym^d tower and the Hopf
+    structure constants (order n, or 1 for the antipode matrix) are held
+    this way, dense input converted by `held`.  `coo` gives the index arrays
+    of the entries for `contract`; `gathered` keeps the fixed-space rows of
+    the last kernel for the next one, and None drops them.
     """
 
     def __init__(self, ptr: np.ndarray, keys: np.ndarray, vals: np.ndarray, order: int,
@@ -604,6 +603,19 @@ class SparseCoaction:
         shape = (self.dim, self.dim, self.order)
         return SparseCoaction.from_coo(idx[axes[0]], idx[axes[1]], idx[axes[2]], self.vals,
                                        shape[axes[1]], shape[axes[2]])
+
+
+def held(field: FieldSpec, t, shape) -> SparseCoaction | None:
+    """t as a SparseCoaction of shape (n, n, order), a matrix (n, n) as order
+    1, where a None in `shape` matches any size; a dense array is converted.
+    None when the shape does not match."""
+    if not isinstance(t, SparseCoaction):
+        arr = field.asarray(t)
+        if arr.ndim != len(shape) or arr.shape[0] != arr.shape[1]:
+            return None
+        t = SparseCoaction.from_dense(arr if arr.ndim == 3 else arr[..., None])
+    want = shape if len(shape) == 3 else (*shape, 1)
+    return t if all(w in (None, h) for w, h in zip(want, (t.dim, t.dim, t.order))) else None
 
 
 # The elimination works on rows {column: nonzero scalar}: residues 0..p-1 over

@@ -85,18 +85,6 @@ class AxiomReport:
         return "\n".join(str(c) for c in self.checks)
 
 
-def _held(field: FieldSpec, t, shape) -> xa.SparseCoaction | None:
-    """t as a SparseCoaction of shape (n, n, order), a matrix (n, n) as order
-    1; a dense array is converted.  None when the shape does not match."""
-    dense = shape if len(shape) == 3 else shape + (1,)
-    if not isinstance(t, xa.SparseCoaction):
-        arr = field.asarray(t)
-        if arr.shape != shape:
-            return None
-        t = xa.SparseCoaction.from_dense(arr.reshape(dense))
-    return t if (t.dim, t.dim, t.order) == dense else None
-
-
 class HopfAlgebraData:
     """Structure-constant record for a (Hopf) algebra; immutable by convention.
 
@@ -120,16 +108,16 @@ class HopfAlgebraData:
         n = len(self.basis)
         self.dim = n
         self.unit = field.asarray(unit)
-        self.mult = _held(field, mult, (n, n, n))
+        self.mult = xa.held(field, mult, (n, n, n))
         if self.unit.shape != (n,) or self.mult is None:
             raise InputError("unit/mult shape does not match basis size")
         self.counit = None if counit is None else field.asarray(counit)
-        self.comult = None if comult is None else _held(field, comult, (n, n, n))
+        self.comult = None if comult is None else xa.held(field, comult, (n, n, n))
         if (self.counit is None) != (comult is None):
             raise InputError("counit and comult must be given together")
         if comult is not None and (self.comult is None or self.counit.shape != (n,)):
             raise InputError("counit/comult shape does not match basis size")
-        self.antipode = None if antipode is None else _held(field, antipode, (n, n))
+        self.antipode = None if antipode is None else xa.held(field, antipode, (n, n))
         if antipode is not None and self.antipode is None:
             raise InputError("antipode shape does not match basis size")
         if self.antipode is None and self.comult is not None:
@@ -483,10 +471,12 @@ class HopfAlgebraData:
     def _find_nondegenerate(self, symmetric: bool) -> np.ndarray | None:
         """A functional with nondegenerate form, or None if provably none exists.
 
-        Candidates first (witness verified by an actual rank computation), then
-        sound exhaustion: all projective F_p-combinations, or a (degree+1)-wide
-        integer grid over Q (the determinant has degree <= n per variable, so a
-        grid vanishing proves the zero polynomial).  Beyond budget: undecided.
+        Candidates first (witness verified by an actual rank computation); for
+        a symmetric form the theorem that a symmetric Hopf algebra is unimodular
+        (Oberst-Schneider 1973; Lorenz, J. Algebra 188, 1997); then sound
+        exhaustion: all projective F_p-combinations, or a (degree+1)-wide integer
+        grid over Q (the determinant has degree <= n per variable, so a grid
+        vanishing proves the zero polynomial).  Beyond budget: undecided.
 
         Every phi gives an associative form beta(a,b) = phi(ab); a symmetric
         one needs phi to kill each commutator b_i b_j - b_j b_i (row i*n+j).
@@ -503,6 +493,12 @@ class HopfAlgebraData:
                 continue
             if xa.rank(f, self._form_matrix(phi)) == n:
                 return phi
+        if symmetric and self.comult is not None:
+            try:
+                if not self.is_unimodular() and self.verify_axioms().ok:
+                    return None
+            except (InconsistencyError, UndecidedError):
+                pass  # not a Hopf algebra, or too large to check: search
         stack = np.stack([self._form_matrix(phi) for phi in space])
         if f.p is not None:
             count = (f.p**r - 1) // (f.p - 1)

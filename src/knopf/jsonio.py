@@ -21,8 +21,6 @@ import json
 import os
 from fractions import Fraction
 
-import numpy as np
-
 from . import action as act
 from .errors import InputError
 from .exactalg import FieldSpec, SparseCoaction
@@ -215,11 +213,10 @@ def comodule_from_json(obj: dict, scheme: FiniteGroupScheme | None = None,
     n = _dim(obj, "comodule")
     entries = _list(_require(obj, "coaction", "comodule"), "coaction")
     if n > len(entries):
-        # checked before allocating: the counit law needs every (i, i) entry
+        # checked before the n + 1 column pointers are allocated
         raise InputError(f"comodule: dim {n} exceeds the {len(entries)} coaction "
                          "entries, and the counit law needs an (i, i) entry for every i")
-    f = scheme.field
-    coact = f.zeros((n, n, scheme.order))
+    f, coact = scheme.field, []
     for entry in entries:
         if not isinstance(entry, list) or len(entry) != 3:
             raise InputError("coaction entries must be [i, j, [coefficients]]")
@@ -229,20 +226,22 @@ def comodule_from_json(obj: dict, scheme: FiniteGroupScheme | None = None,
             raise InputError(
                 f"coaction entry ({i},{j}): expected {scheme.order} coefficients"
             )
-        for t, c in enumerate(coeffs):
-            coact[i, j, t] = _scalar(f, c, "coaction")
-    return act.Comodule(scheme, coact, labels=_labels(obj, "labels", n))
+        # zeros too: a later [i, j] entry replaces an earlier one as a whole
+        coact += [(i, j, t, _scalar(f, c, "coaction")) for t, c in enumerate(coeffs)]
+    return act.Comodule(scheme, SparseCoaction.from_entries(coact, n, scheme.order),
+                        labels=_labels(obj, "labels", n))
 
 
 def comodule_to_json(module: act.Comodule, scheme_ref: str | None = None) -> dict:
     """Serialize a comodule; scheme_ref (a file path) replaces the inline scheme."""
-    f, c = module.scheme.field, module.coaction
-    coaction = [[int(i), int(j), [f.fmt(v) for v in c[i, j]]]
-                for i, j in np.argwhere(np.count_nonzero(c, axis=2))]
+    f, rows = module.scheme.field, {}
+    # the nonzero (i, j) in C order, each with all its coefficients
+    for i, j, g, v in sorted(module.coaction.entries()):
+        rows.setdefault((i, j), [f.fmt(f.zero)] * module.scheme.order)[g] = f.fmt(v)
     out = {
         "scheme": scheme_ref if scheme_ref else scheme_to_json(module.scheme),
         "dim": module.dim,
-        "coaction": coaction,
+        "coaction": [[i, j, coeffs] for (i, j), coeffs in rows.items()],
     }
     if module.labels:
         out["labels"] = list(module.labels)

@@ -33,10 +33,10 @@ def test_comodule_axioms_and_witness():
     w = standard_module(g, 3, 5)
     assert w.verify().ok
 
-    bad = w.coaction.copy()
+    bad = w.coaction.to_dense(g.field)
     bad[0, 0, 0] += 1
     broken = act.Comodule.__new__(act.Comodule)
-    broken.scheme, broken.coaction = g, g.field.reduce(bad)
+    broken.scheme, broken.coaction = g, xa.SparseCoaction.from_dense(g.field.reduce(bad))
     broken.dim, broken.labels = 2, ["w1", "w2"]
     rep = broken.verify()
     assert not rep.ok
@@ -53,6 +53,21 @@ def test_dual_and_sums_and_tensors():
     t = act.tensor(w, w)
     assert t.dim == 4 and t.verify().ok
     assert wd.labels == ["w1*", "w2*"]
+
+
+def test_every_comodule_holds_a_sparse_coaction():
+    w = standard_module(_mu3a5(), 3, 5)
+    mu3 = act.DiagonalizableAction([1, 2, 2], 3).to_kernel_route(F5)
+    modules = [w, w.dual(), act.direct_sum(w, w.dual()), act.tensor(w, w), mu3.module,
+               act.constant_group_action(Q, REFLECTION).module]
+    for v in modules:
+        assert isinstance(v.coaction, xa.SparseCoaction) and v.verify().ok
+    # the diagonal mu_3 action carries the inverse characters t^2, t, t
+    assert [(i, j, g) for i, j, g, _ in mu3.module.coaction.entries()] == [
+        (0, 0, 2), (1, 1, 1), (2, 2, 1)]
+    # the tower is built on first use only
+    assert "tower" not in vars(mu3)
+    assert mu3.tower.coaction(1).dim == 3 and "tower" in vars(mu3)
 
 
 def test_det_characters():
@@ -76,11 +91,11 @@ def _loop_det_character(v):
     f = v.field
     gamma = v.scheme.gamma
     n = v.dim
-    acc = f.zeros(v.scheme.order)
+    acc, coact = f.zeros(v.scheme.order), v.coaction.to_dense(f)
     for perm in itertools.permutations(range(n)):
         term = gamma.unit
         for i in range(n):
-            term = gamma.mult_vec(term, v.coaction[i, perm[i]])
+            term = gamma.mult_vec(term, coact[i, perm[i]])
         s = _perm_sign(perm)
         acc = f.reduce(acc + term if s > 0 else acc - term)
     return acc

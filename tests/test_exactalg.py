@@ -33,6 +33,13 @@ def test_coercion_errors_bound_the_value_they_echo(p, x):
     assert len(str(exc.value)) < 200
 
 
+def test_strings_over_fp_are_read_as_rationals():
+    f5 = FieldSpec.prime(5)
+    assert f5.coerce("1/2") == 3
+    with pytest.raises(InputError, match="bad rational literal"):
+        f5.coerce("x")
+
+
 def test_modulus_beyond_the_bound_is_refused_before_any_trial_division():
     # trial division up to sqrt(2^61 - 1) would not finish
     for p in (2**61 - 1, 10**3000 + 1):

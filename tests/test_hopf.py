@@ -7,7 +7,7 @@ from knopf import exactalg as xa
 from knopf.catalog import cyclic_table, dihedral_table, u_l_hopf
 from knopf.errors import InconsistencyError, InputError, UndecidedError
 from knopf.exactalg import FieldSpec
-from knopf.hopf import HopfAlgebraData, group_algebra, restricted_enveloping
+from knopf.hopf import HopfAlgebraData, group_algebra, restricted_enveloping, tensor_hopf
 
 Q = FieldSpec.rationals()
 
@@ -165,6 +165,15 @@ def test_ul_not_unimodular_not_symmetric(p):
     assert not h.is_unimodular()
     assert not h.is_symmetric()
     assert h.is_frobenius()
+
+
+def test_symmetric_verdict_of_a_non_unimodular_hopf_algebra_needs_no_search():
+    # dim 50, so the symmetric forms span F_5^10, beyond the exhaustion budget:
+    # the verdict is the theorem that a symmetric Hopf algebra is unimodular
+    f5 = FieldSpec.prime(5)
+    h = tensor_hopf(u_l_hopf(5), group_algebra(f5, cyclic_table(2)))
+    assert h.dim == 50 and h.verify_axioms().ok and not h.is_unimodular()
+    assert not h.is_symmetric()
 
 
 def test_ul_modular_element_kills_e_detects_f():

@@ -72,8 +72,43 @@ def test_comodule_round_trip_inline_scheme():
     w = standard_module(g, 3, 5)
     back = jsonio.comodule_from_json(jsonio.comodule_to_json(w))
     assert back.dim == 2
-    assert xa.arrays_equal(back.coaction, w.coaction)
+    assert xa.arrays_equal(back.coaction.to_dense(F5), w.coaction.to_dense(F5))
     assert back.labels == w.labels
+
+
+def _diagonal_comodule(dim: int) -> dict:
+    """W + W* over mu_3 x| alpha_5 cut to its diagonal and repeated to `dim`:
+    a sum of characters, by reference to tests/data/mu3a5.json."""
+    with open(os.path.join(os.path.dirname(__file__), "data", "w-plus-wdual.json")) as fh:
+        obj = json.load(fh)
+    diag = [c for i, j, c in obj["coaction"] if i == j]
+    return {"scheme": os.path.join(os.path.dirname(__file__), "data", "mu3a5.json"),
+            "dim": dim, "coaction": [[i, i, diag[i % 4]] for i in range(dim)]}
+
+
+def test_a_large_diagonal_comodule_is_held_by_its_nonzeros(tmp_path):
+    from knopf.cli import main
+    obj = _diagonal_comodule(1000)
+    module = jsonio.comodule_from_json(obj)
+    # the dense (1000, 1000, 15) int64 array would take 120 MB
+    assert module.dim == 1000 and module.coaction.nbytes < 1 << 20
+    path = tmp_path / "diagonal.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 0
+
+
+def test_a_repeated_coaction_entry_replaces_the_earlier_one_whole():
+    g = gs.mu_semidirect_alpha_scheme(F5, 3)
+    obj = jsonio.comodule_to_json(standard_module(g, 3, 5))
+    (i, j, first), one = obj["coaction"][1], [1] + [0] * 14
+    assert (i, j) == (0, 1) and first != [0] * 15
+    # a later [0, 1] entry of zeros drops the earlier one; the unit at (0, 0)
+    # replaces the t it held, zeros included
+    obj["coaction"] += [[0, 1, [0] * 15], [0, 0, one]]
+    back = jsonio.comodule_from_json(obj)
+    dense = back.coaction.to_dense(F5)
+    assert not dense[0, 1].any() and dense[0, 0].tolist() == one
+    assert [e[:2] for e in jsonio.comodule_to_json(back)["coaction"]] == [[0, 0], [1, 1]]
 
 
 def test_comodule_scheme_by_file_reference(tmp_path):
@@ -84,7 +119,7 @@ def test_comodule_scheme_by_file_reference(tmp_path):
     )
     obj = jsonio.comodule_to_json(w, scheme_ref="g.json")
     back = jsonio.comodule_from_json(obj, base_dir=str(tmp_path))
-    assert xa.arrays_equal(back.coaction, w.coaction)
+    assert xa.arrays_equal(back.coaction.to_dense(F5), w.coaction.to_dense(F5))
 
 
 def test_action_from_json_constant_shorthand():

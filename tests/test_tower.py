@@ -77,10 +77,10 @@ class _SeedTower:
         gamma = variables.scheme.gamma
         f = self.field
         # rm[i,j] is the right-multiplication matrix of gamma_ij on Gamma
-        self._rm = xa.tensordot(f, variables.coaction, gamma.mult.to_dense(f),
-                               ([2], [1]))
+        coact = variables.coaction.to_dense(f)
+        self._rm = xa.tensordot(f, coact, gamma.mult.to_dense(f), ([2], [1]))
         self._nz = [
-            [not xa.is_zero(variables.coaction[i, j]) for j in range(variables.dim)]
+            [not xa.is_zero(coact[i, j]) for j in range(variables.dim)]
             for i in range(variables.dim)
         ]
         unit = gamma.unit
