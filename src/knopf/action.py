@@ -119,6 +119,12 @@ def tensor(v: Comodule, w: Comodule) -> Comodule:
         *np.unravel_index(keys, (n, n, order)), vals, n, order), labels=labels)
 
 
+# The most column sets det_character may hold at its widest level, C(n, n // 2),
+# which admits dim 18 and below; a larger comodule is refused by this name
+# before its dense coaction is built.
+DET_SET_BUDGET = 1 << 16
+
+
 def det_character(v: Comodule):
     """Determinant of the coaction matrix in the commutative ring Gamma.
 
@@ -127,6 +133,10 @@ def det_character(v: Comodule):
     along their first row and shared between the column sets they cover
     (n 2^(n-1) sparse products in Gamma instead of n n!).
     """
+    if math.comb(v.dim, v.dim // 2) > DET_SET_BUDGET:
+        raise UndecidedError(
+            f"the determinant of a dim-{v.dim} comodule needs C({v.dim}, {v.dim // 2}) "
+            f"column sets at once, over action.DET_SET_BUDGET = {DET_SET_BUDGET}")
     f, gamma, n, coact = v.field, v.scheme.gamma, v.dim, v.coaction.to_dense(v.field)
     # minors[s]: the minor on the last len(sets[s]) rows and the columns
     # sets[s]; one level's products in Gamma are one batched mult_vec
@@ -407,11 +417,6 @@ class GradedInvariantRing:
         live = weight[g].nonzero()[0]
         return xa._sum_by(self.field.p, i[live] * r.dim + r.col_of[live],
                           xa._times(self.field.p, r.vals[live], weight[g[live]]))
-
-    def trace_matrix(self, d: int) -> np.ndarray:
-        """Matrix of Tr on S_d: column m holds the coefficients of Tr(x^m)."""
-        dim = self.tower.coaction(d).dim
-        return xa._dense(self.field, *self.trace_terms(d), (dim, dim))
 
 
 # -- constant matrix groups -------------------------------------------------

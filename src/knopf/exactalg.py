@@ -5,12 +5,12 @@ denominator) and canonical representatives 0..p-1 (Python/int64) over F_p.
 Dense matrices are numpy arrays: dtype=object holding Fractions over Q,
 dtype=int64 over F_p with reduction mod p after every operation.  The field
 split lives in `FieldSpec` (scalars, dtypes, reduction); everything else is
-written once for both fields.  `matmul` and `tensordot` are one integer
-product for both fields: each operand is scaled once to integers (over Q by
-the lcm of its denominators), multiplied in float64 BLAS while
-k * max|a| * max|b| < 2^53 for a contraction of length k (exact: every
-partial sum is an integer below 2^53), on Python ints beyond, then reduced
-mod p or divided back into Fractions.
+written once for both fields.  The one dense product, `_int_product`,
+multiplies a constant group's matrices for its table: the operands are
+scaled once to integers (over Q by the lcm of their denominators, see
+`_integral`), multiplied in float64 BLAS while k * max|a| * max|b| < 2^53
+for a contraction of length k (exact: every partial sum is an integer below
+2^53), on Python ints beyond.
 
 Elimination is sparse and also written once: rows are dicts {column: nonzero
 scalar}, reduced shortest row first and back-substituted to the unique RREF.
@@ -25,8 +25,8 @@ component.  Only a residual core of longer rows becomes row dicts for the
 elimination.  Then every null vector is certified against every
 coordinate, and the reduction is redone with the rows of a violated one
 until none is: the answer is the kernel of all the rows for any input.
-`rref`, `rank`, `kernel_basis` and `invert` keep dense arrays as their
-boundary.  There are no tolerances anywhere.
+`rank` keeps a dense array as its boundary.  There are no tolerances
+anywhere.
 
 `SparseCoaction` is the one sparse array type: an (n, n, order) array by its
 nonzeros in compressed columns (`ptr`, `keys`, `vals` numpy arrays), holding
@@ -243,28 +243,6 @@ def _int_product(na: np.ndarray, ma: int, nb: np.ndarray, mb: int, k: int, mult)
     if max(k * ma * mb, ma, mb) < _EXACT_BOUND:
         return np.rint(mult(na.astype(np.float64), nb.astype(np.float64))).astype(np.int64)
     return np.asarray(mult(na.astype(object), nb.astype(object)))
-
-
-def _product(field: FieldSpec, a: np.ndarray, b: np.ndarray, k: int, mult) -> np.ndarray:
-    """mult(a, b) exactly, where each output entry sums k products."""
-    (na, sa, ma), (nb, sb, mb) = _integral(field, a), _integral(field, b)
-    return _from_integral(field, _int_product(na, ma, nb, mb, k, mult), sa * sb)
-
-
-def matmul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _product(field, a, b, a.shape[-1], np.matmul)
-
-
-def tensordot(field: FieldSpec, a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
-    if isinstance(axes, (int, np.integer)):
-        k = int(np.prod(a.shape[a.ndim - axes :], dtype=np.int64))
-    else:
-        k = int(np.prod([a.shape[ax] for ax in np.atleast_1d(axes[0])], dtype=np.int64))
-    return _product(field, a, b, k, lambda x, y: np.tensordot(x, y, axes))
-
-
-def outer(field: FieldSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return field.reduce(u[:, None] * v[None, :])
 
 
 def is_zero(arr: np.ndarray) -> bool:
@@ -715,35 +693,8 @@ def _null_basis(field: FieldSpec, nulls, n: int) -> np.ndarray:
     return basis
 
 
-def rref(field: FieldSpec, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and its pivot columns.
-
-    Returns (R, pivot_columns), R padded with zero rows to the shape of mat.
-    The RREF is unique, so identical inputs give identical outputs.  The
-    dense array is only the boundary: the elimination is `_echelon` and
-    `_back_substitute` on the nonzero entries.
-    """
-    piv = _back_substitute(field, _echelon(field, _dense_rows(mat)))
-    pivots = sorted(piv)
-    r = field.zeros(mat.shape)
-    for i, c in enumerate(pivots):
-        for k, v in piv[c].items():
-            r[i, k] = field.coerce(v)
-    return r, pivots
-
-
 def rank(field: FieldSpec, mat: np.ndarray) -> int:
     return len(_echelon(field, _dense_rows(mat)))
-
-
-def kernel_basis(field: FieldSpec, mat: np.ndarray) -> np.ndarray:
-    """Basis of the right null space {v : mat v = 0}, shape (k, n).
-
-    Vectors are ordered by ascending free column; each has a 1 in its own free
-    column and 0 in every other free column (echelon-normal form), so equal
-    kernels give byte-identical bases.
-    """
-    return _kernel(field, _dense_rows(mat), mat.shape[1])
 
 
 def _unit_terms(unit: np.ndarray):
@@ -927,15 +878,3 @@ def fixed_space(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray,
 def fixed_dim(field: FieldSpec, coact: SparseCoaction, unit: np.ndarray, first=()) -> int:
     """len(fixed_space(field, coact, unit, first)), without the dense basis."""
     return _fixed_vectors(field, coact, unit, first)[0]
-
-
-def invert(field: FieldSpec, mat: np.ndarray) -> np.ndarray | None:
-    """Inverse of a square matrix, or None if singular."""
-    n = mat.shape[0]
-    aug = field.zeros((n, 2 * n))
-    aug[:, :n] = mat
-    aug[:, n:] = field.eye(n)
-    r, pivots = rref(field, aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return r[:, n:]

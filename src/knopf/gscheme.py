@@ -34,7 +34,6 @@ from .hopf import (
     function_algebra,
     group_algebra,
     monomial_label,
-    tensor_hopf,
 )
 
 
@@ -204,15 +203,6 @@ def _adjoint_terms(gamma: HopfAlgebraData, what: str):
     keys, vals = xa.contract(p, [((dk, dj * n * n2 + di * n, d.vals),
                                   (pk // n2, pk // n % n * n2 + pk % n, pv))], what)
     return keys // n2, keys % n2, vals
-
-
-def direct_product(g1: FiniteGroupScheme, g2: FiniteGroupScheme) -> FiniteGroupScheme:
-    """G1 x G2; coordinate ring is the tensor product Hopf algebra."""
-    if g1.field != g2.field:
-        raise InputError("direct product needs a common base field")
-    return FiniteGroupScheme(
-        tensor_hopf(g1.gamma, g2.gamma), label=f"{g1.label}x{g2.label}"
-    )
 
 
 # -- constructors -----------------------------------------------------------

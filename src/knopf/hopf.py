@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from itertools import product as iproduct
 
 import numpy as np
@@ -614,16 +615,21 @@ def tensor_hopf(h1: HopfAlgebraData, h2: HopfAlgebraData, sep: str = "|") -> Hop
     n = h1.dim * h2.dim
 
     def mix(a, b):
-        # [i1, j1, g1] (x) [i2, j2, g2] at [i1 n2 + i2, j1 n2 + j2, g1 o2 + g2]
-        right = list(b.entries())
-        return xa.SparseCoaction.from_entries(
-            ((i1 * b.dim + i2, j1 * b.dim + j2, g1 * b.order + g2, f.coerce(v1 * v2))
-             for i1, j1, g1, v1 in a.entries() for i2, j2, g2, v2 in right),
+        # [i1, j1, g1] (x) [i2, j2, g2] at [i1 n2 + i2, j1 n2 + j2, g1 o2 + g2]:
+        # every pair of their nonzeros, a nonzero product at its own index
+        (ai, aj, ag), (bi, bj, bg) = a.coo(), b.coo()
+        s = np.arange(len(a.vals)).repeat(len(b.vals))
+        t = np.tile(np.arange(len(b.vals)), len(a.vals))
+        vals = xa._times(f.p, a.vals[s], b.vals[t])
+        if vals.dtype == object:
+            vals = xa._scalars([v.numerator if v.denominator == 1 else v for v in vals.tolist()])
+        return xa.SparseCoaction.from_coo(
+            ai[s] * b.dim + bi[t], aj[s] * b.dim + bj[t], ag[s] * b.order + bg[t], vals,
             a.dim * b.dim, a.order * b.order)
 
     labels = [f"{x}{sep}{y}" for x in h1.basis for y in h2.basis]
-    unit = xa.outer(f, h1.unit, h2.unit).reshape(n)
-    counit = xa.outer(f, h1.counit, h2.counit).reshape(n)
+    unit = f.reduce(h1.unit[:, None] * h2.unit).reshape(n)
+    counit = f.reduce(h1.counit[:, None] * h2.counit).reshape(n)
     anti = None
     if h1.antipode is not None and h2.antipode is not None:
         anti = mix(h1.antipode, h2.antipode)
@@ -663,19 +669,18 @@ def restricted_enveloping(
     pm = field.asarray(p_map)
     if br.shape != (m, m, m) or pm.shape != (m, m):
         raise InputError("bracket must be (m,m,m) and p_map (m,m)")
-    if not xa.is_zero(field.reduce(br + br.transpose(1, 0, 2))):
+    # F_p only: int64 residues, and each sum of m products below m p^2 < 2^63
+    if not xa.is_zero((br + br.transpose(1, 0, 2)) % p):
         raise InputError("bracket is not antisymmetric")
-    jac = xa.tensordot(field, br, br, ([2], [1])).transpose(2, 0, 1, 3)
-    jacobi = field.reduce(jac + jac.transpose(2, 0, 1, 3) + jac.transpose(1, 2, 0, 3))
-    if not xa.is_zero(jacobi):
+    jac = np.tensordot(br, br, ([2], [1])).transpose(2, 0, 1, 3)
+    if not xa.is_zero((jac + jac.transpose(2, 0, 1, 3) + jac.transpose(1, 2, 0, 3)) % p):
         raise InputError("bracket fails the Jacobi identity")
     ad = br.transpose(0, 2, 1)  # ad[i][b][a] = coeff of x_b in [x_i, x_a]
     for i in range(m):
-        power = field.eye(m)
+        power = np.eye(m, dtype=np.int64)
         for _ in range(p):
-            power = xa.matmul(field, ad[i], power)
-        target = xa.tensordot(field, pm[i], ad, ([0], [0]))
-        if not xa.arrays_equal(power, target):
+            power = ad[i] @ power % p
+        if not xa.arrays_equal(power, np.tensordot(pm[i], ad, ([0], [0])) % p):
             raise InputError(f"p_map incompatible with bracket at generator {i}")
 
     exps = list(iproduct(range(p), repeat=m))
@@ -728,60 +733,55 @@ def restricted_enveloping(
             out.extend([g] * a)
         return tuple(out)
 
-    def as_vector(terms: dict[tuple[int, ...], object]) -> np.ndarray:
-        v = field.zeros(n)
-        for w, cf in terms.items():
-            if cf:
-                exp = [0] * m
-                for g in w:
-                    exp[g] += 1
-                v[index[tuple(exp)]] = field.reduce(v[index[tuple(exp)]] + cf)
-        return v
+    def collect(terms) -> dict:
+        # {key: the sum of its values mod p} of (key, value) pairs, zeros dropped
+        out: dict = {}
+        for k, v in terms:
+            out[k] = out.get(k, 0) + v
+        return {k: v % p for k, v in out.items() if v % p}
 
-    unit_idx = index[(0,) * m]
+    def as_row(terms: dict[tuple[int, ...], object]) -> dict[int, int]:
+        # {k: coefficient of b_k} of straightened words
+        return collect((index[tuple(w.count(g) for g in range(m))], int(cf))
+                       for w, cf in terms.items())
 
-    # Per-generator multiplication matrices: row k of rmul[g] is b_k * x_g,
-    # row k of lmul[g] is x_g * b_k.  Everything else is built from these by
-    # peeling the last generator off each monomial, which keeps the whole
+    # Per-generator multiplication rows {k: coefficient}: rmul[g][k] is
+    # b_k * x_g, lmul[g][k] is x_g * b_k.  Everything else is built from these
+    # by peeling the last generator off each monomial, which keeps the whole
     # construction near-linear instead of straightening n^2 long words.
-    rmul = []
-    lmul = []
-    for g in range(m):
-        rm = field.zeros((n, n))
-        lm = field.zeros((n, n))
-        for k, ek in enumerate(exps):
-            rm[k] = as_vector(straighten(word_of(ek) + (g,)))
-            lm[k] = as_vector(straighten((g,) + word_of(ek)))
-        rmul.append(rm)
-        lmul.append(lm)
+    rmul = [[as_row(straighten(word_of(ek) + (g,))) for ek in exps] for g in range(m)]
+    lmul = [[as_row(straighten((g,) + word_of(ek))) for ek in exps] for g in range(m)]
 
     # Everything is grown from the predecessor monomial x^a' = x^a / x_g, g the
     # last generator of x^a: b_i x^a = (b_i x^a') x_g; Delta is multiplicative
     # with primitive generators, so Delta(x^a) = Delta(x^a') (x_g (x) 1 + 1 (x)
-    # x_g), which on coefficient matrices is R_g^T D' + D' R_g; and
-    # S(x^a) = S(x_g) S(x^a') = -x_g S(x^a').
-    c = field.zeros((n, n, n))
-    d = field.zeros((n, n, n))
-    s = field.zeros((n, n))
-    for i in range(n):
-        c[i, unit_idx, i] = field.one
-    d[unit_idx, unit_idx, unit_idx] = field.one
-    s[unit_idx, unit_idx] = field.one
-    minus_one = field.coerce(-1)
-    for j, ej in enumerate(exps):
-        if j == unit_idx:
-            continue
+    # x_g); and S(x^a) = S(x_g) S(x^a') = -x_g S(x^a').  Column j of each is
+    # held by its nonzeros: mult[j] maps (i, k) to the coefficient of b_k in
+    # b_i b_j, comult[j] maps (a, b) to that of b_a (x) b_b in Delta(b_j), and
+    # antipode[j] is the row of S(b_j); column 0 is the unit b_0 = 1.
+    mult, comult, antipode = [{(i, i): 1 for i in range(n)}], [{(0, 0): 1}], [{0: 1}]
+    for ej in exps[1:]:
         g = max(t for t in range(m) if ej[t])
         jp = index[ej[:g] + (ej[g] - 1,) + ej[g + 1 :]]
-        rm = rmul[g]
-        c[:, j, :] = xa.matmul(field, c[:, jp, :], rm)
-        d[j] = field.reduce(xa.matmul(field, rm.T, d[jp]) + xa.matmul(field, d[jp], rm))
-        s[:, j] = field.reduce(xa.matmul(field, s[:, jp], lmul[g]) * minus_one)
-
-    counit = field.zeros(n)
-    counit[unit_idx] = field.one
+        rm, delta = rmul[g], comult[jp].items()
+        mult.append(collect(((i, c), v * w) for (i, k), v in mult[jp].items()
+                           for c, w in rm[k].items()))
+        comult.append(collect(chain(
+            (((c, b), v * w) for (a, b), v in delta for c, w in rm[a].items()),
+            (((a, c), v * w) for (a, b), v in delta for c, w in rm[b].items()))))
+        antipode.append(collect((c, -v * w) for k, v in antipode[jp].items()
+                                for c, w in lmul[g][k].items()))
     unit = field.zeros(n)
-    unit[unit_idx] = field.one
+    unit[0] = field.one
 
     labels = [monomial_label(ea, generators, sep="") for ea in exps]
-    return HopfAlgebraData(field, labels, unit, c, counit, d, s)
+    return HopfAlgebraData(
+        field, labels, unit,
+        xa.SparseCoaction.from_entries(((i, j, k, v) for j, col in enumerate(mult)
+                                        for (i, k), v in col.items()), n, n),
+        unit,
+        xa.SparseCoaction.from_entries(((j, a, b, v) for j, col in enumerate(comult)
+                                        for (a, b), v in col.items()), n, n),
+        xa.SparseCoaction.from_entries(((a, j, 0, v) for j, col in enumerate(antipode)
+                                        for a, v in col.items()), n, 1),
+    )

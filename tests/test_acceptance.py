@@ -18,6 +18,7 @@ from knopf import gscheme as gs
 from knopf.catalog import radford_battery, standard_module, u_l_hopf
 from knopf.exactalg import FieldSpec
 from knopf.gscheme import FiniteGroupScheme
+from knopf.hopf import tensor_hopf
 from knopf.ratfunc import Poly
 
 Q = FieldSpec.rationals()
@@ -85,7 +86,8 @@ def test_knop_character_triviality_instances():
         gs.constant_scheme(Q, catalog.dihedral_table(3), label="S3"),
         gs.constant_scheme(Q, catalog.dihedral_table(4), label="D4"),
         gs.constant_scheme(F5, catalog.cyclic_table(4), label="C4/F5"),
-        gs.direct_product(gs.mu_scheme(F2, 2), gs.alpha_scheme(F2)),
+        FiniteGroupScheme(tensor_hopf(gs.mu_scheme(F2, 2).gamma, gs.alpha_scheme(F2).gamma),
+                          label="mu_2xalpha_2"),
         gs.alpha_scheme(F2),
         gs.alpha_scheme(F5),
         gs.mu_scheme(Q, 4),

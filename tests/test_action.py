@@ -13,9 +13,10 @@ from knopf import catalog
 from knopf import exactalg as xa
 from knopf import gscheme as gs
 from knopf.catalog import standard_module
-from knopf.errors import InputError, UnsupportedCaseError
+from knopf.errors import InputError, UndecidedError, UnsupportedCaseError
 from knopf.exactalg import FieldSpec
 from knopf.ratfunc import Poly, RatFunc, det_poly_matrix
+import dense_ref as dr
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
@@ -118,8 +119,8 @@ def _det_cases():
                            id=f"reflection-{field}")
         yield pytest.param(act.constant_group_action(field, s3).module, id=f"S3-{field}")
     # S3 in a rational basis, where the coaction has denominators
-    p, p_inv = Q.asarray(rotation), xa.invert(Q, Q.asarray(rotation))
-    conj = [xa.matmul(Q, xa.matmul(Q, p, Q.asarray(m)), p_inv) for m in s3]
+    p, p_inv = Q.asarray(rotation), dr.invert(Q, Q.asarray(rotation))
+    conj = [dr.matmul(Q, dr.matmul(Q, p, Q.asarray(m)), p_inv) for m in s3]
     yield pytest.param(act.constant_group_action(Q, conj).module, id="S3-Q-rational-basis")
 
 
@@ -225,6 +226,20 @@ def test_diagonalizable_twisted_hilbert_brute_force():
         assert got == want, k
 
 
+def test_det_character_refuses_past_its_column_set_budget(monkeypatch):
+    # dim 4: the widest level holds C(4, 2) = 6 column sets; at the budget the
+    # determinant is computed, one past it refused by name
+    w = standard_module(_mu3a5(), 3, 5)
+    module = act.direct_sum(w, w.dual())
+    expected = act.det_character(module)
+    monkeypatch.setattr(act, "DET_SET_BUDGET", 6)
+    assert xa.arrays_equal(act.det_character(module), expected)
+    monkeypatch.setattr(act, "DET_SET_BUDGET", 5)
+    with pytest.raises(UndecidedError,
+                       match=r"C\(4, 2\) column sets .* action\.DET_SET_BUDGET = 5"):
+        act.det_character(module)
+
+
 def test_diagonalizable_det_weight():
     assert act.DiagonalizableAction([1, 2], 3).det_module_weight() == 0
     assert act.DiagonalizableAction([1, 1], 3).det_module_weight() == 1
@@ -232,8 +247,8 @@ def test_diagonalizable_det_weight():
 
 def test_trace_minus_id_doubles_even_degrees():
     ring = act.constant_group_action(Q, MINUS_ID)
-    assert xa.arrays_equal(ring.trace_matrix(2), 2 * Q.eye(3))
-    assert xa.is_zero(ring.trace_matrix(1))
+    assert xa.arrays_equal(dr.trace_matrix(ring, 2), 2 * Q.eye(3))
+    assert xa.is_zero(dr.trace_matrix(ring, 1))
     assert xa.arrays_equal(ring.integral_functional(), Q.asarray([1, 1]))
 
 
@@ -247,7 +262,7 @@ def test_trace_alpha5_sends_x4_to_y4():
     assert mod.verify().ok
     ring = act.GradedInvariantRing(mod, var_labels=["x", "y"])
     assert list(ring.integral_functional()) == [0, 0, 0, 0, 1]
-    t4 = ring.trace_matrix(4)
+    t4 = dr.trace_matrix(ring, 4)
     # monomial order x^4, x^3 y, ..., y^4; only Tr(x^4) = y^4 survives
     expect = g.field.zeros((5, 5))
     expect[4, 0] = 1
@@ -312,7 +327,7 @@ def _pairwise_close(field, matrices):
     keys = {key(m): g for g, m in enumerate(matrices)}
     eye = field.eye(matrices[0].shape[0])
     ident = next(a for a, m in enumerate(matrices) if xa.arrays_equal(m, eye))
-    table = [[keys[key(xa.matmul(field, ma, mb))] for mb in matrices] for ma in matrices]
+    table = [[keys[key(dr.matmul(field, ma, mb))] for mb in matrices] for ma in matrices]
     return table, ident
 
 
@@ -329,8 +344,8 @@ S3 = [[[int(p[r] == c) for c in range(3)] for r in range(3)]
 def _conjugated_s3():
     # S3 in a rational basis: entries with denominators
     p = Q.asarray([[1, 1, 0], [0, 1, 0], [-1, 0, 2]])
-    p_inv = xa.invert(Q, p)
-    return [xa.matmul(Q, xa.matmul(Q, p, Q.asarray(m)), p_inv).tolist() for m in S3]
+    p_inv = dr.invert(Q, p)
+    return [dr.matmul(Q, dr.matmul(Q, p, Q.asarray(m)), p_inv).tolist() for m in S3]
 
 
 def _shuffled(mats, seed):

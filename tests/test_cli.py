@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from knopf import action as act
 from knopf import jsonio
 from knopf.cli import main
 
@@ -190,6 +191,19 @@ def test_classify_without_assert_small_exits_two(capsys):
     assert main(["classify", "--scheme", _data("mu3a5.json"),
                  "--module", _data("w-plus-wdual.json")]) == 2
     assert "assert-small" in capsys.readouterr().err
+
+
+def test_classify_refuses_a_determinant_past_its_budget(monkeypatch, capsys):
+    # W+W* has dim 4, whose widest minor level holds C(4, 2) = 6 column sets:
+    # with a budget of 5 the determinant is refused by name before any dense
+    # coaction is built, as a dim-3000 comodule is at the real budget
+    monkeypatch.setattr(act, "DET_SET_BUDGET", 5)
+    assert main(["classify", "--scheme", _data("mu3a5.json"),
+                 "--module", _data("w-plus-wdual.json"),
+                 "--assert-small", "--max-degree", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the determinant of a dim-4 comodule needs C(4, 2)")
+    assert "DET_SET_BUDGET = 5" in err and "Traceback" not in err
 
 
 def test_negative_max_degree_exits_two(capsys):

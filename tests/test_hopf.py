@@ -1,5 +1,7 @@
 """Hopf algebra structure data: axioms, duals, integrals, Frobenius forms."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from knopf import exactalg as xa
 from knopf.catalog import cyclic_table, dihedral_table, u_l_hopf
 from knopf.errors import InconsistencyError, InputError, UndecidedError
 from knopf.exactalg import FieldSpec
-from knopf.hopf import HopfAlgebraData, group_algebra, restricted_enveloping, tensor_hopf
+from knopf.hopf import (HopfAlgebraData, function_algebra, group_algebra,
+                        restricted_enveloping, tensor_hopf)
+from knopf.jsonio import canonical_json, hopf_to_json
 
 Q = FieldSpec.rationals()
 
@@ -174,6 +178,38 @@ def test_symmetric_verdict_of_a_non_unimodular_hopf_algebra_needs_no_search():
     h = tensor_hopf(u_l_hopf(5), group_algebra(f5, cyclic_table(2)))
     assert h.dim == 50 and h.verify_axioms().ok and not h.is_unimodular()
     assert not h.is_symmetric()
+
+
+# sha256 of canonical_json(hopf_to_json(h)), pinned from the dense builders
+# that preceded the sparse ones: the structure constants keep every byte
+_F2_ZERO = [[0, 0], [0, 0]]
+_BUILDER_PINS = [
+    ("uL/F2", lambda: u_l_hopf(2),
+     "d0b699a3b8cf74781a344a1f2dcbe4781229a907c0f0349c9ed63d6c8d684de9"),
+    ("uL/F3", lambda: u_l_hopf(3),
+     "4f8abf5f2c22e13ed831e513e897313956541525c3ec4b96a55cda81819465ec"),
+    ("uL/F5", lambda: u_l_hopf(5),
+     "b5657d2cc0ceaec783daf52a18ef4ba3f3adcfa665a96397a97c880089bbf988"),
+    ("uL/F7", lambda: u_l_hopf(7),
+     "91c9857000af7496dcb7dd66cd7804f1a7325466de2adcf9844ba970068a6f1c"),
+    ("abelian-u/F2", lambda: restricted_enveloping(
+        FieldSpec.prime(2), ["f", "e"], [_F2_ZERO, _F2_ZERO], _F2_ZERO),
+     "57dd49ced594a4cb92c0e023ce11f0230fd63716edc2346207c5f7b11054fd62"),
+    ("kC2|k^C3/Q", lambda: tensor_hopf(group_algebra(Q, cyclic_table(2)),
+                                       function_algebra(Q, cyclic_table(3))),
+     "27c5ac8fd4e537de836b732853e43901c012d68b969dd0dca4accb39c2562e9f"),
+    ("kC2|k^C3/F5", lambda: tensor_hopf(
+        group_algebra(FieldSpec.prime(5), cyclic_table(2)),
+        function_algebra(FieldSpec.prime(5), cyclic_table(3))),
+     "3e4da9c7d89c8d27b3cef90b3d7d619fdba261f03e8f7072c938fb9e677e0d82"),
+]
+
+
+@pytest.mark.parametrize("build, pin", [case[1:] for case in _BUILDER_PINS],
+                         ids=[case[0] for case in _BUILDER_PINS])
+def test_hopf_builders_keep_their_bytes(build, pin):
+    text = canonical_json(hopf_to_json(build()))
+    assert hashlib.sha256(text.encode()).hexdigest() == pin
 
 
 def test_ul_modular_element_kills_e_detects_f():

@@ -28,6 +28,7 @@ from knopf.errors import InconsistencyError, InputError
 from knopf.exactalg import FieldSpec
 from knopf.hopf import HopfAlgebraData, function_algebra, group_algebra, tensor_hopf
 from knopf.jsonio import canonical_json
+import dense_ref as dr
 
 Q = FieldSpec.rationals()
 FIELDS = [Q, FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(5),
@@ -58,7 +59,7 @@ def _dense_integrals(f, c, e, side):
     a = coact.transpose(0, 2, 1).copy()
     for k in range(n):
         a[k, :, k] = f.reduce(a[k, :, k] - e)
-    return xa.kernel_basis(f, a.reshape(n * n, n))
+    return dr.kernel_basis(f, a.reshape(n * n, n))
 
 
 def _dense_left_integral(f, c, e):
@@ -71,9 +72,9 @@ def _dense_left_integral(f, c, e):
 
 def _dense_modular_element(f, c, e):
     lam = _dense_left_integral(f, c, e)
-    w = xa.tensordot(f, lam, c, ([0], [0]))
+    w = dr.tensordot(f, lam, c, ([0], [0]))
     alpha = w[:, xa._first_nonzero(lam)]
-    expected = xa.outer(f, alpha, lam)
+    expected = dr.outer(f, alpha, lam)
     for i in range(len(e)):
         if not xa.arrays_equal(expected[i], w[i]):
             raise InconsistencyError(
@@ -82,10 +83,10 @@ def _dense_modular_element(f, c, e):
 
 
 def _dense_is_grouplike(f, d, e, v):
-    dv = xa.tensordot(f, v, d, ([0], [0]))
-    if not xa.arrays_equal(dv, xa.outer(f, v, v)):
+    dv = dr.tensordot(f, v, d, ([0], [0]))
+    if not xa.arrays_equal(dv, dr.outer(f, v, v)):
         return False
-    return bool(xa.tensordot(f, v, e, ([0], [0])) == f.one)
+    return bool(dr.tensordot(f, v, e, ([0], [0])) == f.one)
 
 
 def _dense_adjoint_route(gamma):
@@ -93,13 +94,13 @@ def _dense_adjoint_route(gamma):
     _, c, _, d, smat = _arrays(gamma)
     _, dc, de, _, _ = _arrays(_dense_dual(gamma))
     lam = _dense_left_integral(f, dc, de)
-    prod = xa.tensordot(f, smat, c, ([0], [0]))
-    e2 = xa.tensordot(f, d, lam, ([2], [0]))
-    f3 = xa.tensordot(f, d, e2, ([1], [0]))
-    n2 = xa.tensordot(f, f3, prod, ([2, 1], [0, 1]))
-    m = xa.tensordot(f, n2, smat, ([1], [1]))
+    prod = dr.tensordot(f, smat, c, ([0], [0]))
+    e2 = dr.tensordot(f, d, lam, ([2], [0]))
+    f3 = dr.tensordot(f, d, e2, ([1], [0]))
+    n2 = dr.tensordot(f, f3, prod, ([2, 1], [0, 1]))
+    m = dr.tensordot(f, n2, smat, ([1], [1]))
     w = m[xa._first_nonzero(lam)]
-    if not xa.arrays_equal(m, xa.outer(f, lam, w)):
+    if not xa.arrays_equal(m, dr.outer(f, lam, w)):
         raise InconsistencyError(
             "dualized adjoint coaction does not stabilize the integral line")
     if not _dense_is_grouplike(f, d, gamma.counit, w):
@@ -120,38 +121,38 @@ def _dense_verify(f, unit, c, e, d, s):
     def add(name, lhs, rhs):
         out.append((name, _dense_first_mismatch(lhs, rhs)))
 
-    add("unit_left", xa.tensordot(f, unit, c, ([0], [0])), eye)
-    add("unit_right", xa.tensordot(f, unit, c, ([0], [1])), eye)
-    t1 = xa.tensordot(f, c, c, ([2], [0]))
-    t2 = xa.tensordot(f, c, c, ([2], [1])).transpose(2, 0, 1, 3)
+    add("unit_left", dr.tensordot(f, unit, c, ([0], [0])), eye)
+    add("unit_right", dr.tensordot(f, unit, c, ([0], [1])), eye)
+    t1 = dr.tensordot(f, c, c, ([2], [0]))
+    t2 = dr.tensordot(f, c, c, ([2], [1])).transpose(2, 0, 1, 3)
     add("associativity", t1, t2)
-    add("counit_left", xa.tensordot(f, d, e, ([1], [0])), eye)
-    add("counit_right", xa.tensordot(f, d, e, ([2], [0])), eye)
-    l3 = xa.tensordot(f, d, d, ([1], [0])).transpose(0, 2, 3, 1)
-    r3 = xa.tensordot(f, d, d, ([2], [0]))
+    add("counit_left", dr.tensordot(f, d, e, ([1], [0])), eye)
+    add("counit_right", dr.tensordot(f, d, e, ([2], [0])), eye)
+    l3 = dr.tensordot(f, d, d, ([1], [0])).transpose(0, 2, 3, 1)
+    r3 = dr.tensordot(f, d, d, ([2], [0]))
     add("coassociativity", l3, r3)
-    add("counit_algebra_map", xa.tensordot(f, c, e, ([2], [0])), xa.outer(f, e, e))
-    add("comult_unit", xa.tensordot(f, unit, d, ([0], [0])), xa.outer(f, unit, unit))
-    lhs = xa.tensordot(f, c, d, ([2], [0]))
-    u4 = xa.tensordot(f, d, c, ([1], [0]))
-    v4 = xa.tensordot(f, d, c, ([2], [1]))
-    rhs = xa.tensordot(f, u4, v4, ([1, 2], [2, 1])).transpose(0, 2, 1, 3)
+    add("counit_algebra_map", dr.tensordot(f, c, e, ([2], [0])), dr.outer(f, e, e))
+    add("comult_unit", dr.tensordot(f, unit, d, ([0], [0])), dr.outer(f, unit, unit))
+    lhs = dr.tensordot(f, c, d, ([2], [0]))
+    u4 = dr.tensordot(f, d, c, ([1], [0]))
+    v4 = dr.tensordot(f, d, c, ([2], [1]))
+    rhs = dr.tensordot(f, u4, v4, ([1, 2], [2, 1])).transpose(0, 2, 1, 3)
     add("comult_algebra_map", lhs, rhs)
-    target = xa.outer(f, e, unit)
-    x4 = xa.tensordot(f, d, s, ([1], [1]))
-    add("antipode_left", xa.tensordot(f, x4, c, ([2, 1], [0, 1])), target)
-    y4 = xa.tensordot(f, d, s, ([2], [1]))
-    add("antipode_right", xa.tensordot(f, y4, c, ([1, 2], [0, 1])), target)
+    target = dr.outer(f, e, unit)
+    x4 = dr.tensordot(f, d, s, ([1], [1]))
+    add("antipode_left", dr.tensordot(f, x4, c, ([2, 1], [0, 1])), target)
+    y4 = dr.tensordot(f, d, s, ([2], [1]))
+    add("antipode_right", dr.tensordot(f, y4, c, ([1, 2], [0, 1])), target)
     return out
 
 
 def _dense_comodule_verify(module):
     f, gamma = module.field, module.scheme.gamma
     c = module.coaction.to_dense(f)
-    eps = xa.tensordot(f, c, gamma.counit, ([2], [0]))
+    eps = dr.tensordot(f, c, gamma.counit, ([2], [0]))
     # sum_k c[i, k, g] c[k, j, h] against sum_y c[i, j, y] Delta[y, g, h]
-    lhs = xa.tensordot(f, c, c, ([1], [0])).transpose(0, 2, 1, 3)
-    rhs = xa.tensordot(f, c, gamma.comult.to_dense(f), ([2], [0]))
+    lhs = dr.tensordot(f, c, c, ([1], [0])).transpose(0, 2, 1, 3)
+    rhs = dr.tensordot(f, c, gamma.comult.to_dense(f), ([2], [0]))
     return [("comodule_counit", _dense_first_mismatch(eps, f.eye(module.dim))),
             ("comodule_coassociativity", _dense_first_mismatch(lhs, rhs))]
 
@@ -261,9 +262,9 @@ def conjugated_comodules(draw):
     n = len(group[0])
     entries = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 4]))
     p = field.asarray([[draw(entries) for _ in range(n)] for _ in range(n)])
-    p_inv = xa.invert(field, p)
+    p_inv = dr.invert(field, p)
     assume(p_inv is not None)
-    mats = [xa.matmul(field, xa.matmul(field, p, field.asarray(g)), p_inv) for g in group]
+    mats = [dr.matmul(field, dr.matmul(field, p, field.asarray(g)), p_inv) for g in group]
     module = act.constant_group_action(field, mats).module
     coact = module.coaction.to_dense(field)
     if draw(st.booleans()):
@@ -324,8 +325,8 @@ def test_tensor_hopf_matches_the_dense_kronecker_form(field):
 
     (u1, c1, e1, d1, s1), (u2, c2, e2, d2, s2) = _arrays(h1), _arrays(h2)
     u, c, e, d, s = _arrays(h)
-    assert xa.arrays_equal(u, xa.outer(field, u1, u2).reshape(n))
-    assert xa.arrays_equal(e, xa.outer(field, e1, e2).reshape(n))
+    assert xa.arrays_equal(u, dr.outer(field, u1, u2).reshape(n))
+    assert xa.arrays_equal(e, dr.outer(field, e1, e2).reshape(n))
     assert xa.arrays_equal(c, mix3(c1, c2)) and xa.arrays_equal(d, mix3(d1, d2))
     assert xa.arrays_equal(s, field.reduce(np.kron(s1, s2)))
     assert h.verify_axioms().ok

@@ -24,6 +24,7 @@ from knopf.action import Comodule
 from knopf.catalog import standard_module
 from knopf.errors import InputError
 from knopf.exactalg import FieldSpec
+import dense_ref as dr
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
@@ -78,7 +79,7 @@ class _SeedTower:
         f = self.field
         # rm[i,j] is the right-multiplication matrix of gamma_ij on Gamma
         coact = variables.coaction.to_dense(f)
-        self._rm = xa.tensordot(f, coact, gamma.mult.to_dense(f), ([2], [1]))
+        self._rm = dr.tensordot(f, coact, gamma.mult.to_dense(f), ([2], [1]))
         self._nz = [
             [not xa.is_zero(coact[i, j]) for j in range(variables.dim)]
             for i in range(variables.dim)
@@ -130,7 +131,7 @@ class _SeedTower:
                 for i in range(n):
                     if not self._nz[i][j]:
                         continue
-                    contrib = xa.tensordot(f, src_block, self._rm[i, j], ([2], [0]))
+                    contrib = dr.tensordot(f, src_block, self._rm[i, j], ([2], [0]))
                     big[np.ix_(shifts[i], cols_arr)] += contrib
             self._exps[cur] = exps
             self._index[cur] = index
@@ -155,15 +156,15 @@ def _assert_same_tower(ring, max_degree):
 def _conjugated(field, matrices, p):
     """p g p^-1 for every g of the group."""
     p = field.asarray(p)
-    p_inv = xa.invert(field, p)
-    return [xa.matmul(field, xa.matmul(field, p, field.asarray(g)), p_inv)
+    p_inv = dr.invert(field, p)
+    return [dr.matmul(field, dr.matmul(field, p, field.asarray(g)), p_inv)
             for g in matrices]
 
 
 def _random_invertible(field, n, rng, entry):
     while True:
         p = field.asarray([[entry(rng) for _ in range(n)] for _ in range(n)])
-        if xa.invert(field, p) is not None:
+        if dr.invert(field, p) is not None:
             return p
 
 
@@ -301,9 +302,9 @@ def test_fp_tower_retains_sixteen_bytes_per_nonzero():
 def _twisted_coaction(ring, d, chi):
     """R_d * chi: right multiplication of every coefficient by chi in Gamma."""
     f = ring.field
-    twmat = xa.tensordot(f, ring.scheme.gamma.mult.to_dense(f), f.asarray(chi),
+    twmat = dr.tensordot(f, ring.scheme.gamma.mult.to_dense(f), f.asarray(chi),
                          ([1], [0]))
-    return xa.tensordot(f, _dense(ring, d), twmat, ([2], [0]))
+    return dr.tensordot(f, _dense(ring, d), twmat, ([2], [0]))
 
 
 def _assert_twisted_kernels(ring, grouplikes, max_degree):
@@ -476,7 +477,7 @@ def test_sparse_equivariance_matches_dense_tensordots(make):
     unit = xa._unit_terms(ring.scheme.gamma.unit)
     rng = random.Random(0)
     for d in range(5):
-        t, r = ring.trace_matrix(d), _dense(ring, d)
+        t, r = dr.trace_matrix(ring, d), _dense(ring, d)
         coact, inv = ring.tower.coaction(d), ring.invariant_basis(d)
         assert xa._dense(field, *ring.trace_terms(d), t.shape).tolist() == t.tolist()
         for perturb in (False, True, True):
@@ -489,11 +490,11 @@ def test_sparse_equivariance_matches_dense_tensordots(make):
                 _span_contains(field, inv, t2.T)
             if not constant:
                 continue
-            lhs = xa.tensordot(field, r, t2, ([1], [0])).transpose(0, 2, 1)
-            rhs = xa.tensordot(field, t2, r, ([1], [0]))
+            lhs = dr.tensordot(field, r, t2, ([1], [0])).transpose(0, 2, 1)
+            rhs = dr.tensordot(field, t2, r, ([1], [0]))
             assert act._equivariant(field, coact, terms) == xa.arrays_equal(lhs, rhs)
             scale = len(ring.constant_matrices)
-            traced = xa.matmul(field, t2, inv.T).T if len(inv) else inv
+            traced = dr.matmul(field, t2, inv.T).T if len(inv) else inv
             assert act._reynolds(field, terms, inv, scale) == \
                 xa.arrays_equal(traced, field.reduce(inv * field.coerce(scale)))
 
