@@ -162,11 +162,6 @@ def det_character(v: Comodule):
 # -- symmetric powers -------------------------------------------------------
 
 
-def _numerators(field: FieldSpec, vals: np.ndarray):
-    """(numerators, common denominator) of field scalars; (vals, 1) unless Fractions."""
-    return (vals, 1) if vals.dtype != object else xa._integral(field, vals)[:2]
-
-
 # source entries per block of a tower step, whose products are summed at once
 _BLOCK = 1 << 15
 
@@ -218,18 +213,18 @@ class _SymTower:
             f.p, [((g, (j * order * n + i) * order, v), (mg, a * n * order + c, gamma.mult.vals))],
             "the tower's multiplication table")
         j, a, i, c = np.unravel_index(keys, (n, order, n, order))
-        # row L * order + a of the table: the (j, i, c, rm[i, j, a, c]) with j >= L
-        low, at = xa._ranges(0 * j, j + 1)
-        row = low * order + a[at]
-        at = at[row.argsort(kind="stable")]
-        counts = np.bincount(row, minlength=n * order)
-        # over Q the table and each degree are kept as integer numerators
-        # over one common denominator, so the products and sums run on ints
-        vals, self._table_den = _numerators(f, vals[at])
-        self._table = (counts.cumsum() - counts, counts, j[at], i[at], c[at], vals)
+        # the entries once, by (a, j, i, c): row L * order + a of the table,
+        # the (j, i, c, rm[i, j, a, c]) with j >= L, is the suffix j >= L of
+        # a's run
+        aj = a * n + j
+        at = aj.argsort(kind="stable")
+        aj = aj[at]
+        low, row_a = np.divmod(np.arange(n * order), order)
+        starts = aj.searchsorted(row_a * n + low)
+        self._table = (starts, aj.searchsorted(row_a * n + n) - starts,
+                       j[at], i[at], c[at], vals[at])
         g, v = xa._vector(gamma.unit)
         self._coact, self._read = {0: xa.SparseCoaction.from_coo(0 * g, 0 * g, g, v, 1, order)}, 0
-        self._numerators = _numerators(f, v)
         # `up` below degree 0, and the source and last variable of its monomial
         zero = np.zeros(1, dtype=np.int64)
         self._origin = self._state = (zero[:, None].repeat(n, 1), zero, zero)
@@ -291,7 +286,7 @@ class _SymTower:
             # entry plus j size order + c per table entry plus up[m', i] order
             stride = size * order
             tkey, upo = tj * stride + tc, state[0].ravel() * order
-            ptr, keys, num, parts = prev.ptr, prev.keys, self._numerators[0], []
+            ptr, keys, vals, parts = prev.ptr, prev.keys, prev.vals, []
             # whole source columns a block at a time: their columns (s, j) are disjoint
             cuts = [*ptr.searchsorted(np.arange(0, ptr[-1] + 1, _BLOCK)).tolist(), len(ends)]
             for c0, c1 in itertools.pairwise(cuts):
@@ -299,19 +294,13 @@ class _SymTower:
                 per, mp = ptr[c0 + 1:c1 + 1] - ptr[c0:c1], keys[lo:hi] // order
                 row = (last_p[c0:c1] * order).repeat(per) + keys[lo:hi] - mp * order
                 idx, at = xa._ranges(tstart[row], tcount[row])
-                a, b = num[lo:hi][at], tw[idx]
+                a, b = vals[lo:hi][at], tw[idx]
                 # over F_p the products are summed unreduced while their sum is below 2^63
                 raw = p is not None and (p - 1) ** 2 * len(b) < xa._INT64
                 parts.append(xa._sum_by(p, (base[c0:c1] * stride).repeat(per)[at] + tkey[idx]
                                         + upo[(mp * n)[at] + ti[idx]],
                                         a * b if raw else xa._times(p, a, b)))
-            keys, num = map(np.concatenate, zip(*parts))
-            den = self._numerators[1] * self._table_den
-            if den > 1:
-                common = math.gcd(den, *num.tolist())
-                num, den = num // common, den // common
-            self._numerators = num, den
-            vals = num if den == 1 else xa._from_integral(self.field, num, den)
+            keys, vals = map(np.concatenate, zip(*parts))
             col = keys // stride
             keys -= col * stride
             ptr = np.bincount(col + 1, minlength=size + 1).cumsum()
@@ -425,43 +414,38 @@ class GradedInvariantRing:
 def _close_group(field: FieldSpec, matrices: list[np.ndarray]):
     """Validate that the list is a full group; return (table, identity index).
 
-    The matrices are scaled to integers by one lcm s of their denominators
-    (residues over F_p) and each row of the table is one batched exact
-    integer product; a product s^2 g h is found by its integers among the
-    s^2 g.
+    The stacked matrices are held as field scalars (see `exactalg._scalars`)
+    and each row of the table is one batched product g @ G: int64 while no
+    entry can pass 2^63, an object array beyond.  A product is found among
+    the matrices by its tuple of field scalars.
     """
     if not matrices:
         raise InputError("need at least the identity matrix")
-    n = matrices[0].shape[0]
-    p = field.p
-    s = 1 if p is not None else math.lcm(
-        *(x.denominator for m in matrices for x in m.reshape(-1).tolist()))
+    n, order = matrices[0].shape[0], len(matrices)
+    if any(m.shape != (n, n) for m in matrices):
+        raise InputError("group matrices must share one square shape")
+    idx, vals = xa._vector(np.stack(matrices))
+    mats = np.zeros(order * n * n, dtype=vals.dtype)
+    mats[idx] = vals
     keys = {}
-    for g, m in enumerate(matrices):
-        if m.shape != (n, n):
-            raise InputError("group matrices must share one square shape")
-        k = tuple(int(x * s) for x in m.reshape(-1).tolist())
+    for g, k in enumerate(map(tuple, mats.reshape(order, -1).tolist())):
         if k in keys:
             raise InputError(
                 f"duplicate matrix at positions {keys[k]} and {g}: "
                 "a constant group must be listed without repetition"
             )
         keys[k] = g
-    order = len(matrices)
-    mx = max(abs(v) for k in keys for v in k)
-    nums = np.array(list(keys), dtype=np.int64 if mx < 2**63 else object)
-    nums = nums.reshape(order, n, n)
-    found = keys if s == 1 else {tuple(s * v for v in k): g for k, g in keys.items()}
+    mats = mats.reshape(order, n, n)
+    if (mx := xa._abs_max(mats)) is None or n * mx * mx >= xa._INT64:
+        mats = mats.astype(object)
     table = []
     for a in range(order):
-        prods = xa._int_product(nums[a], mx, nums, mx, n, np.matmul)
-        if p is not None:
-            prods %= p
-        row = [found.get(tuple(r)) for r in prods.reshape(order, -1).tolist()]
+        prods = field.reduce(mats[a] @ mats)
+        row = [keys.get(tuple(r)) for r in prods.reshape(order, -1).tolist()]
         if None in row:
             raise InputError("matrix list is not closed under products")
         table.append(row)
-    ident = keys.get(tuple(s * int(i == j) for i in range(n) for j in range(n)))
+    ident = keys.get(tuple(int(i == j) for i in range(n) for j in range(n)))
     if ident is None:
         raise InputError("identity matrix missing from the group list")
     return table, ident

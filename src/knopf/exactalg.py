@@ -5,12 +5,8 @@ denominator) and canonical representatives 0..p-1 (Python/int64) over F_p.
 Dense matrices are numpy arrays: dtype=object holding Fractions over Q,
 dtype=int64 over F_p with reduction mod p after every operation.  The field
 split lives in `FieldSpec` (scalars, dtypes, reduction); everything else is
-written once for both fields.  The one dense product, `_int_product`,
-multiplies a constant group's matrices for its table: the operands are
-scaled once to integers (over Q by the lcm of their denominators, see
-`_integral`), multiplied in float64 BLAS while k * max|a| * max|b| < 2^53
-for a contraction of length k (exact: every partial sum is an integer below
-2^53), on Python ints beyond.
+written once for both fields.  Computed values have one encoding, that of
+`SparseCoaction.vals` below: no caller scales Q values to integers.
 
 Elimination is sparse and also written once: rows are dicts {column: nonzero
 scalar}, reduced shortest row first and back-substituted to the unique RREF.
@@ -57,8 +53,8 @@ import numpy as np
 from .errors import InconsistencyError, InputError, UndecidedError
 
 # int64 safety: dense F_p array arithmetic forms one product of two residues
-# (< p^2 < 2^40) per entry, and products and sums of products are bounded
-# against _EXACT_BOUND before they run, with Python ints beyond.
+# (< p^2 < 2^40) per entry, and sparse products and sums are bounded against
+# 2^63 before they run (`_times`, `_sum_by`), with Python ints beyond.
 _MAX_PRIME = 1 << 20
 
 
@@ -202,47 +198,6 @@ class FieldSpec:
 
     def reduce(self, arr: np.ndarray) -> np.ndarray:
         return arr % self.p if self.p is not None else arr
-
-
-# While k * max|a| * max|b| < 2^53, every product and partial sum of an
-# integer dot product of length k is an integer float64 holds exactly.
-_EXACT_BOUND = 2**53
-
-
-def _integral(field: FieldSpec, a: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """(n, s, m) with a = n / s and |n| <= m, n int64 if it fits, else Python ints."""
-    if field.p is not None:
-        return a, 1, field.p - 1
-    flat = a.reshape(-1)
-    s = math.lcm(*{x.denominator for x in flat})
-    if s == 1:
-        nums = [x.numerator for x in flat]
-    else:
-        nums = [x.numerator * (s // x.denominator) for x in flat]
-    m = max(max(nums, default=0), -min(nums, default=0))
-    return np.array(nums, dtype=np.int64 if m < 2**63 else object).reshape(a.shape), s, m
-
-
-def _from_integral(field: FieldSpec, n: np.ndarray, s: int) -> np.ndarray:
-    """The field array n / s: reduced mod p, or lowest-terms Fractions over Q."""
-    if field.p is not None:
-        return (n % field.p).astype(np.int64, copy=False)
-    # one Fraction object per distinct value
-    values = n.reshape(-1).tolist()
-    frac = {v: Fraction(v, s) for v in set(values)}
-    return np.fromiter(map(frac.__getitem__, values), dtype=object,
-                       count=len(values)).reshape(n.shape)
-
-
-def _int_product(na: np.ndarray, ma: int, nb: np.ndarray, mb: int, k: int, mult):
-    """mult(na, nb) on integer arrays with |na| <= ma, |nb| <= mb, exactly:
-    in float64 BLAS when each output entry, a sum of k products, stays below
-    2^53, on Python ints otherwise."""
-    # ma and mb on their own too: an all-zero partner must not let an operand
-    # beyond 2^53 into float64
-    if max(k * ma * mb, ma, mb) < _EXACT_BOUND:
-        return np.rint(mult(na.astype(np.float64), nb.astype(np.float64))).astype(np.int64)
-    return np.asarray(mult(na.astype(object), nb.astype(object)))
 
 
 def is_zero(arr: np.ndarray) -> bool:
@@ -799,14 +754,6 @@ def _violated(field: FieldSpec, coact: SparseCoaction, unit_terms, nulls) -> set
     _, vector, index, x = nulls
     if not len(x):
         return set()
-    if x.dtype == object:
-        # both sides are linear in x: its numerators will do, which keeps
-        # integral coactions on integers
-        den: dict = {}
-        entries = list(zip(vector.tolist(), x.tolist()))
-        for k, v in entries:
-            den[k] = math.lcm(den.get(k, 1), v.denominator)
-        x = _scalars([v.numerator * (den[k] // v.denominator) for k, v in entries])
     g, neg = unit_terms
     base = vector * (n * order)
     lo = coact.ptr[index]

@@ -611,6 +611,8 @@ def tensor_hopf(h1: HopfAlgebraData, h2: HopfAlgebraData, sep: str = "|") -> Hop
     """Tensor product Hopf algebra, pairs indexed row-major (i1*n2+i2)."""
     if h1.field != h2.field:
         raise InputError("tensor factors must share a field")
+    h1._need_coalgebra()
+    h2._need_coalgebra()
     f = h1.field
     n = h1.dim * h2.dim
 

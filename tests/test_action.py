@@ -348,6 +348,14 @@ def _conjugated_s3():
     return [dr.matmul(Q, dr.matmul(Q, p, Q.asarray(m)), p_inv).tolist() for m in S3]
 
 
+def _conjugated_cube(shift):
+    # integral entries up to 2^(2 shift) + 2^shift: 3 max|m|^2 is below 2^63
+    # at shift 15 and past it at 16, the two sides of _close_group's int64 guard
+    p = Q.asarray([[1, 2**shift, 0], [0, 1, 0], [0, 0, 1]])
+    p_inv = dr.invert(Q, p)
+    return [dr.matmul(Q, dr.matmul(Q, p, Q.asarray(m)), p_inv).tolist() for m in CUBE]
+
+
 def _shuffled(mats, seed):
     mats = list(mats)
     if seed:
@@ -357,8 +365,10 @@ def _shuffled(mats, seed):
 
 @pytest.mark.parametrize("field, mats", [
     (Q, _shuffled(CUBE, 0)), (Q, _shuffled(CUBE, 1)), (Q, _conjugated_s3()),
+    (Q, _conjugated_cube(15)), (Q, _conjugated_cube(16)),
     (FieldSpec.prime(7), _shuffled(CUBE, 1)), (F5, _shuffled(S3, 2)),
-], ids=["cube-seed0", "cube-seed1", "Q-fractional-S3", "F7-cube", "F5-S3"])
+], ids=["cube-seed0", "cube-seed1", "Q-fractional-S3", "Q-cube-below-int64-guard",
+        "Q-cube-past-int64-guard", "F7-cube", "F5-S3"])
 def test_close_group_matches_the_pairwise_loop(field, mats):
     mats = [field.asarray(m) for m in mats]
     table, ident = act._close_group(field, mats)
@@ -369,6 +379,18 @@ def test_close_group_matches_the_pairwise_loop(field, mats):
     want = gs.constant_scheme(field, _pairwise_close(field, [mats[g] for g in order])[0],
                               labels=[f"g{i}" for i in range(len(mats))])
     assert ring.scheme.gamma == want.gamma
+
+
+def test_close_group_refuses_a_product_that_wraps_in_int64():
+    # (A @ B)[0, 4] = 2^31 (y1 + y2 + y3) = 2^64 is 0 mod 2^64, so in int64
+    # {I, 0, A, B} looks closed; max|m|^2 is below 2^63 and 5 max|m|^2 is
+    # not, so only a guard that counts the n terms of each sum refuses it
+    a, b = np.zeros((5, 5), dtype=np.int64), np.zeros((5, 5), dtype=np.int64)
+    a[0, 1:4] = 2**31
+    b[1:4, 4] = [2863311531, 2863311531, 2863311530]
+    mats = [Q.asarray(m.tolist()) for m in (np.eye(5, dtype=np.int64), 0 * a, a, b)]
+    with pytest.raises(InputError, match="not closed"):
+        act._close_group(Q, mats)
 
 
 def _molien_per_element(matrices):

@@ -373,11 +373,11 @@ def test_sparse_coaction_arrays_match_the_dense_array(case, cube):
         assert got.transpose(np.argsort(axes)) == sparse
 
 
-# -- the integer product lane -------------------------------------------------
+# -- the reference products ----------------------------------------------------
 #
-# Q products clear denominators and multiply in float64 while k * max|a| *
-# max|b| < 2^53, on Python ints otherwise.  Plain object-dtype numpy on
-# Fractions is the reference for both routes.
+# `dense_ref` products clear denominators and multiply in float64 while
+# k * max|a| * max|b| < 2^53, on Python ints otherwise.  Plain object-dtype
+# numpy on Fractions is the reference for both routes.
 
 _ENTRIES = {
     "integral": st.integers(-3, 3).map(Fraction),

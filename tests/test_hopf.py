@@ -243,6 +243,17 @@ def test_commutative_local_frobenius_without_coalgebra():
     assert not fat.is_frobenius()
 
 
+@pytest.mark.parametrize("plain_first", [True, False])
+def test_tensor_hopf_names_a_factor_without_coalgebra(plain_first):
+    mult = Q.zeros((2, 2, 2))
+    mult[0, 0, 0] = mult[0, 1, 1] = mult[1, 0, 1] = 1
+    plain = HopfAlgebraData(Q, ["1", "x"], Q.asarray([1, 0]), mult)
+    hopf = group_algebra(Q, cyclic_table(2))
+    factors = (plain, hopf) if plain_first else (hopf, plain)
+    with pytest.raises(InputError, match="needs a coalgebra"):
+        tensor_hopf(*factors)
+
+
 def test_direct_sum_with_field_is_frobenius():
     # k[x]/(x^2) (+) k: still Frobenius (socle is one-dimensional per block)
     mult = Q.zeros((3, 3, 3))

@@ -95,6 +95,11 @@ def test_a_large_diagonal_comodule_is_held_by_its_nonzeros(tmp_path):
     path = tmp_path / "diagonal.json"
     path.write_text(json.dumps(obj))
     assert main(["verify", str(path)]) == 0
+    # the tower's multiplication table holds its 15000 entries once; one copy
+    # per row L <= j would be n(n+1)/2 |G| = 7.5 M rows, 240 MB
+    tower = act.GradedInvariantRing(module).tower
+    assert sum(a.nbytes for a in tower._table) < 1 << 20
+    assert main(["invariants", "--module", str(path), "--max-degree", "1"]) == 0
 
 
 def test_a_repeated_coaction_entry_replaces_the_earlier_one_whole():
