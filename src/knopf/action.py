@@ -322,7 +322,6 @@ class GradedInvariantRing:
         self._inv: dict = {}
         self._dims: dict = {}
         self._units: dict = {}
-        self._delta = None
         self._det = None
         # set for constant matrix groups; enables Molien/smallness/Reynolds
         self.constant_matrices: list[np.ndarray] | None = None
@@ -362,11 +361,14 @@ class GradedInvariantRing:
         return self._units[key]
 
     def invariant_basis(self, d: int, twist=None) -> np.ndarray:
-        """Echelon-normal basis (k, dim S_d) of the (twisted) invariants."""
+        """Echelon-normal basis (k, dim S_d) of the (twisted) invariants,
+        cached and read-only."""
         key, unit = self._kernel_unit(twist)
         if (d, key) not in self._inv:
-            self._inv[d, key] = xa.fixed_space(self.field, self.tower.coaction(d), unit,
-                                               self.scheme.dual_algebra.algebra_generators)
+            basis = xa.fixed_space(self.field, self.tower.coaction(d), unit,
+                                   self.scheme.dual_algebra.algebra_generators)
+            basis.setflags(write=False)
+            self._inv[d, key] = basis
         return self._inv[d, key]
 
     def invariant_dim(self, d: int, twist=None) -> int:
@@ -389,18 +391,13 @@ class GradedInvariantRing:
 
     # -- trace map ----------------------------------------------------------
 
-    def integral_functional(self) -> np.ndarray:
-        """delta_G: the left integral of k[G]* normalized to leading value 1."""
-        if self._delta is None:
-            self._delta = self.scheme.dual_algebra.left_integral()
-        return self._delta
-
     def trace_terms(self, d: int):
         """Tr on S_d by its nonzeros: (keys i dim S_d + m ascending, values),
-        the coefficient of x^i in Tr(x^m) = sum_i,g R_d[i, m, g] delta_G(g) x^i."""
+        the coefficient of x^i in Tr(x^m) = sum_i,g R_d[i, m, g] delta_G(g) x^i,
+        delta_G the left integral of k[G]* with leading value 1."""
         r = self.tower.coaction(d)
         i, g = np.divmod(r.keys, r.order)
-        at, delta = xa._vector(self.integral_functional())
+        at, delta = xa._vector(self.scheme.dual_algebra.left_integral())
         weight = np.zeros(r.order, dtype=delta.dtype)
         weight[at] = delta
         live = weight[g].nonzero()[0]

@@ -27,7 +27,6 @@ from .ratfunc import reconstruct_rational
 __all__ = [
     "ClassificationReport",
     "canonical_twist",
-    "omega_hilbert",
     "a_invariant_via_omega",
     "reconstruct_rational",
     "classify_small_action",
@@ -60,15 +59,6 @@ def canonical_twist(action):
     return scheme.grouplike_product(det, lam_inv)
 
 
-def omega_hilbert(action, twist, max_window: int) -> list[int]:
-    """Dimensions of omega_A in degrees n .. n+D.
-
-    Entry e is the invariant dimension of S_e twisted by the given character
-    (a grouplike vector, or a weight for diagonalizable actions).
-    """
-    return action.hilbert_function(max_window, twist)
-
-
 def _first_degree(dims: list[int]) -> int | None:
     """Offset e of the first nonzero omega degree n + e, or None."""
     return next((e for e, v in enumerate(dims) if v), None)
@@ -84,7 +74,7 @@ def _a_value(n: int, first: int | None, window: int):
 
 def a_invariant_via_omega(action, twist, max_window: int):
     """-min{d : omega_d != 0}, or a bounded-unknown marker string."""
-    dims = omega_hilbert(action, twist, max_window)
+    dims = action.hilbert_function(max_window, twist)
     return _a_value(action.n, _first_degree(dims), max_window)
 
 
@@ -300,7 +290,7 @@ def classify_small_action(action, small_asserted: bool = False,
 
     # Hilbert data for A and omega over the window
     a_dims = action.hilbert_function(window)
-    omega_dims = omega_hilbert(action, canonical_twist(action), window)
+    omega_dims = action.hilbert_function(window, canonical_twist(action))
     report.a_dims = a_dims
     report.omega_dims = omega_dims
 
@@ -459,7 +449,7 @@ def gjs_inequality_check(action, max_window: int | None = None,
     """
     n = action.n
     window, name = _window_and_label(action, max_window, label)
-    first = _first_degree(omega_hilbert(action, canonical_twist(action), window))
+    first = _first_degree(action.hilbert_function(window, canonical_twist(action)))
     if small is None:
         small = _smallness(action)
     outside = not small if small is not None else False

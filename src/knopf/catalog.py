@@ -2,15 +2,13 @@
 
 Each entry builds a concrete object (Hopf algebra, scheme + module, or
 diagonal action), runs the full pipeline on it, and diffs the results against
-expectations recorded here as literals.  Entries are independent and can run
-in parallel.
+expectations recorded here as literals.  Entries are independent.
 """
 
 from __future__ import annotations
 
 import operator
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from . import action as act
@@ -474,19 +472,10 @@ def run(name: str, **params) -> EntryResult:
     return EntryResult(name, dict(params), checks, time.time() - start)
 
 
-def _run_spec(spec) -> EntryResult:
-    name, params = spec
-    return run(name, **params)
-
-
 def default_runs() -> list[tuple[str, dict]]:
     return [(e.name, dict(s)) for e in ENTRIES.values() for s in e.sweeps]
 
 
-def run_all(jobs: int = 1) -> list[EntryResult]:
-    """Run every entry with its default parameter sets, optionally in parallel."""
-    specs = default_runs()
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_spec, specs))
-    return [_run_spec(s) for s in specs]
+def run_all() -> list[EntryResult]:
+    """Run every entry with its default parameter sets."""
+    return [run(name, **params) for name, params in default_runs()]

@@ -99,8 +99,6 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("name", nargs="?")
     s.add_argument("--param", action="append", default=[],
                    help="entry parameter as key=value; repeatable")
-    s.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for run-all")
     _common(s)
 
     return p
@@ -331,7 +329,7 @@ def _cmd_catalog(args):
     else:
         if params:
             raise InputError("--param needs an entry name")
-        results = catalog.run_all(jobs=args.jobs)
+        results = catalog.run_all()
     ok = all(r.passed for r in results)
     payload = {"passed": ok, "results": [r.to_dict() for r in results]}
     text = "\n\n".join(str(r) for r in results)

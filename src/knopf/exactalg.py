@@ -220,10 +220,14 @@ _INT64 = 2**63
 
 
 def _scalars(values: list) -> np.ndarray:
-    """Field scalars as a 1-d array: int64 when each is an int of absolute
-    value below 2^63, else object."""
-    if not values or (set(map(type, values)) == {int}
-                      and -_INT64 < min(values) and max(values) < _INT64):
+    """Field scalars as a 1-d array, an integral Fraction held as an int:
+    int64 when each is then an int of absolute value below 2^63, else
+    object."""
+    kinds = set(map(type, values))
+    if kinds - {int}:
+        values = [v.numerator if v.denominator == 1 else v for v in values]
+        kinds = set(map(type, values))
+    if kinds <= {int} and (not values or -_INT64 < min(values) and max(values) < _INT64):
         return np.array(values, dtype=np.int64)
     return np.fromiter(values, dtype=object, count=len(values))
 
@@ -235,7 +239,7 @@ def _vector(x: np.ndarray):
     idx = x.nonzero()[0]
     if x.dtype != object:
         return idx, x[idx]
-    return idx, _scalars([v.numerator if v.denominator == 1 else v for v in x[idx].tolist()])
+    return idx, _scalars(x[idx].tolist())
 
 
 def _dense(field: FieldSpec, keys: np.ndarray, vals: np.ndarray, shape) -> np.ndarray:
@@ -511,7 +515,7 @@ class SparseCoaction:
         replaces an earlier one, zeros are dropped and integral Fractions
         become ints."""
         seen = {(i, j, g): v for i, j, g, v in entries}
-        vals = _scalars([v.numerator if v.denominator == 1 else v for v in seen.values()])
+        vals = _scalars(list(seen.values()))
         idx = np.fromiter(itertools.chain.from_iterable(seen), dtype=np.int64,
                           count=3 * len(seen)).reshape(-1, 3)
         nz = vals.nonzero()[0]
@@ -642,10 +646,7 @@ def _null_vectors(p: int | None, piv: dict[int, dict], live: np.ndarray, root: n
 def _null_basis(field: FieldSpec, nulls, n: int) -> np.ndarray:
     """The `_null_vectors` as a dense (count, n) basis."""
     count, vector, index, value = nulls
-    basis = field.zeros((count, n))
-    basis[vector, index] = value if field.p is not None else np.fromiter(
-        map(field.coerce, value.tolist()), dtype=object, count=len(value))
-    return basis
+    return _dense(field, vector * n + index, value, (count, n))
 
 
 def rank(field: FieldSpec, mat: np.ndarray) -> int:
@@ -671,8 +672,7 @@ def _quotients(p: int | None, num: np.ndarray, den: np.ndarray) -> np.ndarray:
         return num * inv % p
     if den.dtype != object and (np.abs(den) == 1).all():
         return num * den
-    return _scalars([q.numerator if q.denominator == 1 else q
-                     for q in map(Fraction, num.tolist(), den.tolist())])
+    return _scalars(list(map(Fraction, num.tolist(), den.tolist())))
 
 
 def _reduced_system(field: FieldSpec, coact: SparseCoaction, unit_terms, coords):

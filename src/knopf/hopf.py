@@ -124,6 +124,7 @@ class HopfAlgebraData:
         if self.antipode is None and self.comult is not None:
             self.antipode = self._solve_antipode()
         self._integrals: dict[str, np.ndarray] = {}
+        self._axioms: AxiomReport | None = None
 
     # -- small helpers ---------------------------------------------------
 
@@ -178,8 +179,10 @@ class HopfAlgebraData:
         Both sides of every axiom, the right-hand one negated, are contracted
         on the nonzeros, each check at its own range of keys, in four
         `exactalg.contract`s, and `exactalg.first_differences` reads every
-        witness off one sum.
+        witness off one sum.  The report is kept on the object.
         """
+        if self._axioms is not None:
+            return self._axioms
         n, p = self.dim, self.field.p
         n2, n3, n4 = n * n, n ** 3, n ** 4
         names = ["unit_left", "unit_right", "associativity"]
@@ -255,7 +258,9 @@ class HopfAlgebraData:
                 ((uk // n2, at["comult_algebra_map"] + uk // n % n * n3 + uk % n * n, -uv_),
                  (vk // n2, vk // n % n * n2 + vk % n, vv))], what))
         found = xa.first_differences(p, shapes, terms)
-        return AxiomReport([AxiomCheck(name, w is None, w) for name, w in zip(names, found)])
+        self._axioms = AxiomReport([AxiomCheck(name, w is None, w)
+                                    for name, w in zip(names, found)])
+        return self._axioms
 
     def _antipode_system(self) -> list[dict]:
         """Rows of the antipode axioms, which say both sides equal eps(b_i) 1:
@@ -301,25 +306,19 @@ class HopfAlgebraData:
     # -- integrals and unimodularity -------------------------------------
 
     def integrals(self, side: str = "left") -> np.ndarray:
-        """Echelon-normalized basis of the space of left or right integrals.
+        """Echelon-normalized basis of the space of left or right integrals,
+        as a (dim_of_space, n) array; valid Hopf inputs give exactly one row.
 
-        Left integrals: {x : h x = eps(h) x for all h}; right ones symmetric.
-        Returned as a (dim_of_space, n) array; valid Hopf inputs give exactly
-        one row.
-        """
-        self._need_coalgebra()
-        return self._integral_space(side)
-
-    def _integral_space(self, side: str) -> np.ndarray:
-        """Left integrals: b_i x = eps(b_i) x for every i, the fixed vectors
-        of coact[k, j, i] = mult[i, j, k] against the counit; right ones:
-        x b_i, coact[k, j, i] = mult[j, i, k].
+        Left integrals: b_i x = eps(b_i) x for every i, the fixed vectors of
+        coact[k, j, i] = mult[i, j, k] against the counit; right ones: x b_i,
+        coact[k, j, i] = mult[j, i, k].
 
         If b x = eps(b) x and b' x = eps(b') x then (b b') x = eps(b b') x
         (associativity, multiplicative eps), so the rows of the algebra
         generators suffice; `exactalg.fixed_space` certifies that against
         every b_i.
         """
+        self._need_coalgebra()
         if side not in ("left", "right"):
             raise InputError(f"side must be 'left' or 'right', got {side!r}")
         if side not in self._integrals:
@@ -447,7 +446,7 @@ class HopfAlgebraData:
             try:
                 dual = self.dual()
                 for side in ("left", "right"):
-                    for lam in dual._integral_space(side):
+                    for lam in dual.integrals(side):
                         cands.append(lam)
             except (InputError, InconsistencyError):
                 pass
@@ -624,7 +623,7 @@ def tensor_hopf(h1: HopfAlgebraData, h2: HopfAlgebraData, sep: str = "|") -> Hop
         t = np.tile(np.arange(len(b.vals)), len(a.vals))
         vals = xa._times(f.p, a.vals[s], b.vals[t])
         if vals.dtype == object:
-            vals = xa._scalars([v.numerator if v.denominator == 1 else v for v in vals.tolist()])
+            vals = xa._scalars(vals.tolist())
         return xa.SparseCoaction.from_coo(
             ai[s] * b.dim + bi[t], aj[s] * b.dim + bj[t], ag[s] * b.order + bg[t], vals,
             a.dim * b.dim, a.order * b.order)

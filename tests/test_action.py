@@ -249,7 +249,7 @@ def test_trace_minus_id_doubles_even_degrees():
     ring = act.constant_group_action(Q, MINUS_ID)
     assert xa.arrays_equal(dr.trace_matrix(ring, 2), 2 * Q.eye(3))
     assert xa.is_zero(dr.trace_matrix(ring, 1))
-    assert xa.arrays_equal(ring.integral_functional(), Q.asarray([1, 1]))
+    assert xa.arrays_equal(ring.scheme.dual_algebra.left_integral(), Q.asarray([1, 1]))
 
 
 def test_trace_alpha5_sends_x4_to_y4():
@@ -261,7 +261,7 @@ def test_trace_alpha5_sends_x4_to_y4():
     mod = act.Comodule(g, w, labels=["w1", "w2"])
     assert mod.verify().ok
     ring = act.GradedInvariantRing(mod, var_labels=["x", "y"])
-    assert list(ring.integral_functional()) == [0, 0, 0, 0, 1]
+    assert list(ring.scheme.dual_algebra.left_integral()) == [0, 0, 0, 0, 1]
     t4 = dr.trace_matrix(ring, 4)
     # monomial order x^4, x^3 y, ..., y^4; only Tr(x^4) = y^4 survives
     expect = g.field.zeros((5, 5))
@@ -306,6 +306,14 @@ def test_unit_twist_shares_the_untwisted_kernel(field):
         assert ring.invariant_basis(d, twist=unit) is ring.invariant_basis(d)
     sign = field.asarray([1, -1])
     assert [ring.invariant_dim(d, twist=sign) for d in range(4)] == [0, 1, 1, 2]
+
+
+def test_a_cached_invariant_basis_is_read_only():
+    ring = act.constant_group_action(Q, MINUS_ID)
+    basis = ring.invariant_basis(2)
+    with pytest.raises(ValueError):
+        basis[0, 0] = 7
+    assert xa.arrays_equal(ring.invariant_basis(2), Q.eye(3))
 
 
 @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])

@@ -72,7 +72,7 @@ def test_canonical_twist_diagonal_weight():
 def test_omega_module_first_degree():
     refl = _reflection_ring()
     tw = canon.canonical_twist(refl)
-    dims = canon.omega_hilbert(refl, tw, 5)
+    dims = refl.hilbert_function(5, tw)
     assert dims[:4] == [0, 1, 1, 2]
     # degree 3 in omega grading
     assert refl.n + canon._first_degree(dims) == refl.n + 1

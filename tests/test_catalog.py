@@ -76,18 +76,6 @@ def test_run_all_default_sweeps_green():
         )
 
 
-def test_run_all_parallel_matches_sequential():
-    seq = catalog.run_all(jobs=1)
-    par = catalog.run_all(jobs=2)
-    assert [(r.entry, r.params) for r in seq] == [(r.entry, r.params) for r in par]
-    for a, b in zip(seq, par):
-        assert a.passed == b.passed
-        assert [(c.name, c.passed, str(c.expected), str(c.actual))
-                for c in a.checks] == \
-               [(c.name, c.passed, str(c.expected), str(c.actual))
-                for c in b.checks]
-
-
 def test_entry_result_serialization():
     res = catalog.run("o2-lie-check")
     d = res.to_dict()

@@ -27,6 +27,12 @@ def _data(name: str) -> str:
     return os.path.join(os.path.dirname(__file__), "data", name)
 
 
+def _src_env() -> dict:
+    """The environment of a subprocess that imports knopf from this tree."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
@@ -327,12 +333,10 @@ def test_reused_argument_tree_matches_fresh_processes(capsys):
     for argv in runs:
         assert main(["catalog", "run", *argv, "--output", "json"]) == 0
         reused.append(_without_clock(capsys.readouterr().out))
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     fresh = [_without_clock(subprocess.run(
         [sys.executable, "-c", "import sys; from knopf.cli import main; sys.exit(main())",
          "catalog", "run", *argv, "--output", "json"],
-        env=env, capture_output=True, text=True, check=True).stdout) for argv in runs]
+        env=_src_env(), capture_output=True, text=True, check=True).stdout) for argv in runs]
     assert reused == fresh
     assert reused[0] != reused[2]
 
@@ -354,6 +358,22 @@ def test_error_messages_bound_the_values_they_echo(obj, tmp_path, capsys):
 def test_catalog_param_without_name_exits_two(capsys):
     assert main(["catalog", "run", "--param", "p=3"]) == 2
     capsys.readouterr()
+
+
+def test_catalog_run_takes_no_jobs_flag(capsys):
+    assert main(["catalog", "run", "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--jobs" in err and "Traceback" not in err
+
+
+def test_cli_import_loads_no_process_pool():
+    # every command runs in one process; the pool machinery would only
+    # add import time and resident memory
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, knopf.cli; print(sorted("
+         "{'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"],
+        env=_src_env(), capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_json_output_byte_deterministic(capsys):

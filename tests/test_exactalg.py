@@ -529,6 +529,19 @@ def test_contract_matches_dense_object_tensordot(case):
     assert [field.coerce(v) for v in got.tolist()] == want
 
 
+@pytest.mark.parametrize("values, dtype", [
+    ([Fraction(2), 3], np.int64),
+    ([Fraction(1, 2)], object),
+    ([2**63], object),
+    ([], np.int64),
+], ids=["integral-fraction", "fraction", "past-int64", "empty"])
+def test_scalars_hold_an_integral_fraction_as_an_int(values, dtype):
+    out = xa._scalars(values)
+    assert out.dtype == dtype and out.tolist() == values
+    assert [type(v) for v in out.tolist()] == [
+        int if Fraction(v).denominator == 1 else Fraction for v in values]
+
+
 def test_contract_of_empty_operands():
     empty = (np.zeros(0, dtype=np.int64),) * 3
     one = (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))

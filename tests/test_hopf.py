@@ -1,6 +1,7 @@
 """Hopf algebra structure data: axioms, duals, integrals, Frobenius forms."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,14 @@ def test_group_algebra_axioms(table):
 
 def test_group_algebra_axioms_mod_p(Fp):
     assert group_algebra(Fp, cyclic_table(4)).verify_axioms().ok
+
+
+def test_axiom_report_is_kept_on_the_object():
+    h = group_algebra(Q, dihedral_table(3))
+    report = h.verify_axioms()
+    with mock.patch.object(xa, "contract", wraps=xa.contract) as contract:
+        assert h.verify_axioms() is report
+    assert contract.call_count == 0
 
 
 def test_trivial_group_gives_one_dimensional_hopf():
